@@ -6,8 +6,9 @@ Thread pinning has to happen before numpy is imported anywhere in the
 process, so the module top only touches the standard library and the
 handlers import the numeric modules lazily.
 
-Exit codes: 0 on success, 2 on a validation problem (bad flags or an
-inconsistent parameter combination), 1 on an internal error.  A run
+Exit codes: 0 on success, 2 on a validation problem (bad flags, an
+inconsistent parameter combination, or a table2 row that failed after
+the table was written), 1 on an internal error.  A run
 record (command, seed, outputs, wall time) goes to stderr as one JSON
 line; stdout carries nothing but the artifact when --out is omitted.
 """
@@ -299,6 +300,9 @@ def cmd_table2(args) -> None:
     rows = table2_report()
     with _output(args.out) as fh:
         write_csv(fh, TABLE2_FIELDS, rows)
+    failed = [f"{r['family']} ({r['status']})" for r in rows if r["status"] != "ok"]
+    if failed:
+        raise ValueError(f"table2 rows failed: {'; '.join(failed)}")
 
 
 def _add_family_flags(p: argparse.ArgumentParser, with_pattern: bool = True) -> None:

@@ -11,14 +11,13 @@ mirroring the best-of-N instance protocol used for the published
 channel budgets.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .distributions import MomentConstants, NonzeroDistribution, moment_constants
 from .sensing import coherence, quality_measures, spectral_norm_sq
-from .signmatrix import SignMatrix
+from .signmatrix import SignMatrix, _random_signs
 
 # exact-recovery threshold for basis pursuit: delta_2K below sqrt(2)-1
 BP_DELTA = math.sqrt(2.0) - 1.0
@@ -294,22 +293,25 @@ class SearchResult:
     params: dict = field(default_factory=dict)
 
 
+@functools.lru_cache(maxsize=1024)
 def _best_random_instance(M: int, m: int, attempts: int, seed: int):
     """Lowest-coherence random instance out of `attempts`; returns
-    (mu, sign entries, witness seed tuple)."""
+    (mu, witness key).
+
+    The coherence and statistical searches probe the same candidate m
+    values, so results are cached per argument tuple.  The cache keeps
+    no matrix (a tall candidate is tens of MB); _random_signs(key, m, M)
+    regenerates the witness where a bound needs more than mu.
+    """
     best_mu = math.inf
-    best_seed = None
-    best_S = None
+    best_key = None
     for a in range(attempts):
         key = (seed, m, a)
-        rng = np.random.default_rng(key)
-        S = (rng.integers(0, 2, size=(m, M)) * 2 - 1).astype(np.int8)
-        mu, _ = coherence(S)
+        mu, _ = coherence(_random_signs(key, m, M))
         if mu < best_mu:
             best_mu = mu
-            best_seed = key
-            best_S = S
-    return best_mu, best_S, best_seed
+            best_key = key
+    return best_mu, best_key
 
 
 def min_channels_search(
@@ -338,6 +340,8 @@ def min_channels_search(
     """
     if bound not in SEARCH_BOUNDS:
         raise ValueError(f"unknown bound {bound!r}, expected one of {SEARCH_BOUNDS}")
+    if attempts < 1:
+        raise ValueError(f"attempts must be positive, got {attempts}")
     if target_prob is None:
         target_prob = 0.85 if bound.startswith("exrip") else 0.97
     params = {
@@ -385,14 +389,7 @@ def min_channels_search(
             best = -math.inf
             for a in range(attempts):
                 key = (seed, m, a)
-                S = SignMatrix(
-                    (np.random.default_rng(key).integers(0, 2, size=(m, M)) * 2 - 1).astype(
-                        np.int8
-                    ),
-                    "random",
-                    key,
-                )
-                q = quality_measures(S)
+                q = quality_measures(SignMatrix(_random_signs(key, m, M), "random", key))
                 p = exrip_probability(
                     ExripInputs(q.alpha, q.beta, q.gamma, m, M, K, delta, constants)
                 ).probability
@@ -400,14 +397,14 @@ def min_channels_search(
                     best = p
                     witness[m] = key
             return best >= target_prob
-        mu, S, key = _best_random_instance(M, m, attempts, seed)
+        mu, key = _best_random_instance(M, m, attempts, seed)
         witness[m] = key
         if bound == "donoho_elad":
             return mu > 0 and math.floor(0.5 * (1.0 + 1.0 / mu)) >= K
         if bound == "tropp_coherence":
             return mu > 0 and math.floor(1.0 / (3.0 * mu)) >= K
         if bound == "candes_plan":
-            snorm = spectral_norm_sq(S)
+            snorm = spectral_norm_sq(_random_signs(key, m, M))
             g = coherence_guarantees(mu, M, snorm, K, candes_plan_c)
             return bool(g.candes_plan_mu_ok and g.candes_plan_k_ok)
         if bound == "gan":
@@ -415,7 +412,7 @@ def min_channels_search(
             return r.feasible and r.probability >= target_prob
         # tropp_strip: t chosen to put the success probability at the target
         t = max(1.0, -math.log1p(-target_prob) / math.log(K / 2.0)) if K > 2 else 1.0
-        snorm = spectral_norm_sq(S)
+        snorm = spectral_norm_sq(_random_signs(key, m, M))
         r = strip_tropp(mu, snorm, M, K, delta, t)
         return r.feasible and r.probability >= target_prob
 

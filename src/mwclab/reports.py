@@ -54,8 +54,9 @@ def _constants(kind: str, K: int, samples: int):
 def table2_report(names=TABLE2_ROW_ORDER) -> list[dict]:
     """One row per sign-pattern family preset, in fixed order.
 
-    A failing row is reported in its status column and does not stop
-    the remaining rows.
+    A row whose preset or parameters fail validation (ValueError or
+    KeyError) is reported in its status column and does not stop the
+    remaining rows; any other exception propagates.
     """
     rows = []
     for name in names:
@@ -88,7 +89,7 @@ def table2_report(names=TABLE2_ROW_ORDER) -> list[dict]:
                     "status": "ok",
                 }
             )
-        except Exception as exc:  # keep the table going, flag the row
+        except (ValueError, KeyError) as exc:  # keep the table going, flag the row
             rows.append(
                 {
                     "family": label,

@@ -20,6 +20,10 @@ _FULL_GRAM_MAX_M = 4096
 # DFT of every row); true nonzero norms are orders of magnitude larger
 _ZERO_COLUMN_TOL = 1e-9
 
+# power-iteration stopping rule for the spectral norm
+_POWER_REL_TOL = 1e-10
+_POWER_MAX_ITER = 10000
+
 
 @dataclass(frozen=True)
 class SensingMatrix:
@@ -68,8 +72,22 @@ def sensing_matrix(S: SignMatrix) -> SensingMatrix:
 
 def _column_power(S: np.ndarray) -> np.ndarray:
     """P[j] = sum_i |DFT(S_i)[j]|^2; column norms of S F are P / 1."""
-    F = np.fft.fft(S.astype(np.float64), axis=1)
-    return (np.abs(F) ** 2).sum(axis=0)
+    F = np.fft.fft(S.astype(np.float64, copy=False), axis=1)
+    A = np.abs(F)
+    del F
+    A **= 2
+    return A.sum(axis=0)
+
+
+def _sign_gram(S: np.ndarray) -> np.ndarray:
+    """The smaller Gram of a +/-1 matrix, S S^T if m <= M else S^T S.
+
+    It runs as a float64 BLAS product and is exact: every partial sum
+    of +/-1 products is an integer of magnitude at most max(m, M), far
+    below 2**53, whatever the blocking, FMA use or thread count.
+    """
+    Sf = S.astype(np.float64, copy=False)
+    return Sf @ Sf.T if S.shape[0] <= S.shape[1] else Sf.T @ Sf
 
 
 def coherence(S: np.ndarray) -> tuple[float, int]:
@@ -121,16 +139,9 @@ def coherence(S: np.ndarray) -> tuple[float, int]:
     return min(best, 1.0), zero_columns
 
 
-def spectral_norm_sq(S: np.ndarray, rel_tol: float = 1e-10, max_iter: int = 10000) -> float:
-    """||Phi||^2 via power iteration on the smaller integer Gram.
-
-    Phi Phi^H = S S^T / m because F F^H = M I, so the squared operator
-    norm is the top eigenvalue of S S^T (or equivalently S^T S) over m.
-    The matvec runs through einsum to keep the reduction order fixed.
-    """
-    m, M = S.shape
-    Si = S.astype(np.int64)
-    W = (Si @ Si.T if m <= M else Si.T @ Si).astype(np.float64)
+def _top_eigenvalue(W: np.ndarray, rel_tol: float, max_iter: int) -> float:
+    """Power iteration on a symmetric positive semidefinite matrix.
+    The matvec runs through einsum to keep the reduction order fixed."""
     n = W.shape[0]
     # deterministic start with no accidental symmetry
     v = 1.0 + ((np.arange(n) * 2654435761) % 1000) / 1000.0
@@ -147,7 +158,20 @@ def spectral_norm_sq(S: np.ndarray, rel_tol: float = 1e-10, max_iter: int = 1000
             lam = new
             break
         lam = new
-    return lam / m
+    return lam
+
+
+def spectral_norm_sq(
+    S: np.ndarray, rel_tol: float = _POWER_REL_TOL, max_iter: int = _POWER_MAX_ITER
+) -> float:
+    """||Phi||^2 via power iteration on the smaller integer Gram.
+
+    Phi Phi^H = S S^T / m because F F^H = M I, so the squared operator
+    norm is the top eigenvalue of S S^T (or equivalently S^T S) over m.
+    The Gram is a float64 BLAS product, exact because its entries and
+    every partial sum are integers far below 2**53 (see _sign_gram).
+    """
+    return _top_eigenvalue(_sign_gram(S), rel_tol, max_iter) / S.shape[0]
 
 
 def quality_measures(S: SignMatrix) -> QualityReport:
@@ -163,25 +187,31 @@ def quality_measures(S: SignMatrix) -> QualityReport:
       gamma = (mM)^-2   sum (S_i . reverse(S_k))^2
 
     beta uses Parseval: sum_ik ||S_i (*) S_k||^2 = (1/M) sum_j P_j^2
-    with P_j the column power of S F.
+    with P_j the column power of S F.  alpha comes from the smaller
+    Gram W (_sign_gram, ||S S^T||_F = ||S^T S||_F), which also gives
+    the spectral norm; gamma from S R S^T with R the cyclic reversal
+    n -> -n mod M.  The products run in float64 BLAS and are exact
+    (every partial sum is an integer far below 2**53); they are cast
+    back to int64 so the sums of squares are exact integers too.
     """
     m, M = S.m, S.M
-    Si = S.entries.astype(np.int64)
-    P = _column_power(S.entries)
+    Sf = S.entries.astype(np.float64)
+    P = _column_power(Sf)
     if not np.any(P > _ZERO_COLUMN_TOL):
         raise ValueError("all sensing columns are zero")
 
-    G = Si @ Si.T
+    W = _sign_gram(Sf)
+    G = W.astype(np.int64)
     alpha = float((G * G).sum()) / (m * M) ** 2
 
     beta = float((P * P).sum()) / (m * m * M**4)
 
-    rev = Si[:, (-np.arange(M)) % M]
-    Grev = Si @ rev.T
+    rev = (-np.arange(M)) % M
+    Grev = (Sf @ Sf[:, rev].T).astype(np.int64)
     gamma = float((Grev * Grev).sum()) / (m * M) ** 2
 
     mu, zero_columns = coherence(S.entries)
-    snorm = spectral_norm_sq(S.entries)
+    snorm = _top_eigenvalue(W, _POWER_REL_TOL, _POWER_MAX_ITER) / m
     return QualityReport(alpha, beta, gamma, mu, snorm, m, M, zero_columns)
 
 

@@ -110,13 +110,23 @@ def _maximal_rows(n: int, m: int) -> list[np.ndarray]:
     return rows
 
 
+def _random_signs(key, m: int, M: int) -> np.ndarray:
+    """m x M i.i.d. equiprobable int8 signs from `key`, a seed or a
+    Generator (which the draw advances).  Every random sign pattern in
+    the package comes from this one stream."""
+    S = np.random.default_rng(key).integers(0, 2, size=(m, M))
+    S *= 2
+    S -= 1
+    return S.astype(np.int8)
+
+
 def _random_entries(m: int, M: int, seed: Seed) -> np.ndarray:
     if seed is None:
         raise ValueError("random family needs a seed")
     if M < 64 and m > 2**M:
         raise ValueError(f"cannot draw {m} distinct rows of length {M} (only {2**M} exist)")
     rng = np.random.default_rng(seed)
-    S = (rng.integers(0, 2, size=(m, M)) * 2 - 1).astype(np.int8)
+    S = _random_signs(rng, m, M)
     # rows must be distinct; redraw clashes (astronomically rare at real sizes)
     for _ in range(100):
         seen: dict[bytes, int] = {}
@@ -129,7 +139,7 @@ def _random_entries(m: int, M: int, seed: Seed) -> np.ndarray:
                 seen[key] = i
         if not dup:
             return S
-        S[dup] = (rng.integers(0, 2, size=(len(dup), M)) * 2 - 1).astype(np.int8)
+        S[dup] = _random_signs(rng, len(dup), M)
     raise ValueError(f"could not draw {m} distinct rows of length {M}")
 
 

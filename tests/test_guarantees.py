@@ -11,6 +11,7 @@ from mwclab.guarantees import (
     BP_DELTA,
     ExripInputs,
     GuaranteeResult,
+    _best_random_instance,
     coherence_guarantees,
     exrip_approx,
     exrip_from_sign_matrix,
@@ -21,6 +22,7 @@ from mwclab.guarantees import (
     strip_gan,
     strip_tropp,
 )
+from mwclab.sensing import coherence
 
 UNIT = MomentConstants(B_K=1.0, C_K=1.0, K=1, source="closed_form")
 
@@ -227,3 +229,38 @@ def test_search_rip_matches_direct_formula():
     res = min_channels_search("rip", 195, 12, target_prob=0.97)
     assert res.status == "found"
     assert res.m == rip_min_m(195, 12, BP_DELTA, 0.97)
+
+
+def _drawn_signs(key, m, M):
+    # the search's published draw stream, spelled out independently
+    return (np.random.default_rng(key).integers(0, 2, size=(m, M)) * 2 - 1).astype(np.int8)
+
+
+@pytest.mark.parametrize("M, m, attempts, seed", [(63, 5, 4, 0), (31, 40, 3, 7), (195, 12, 2, 3)])
+def test_best_instance_cache_matches_uncached_loop(M, m, attempts, seed):
+    mus = [coherence(_drawn_signs((seed, m, a), m, M))[0] for a in range(attempts)]
+    best = min(range(attempts), key=lambda a: (mus[a], a))
+    want = (mus[best], (seed, m, best))
+    assert _best_random_instance(M, m, attempts, seed) == want
+    hits = _best_random_instance.cache_info().hits
+    assert _best_random_instance(M, m, attempts, seed) == want  # served from the cache
+    assert _best_random_instance.cache_info().hits == hits + 1
+
+
+def test_search_witness_replays_the_satisfying_mu():
+    M, K, attempts, seed = 63, 2, 3, 1
+    res = min_channels_search("donoho_elad", M, K, attempts=attempts, seed=seed, ceiling=4096)
+    assert res.status == "found"
+    s, m, a = res.witness_seed
+    assert (s, m) == (seed, res.m) and 0 <= a < attempts
+    mu, _ = coherence(_drawn_signs(res.witness_seed, m, M))
+    assert mu == _best_random_instance(M, m, attempts, seed)[0]
+    assert math.floor(0.5 * (1.0 + 1.0 / mu)) >= K
+    # one channel fewer, the best of the same draws misses the bound
+    mu_below = _best_random_instance(M, m - 1, attempts, seed)[0]
+    assert math.floor(0.5 * (1.0 + 1.0 / mu_below)) < K
+
+
+def test_search_rejects_nonpositive_attempts():
+    with pytest.raises(ValueError, match="attempts"):
+        min_channels_search("donoho_elad", 63, 2, attempts=0)

@@ -1,6 +1,7 @@
 """Preset registry and the command line surface: schemas, exit codes,
 and byte-for-byte reproducibility of artifacts."""
 
+import csv
 import json
 import os
 import subprocess
@@ -180,6 +181,45 @@ def test_cli_table2_full(tmp_path):
     families = [line.split(",")[0] for line in lines[1:]]
     assert families == ["maximal", "gold", "hadamard", "random1", "kasami", "random2"]
     assert all(line.rstrip().endswith("ok") for line in lines[1:])
+
+
+def _break_preset(monkeypatch, name, exc=None):
+    """Make reports load `name` with a register length gold cannot use,
+    or raise `exc` when it loads that preset."""
+    from mwclab import reports
+
+    real = reports.load_preset
+
+    def fake(preset_name):
+        preset = real(preset_name)
+        if preset_name != name:
+            return preset
+        if exc is not None:
+            raise exc
+        return type(preset)(preset.name, {**preset.values, "n": "1"})
+
+    monkeypatch.setattr(reports, "load_preset", fake)
+
+
+def test_cli_table2_broken_row_exits_nonzero_after_writing(tmp_path, monkeypatch, capsys):
+    from mwclab import cli
+
+    _break_preset(monkeypatch, "table2_gold")
+    out = tmp_path / "t2.csv"
+    assert cli.main(["table2", "--out", str(out)]) == 2
+    with open(out, newline="") as fh:
+        status = {row["family"]: row["status"] for row in csv.DictReader(fh)}
+    assert list(status) == ["maximal", "gold", "hadamard", "random1", "kasami", "random2"]
+    assert status.pop("gold").startswith("error: ")
+    assert set(status.values()) == {"ok"}
+    assert "gold" in capsys.readouterr().err
+
+
+def test_cli_table2_unexpected_error_is_not_a_row(tmp_path, monkeypatch):
+    from mwclab import cli
+
+    _break_preset(monkeypatch, "table2_maximal", RuntimeError("boom"))
+    assert cli.main(["table2", "--out", str(tmp_path / "t2.csv")]) == 1
 
 
 def test_cli_run_record_on_stderr(tmp_path):

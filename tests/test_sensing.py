@@ -4,11 +4,12 @@ metamorphic invariances."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mwclab.sensing import (
     QualityReport,
+    _sign_gram,
     coherence,
     quality_bounds_check,
     quality_measures,
@@ -140,6 +141,8 @@ def test_spectral_norm_matches_eigendecomposition(shape):
     S = rng.integers(0, 2, shape) * 2 - 1
     want = np.linalg.eigvalsh(S.astype(float).T @ S.astype(float))[-1] / shape[0]
     assert np.isclose(spectral_norm_sq(S), want, rtol=1e-8)
+    # quality_measures reuses its own Gram for the same power iteration
+    assert quality_measures(_sm(S)).spectral_norm_sq == spectral_norm_sq(S)
 
 
 def test_coherence_matches_direct_gram():
@@ -229,3 +232,38 @@ def test_quality_report_as_dict_keys():
         "M",
         "zero_columns",
     }
+
+
+def _signs(m, M, seed):
+    return (np.random.default_rng(seed).integers(0, 2, (m, M)) * 2 - 1).astype(np.int8)
+
+
+# tall (m > M) as well as wide shapes, so both sides of the Gram run
+any_shape_sign_matrices = st.tuples(
+    st.integers(1, 40), st.integers(1, 40), st.integers(0, 10_000)
+).map(lambda t: _signs(*t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_shape_sign_matrices)
+@example(_signs(1500, 97, 1))  # long enough reductions for BLAS to block them
+@example(_signs(97, 1500, 2))
+def test_blas_gram_equals_integer_gram(S):
+    Si = S.astype(np.int64)
+    want = Si @ Si.T if S.shape[0] <= S.shape[1] else Si.T @ Si
+    W = _sign_gram(S)
+    assert W.dtype == np.float64
+    assert W.shape == want.shape
+    assert np.array_equal(W, want.astype(np.float64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_shape_sign_matrices)
+def test_alpha_gamma_equal_integer_pair_sums(S):
+    m, M = S.shape
+    Si = S.astype(np.int64)
+    G = Si @ Si.T
+    Grev = Si @ Si[:, (-np.arange(M)) % M].T
+    q = quality_measures(_sm(S))
+    assert q.alpha == float((G * G).sum()) / (m * M) ** 2
+    assert q.gamma == float((Grev * Grev).sum()) / (m * M) ** 2
