@@ -320,7 +320,12 @@ def _add_eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, help="sparsity the guarantee is evaluated at")
     p.add_argument("--delta", type=float, help="isometry tolerance (default sqrt(2)-1)")
     p.add_argument("--dist", choices=_DIST_TOKENS, default="complex-normal")
-    p.add_argument("--samples", type=int, help="Monte Carlo sample count for moment constants")
+    p.add_argument(
+        "--samples",
+        type=int,
+        help="Monte Carlo sample count for the moment constants of complex-uniform and "
+        "real-uniform values (the other laws use closed forms)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

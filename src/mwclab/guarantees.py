@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .distributions import MomentConstants, NonzeroDistribution, moment_constants
-from .sensing import coherence, quality_measures, spectral_norm_sq
+from .sensing import coherence, correlation_measures, spectral_norm_sq
 from .signmatrix import SignMatrix, _random_signs
 
 # exact-recovery threshold for basis pursuit: delta_2K below sqrt(2)-1
@@ -91,8 +91,15 @@ class ExripInputs:
 
 def exrip_probability(inputs: ExripInputs) -> GuaranteeResult:
     """Lower bound on the probability that a random-support K-sparse
-    vector with i.i.d. symmetric nonzeros sees a delta-isometry."""
-    B, C = inputs.constants.B_K, inputs.constants.C_K
+    vector with i.i.d. symmetric nonzeros sees a delta-isometry.
+
+    raw is linear in B_K and C_K, so Monte-Carlo constants carry their
+    error straight through: params then also hold B_K_stderr,
+    C_K_stderr and probability_stderr, the standard error of raw from
+    the two estimates and their covariance.
+    """
+    const = inputs.constants
+    B, C = const.B_K, const.C_K
     rho = inputs.rho
     excess = (
         (1.0 - C) * rho * (1.0 + inputs.alpha - 2.0 * inputs.beta)
@@ -100,22 +107,32 @@ def exrip_probability(inputs: ExripInputs) -> GuaranteeResult:
         + C * inputs.M * inputs.beta
         - 1.0
     )
-    raw = 1.0 - excess / inputs.delta**2
-    return _feasible(
-        "exrip",
-        raw,
-        {
-            "alpha": inputs.alpha,
-            "beta": inputs.beta,
-            "gamma": inputs.gamma,
-            "m": inputs.m,
-            "M": inputs.M,
-            "K": inputs.K,
-            "delta": inputs.delta,
-            "B_K": B,
-            "C_K": C,
-        },
-    )
+    d2 = inputs.delta**2
+    raw = 1.0 - excess / d2
+    params = {
+        "alpha": inputs.alpha,
+        "beta": inputs.beta,
+        "gamma": inputs.gamma,
+        "m": inputs.m,
+        "M": inputs.M,
+        "K": inputs.K,
+        "delta": inputs.delta,
+        "B_K": B,
+        "C_K": C,
+    }
+    if const.source == "monte_carlo":
+        odd = rho * (inputs.gamma - inputs.beta)
+        dB = -odd / d2  # d raw / d B_K
+        dC = (rho * (1.0 + inputs.alpha - 2.0 * inputs.beta) + odd - inputs.M * inputs.beta) / d2
+        var = (
+            dB * dB * const.stderr_B**2
+            + dC * dC * const.stderr_C**2
+            + 2.0 * dB * dC * const.cov_BC
+        )
+        params["B_K_stderr"] = const.stderr_B
+        params["C_K_stderr"] = const.stderr_C
+        params["probability_stderr"] = math.sqrt(max(0.0, var))
+    return _feasible("exrip", raw, params)
 
 
 def exrip_from_sign_matrix(
@@ -132,9 +149,8 @@ def exrip_from_sign_matrix(
         if dist is None:
             raise ValueError("need either a distribution or explicit constants")
         constants = moment_constants(dist, K, samples=constant_samples, seed=constant_seed)
-    q = quality_measures(S)
-    inputs = ExripInputs(q.alpha, q.beta, q.gamma, S.m, S.M, K, delta, constants)
-    return exrip_probability(inputs)
+    alpha, beta, gamma = correlation_measures(S)
+    return exrip_probability(ExripInputs(alpha, beta, gamma, S.m, S.M, K, delta, constants))
 
 
 def exrip_approx(m: int, delta: float = BP_DELTA) -> GuaranteeResult:
@@ -389,10 +405,8 @@ def min_channels_search(
             best = -math.inf
             for a in range(attempts):
                 key = (seed, m, a)
-                q = quality_measures(SignMatrix(_random_signs(key, m, M), "random", key))
-                p = exrip_probability(
-                    ExripInputs(q.alpha, q.beta, q.gamma, m, M, K, delta, constants)
-                ).probability
+                S = SignMatrix(_random_signs(key, m, M), "random", key)
+                p = exrip_from_sign_matrix(S, K, delta, constants=constants).probability
                 if p > best:
                     best = p
                     witness[m] = key

@@ -17,14 +17,16 @@ from .distributions import (
     MomentConstants,
     NonzeroDistribution,
     block_rng,
-    moment_constants,
     sample_values,
 )
-from .guarantees import BP_DELTA, ExripInputs, GuaranteeResult, exrip_probability
-from .sensing import SensingMatrix, quality_measures, sensing_matrix
+from .guarantees import BP_DELTA, GuaranteeResult, exrip_from_sign_matrix
+from .sensing import SensingMatrix, sensing_matrix
 from .signmatrix import SignMatrix
 
 _BLOCK = 2048
+# trials per gather inside a block: a 64 x K x m slab stays in cache,
+# while a whole-block gather is 63 MB at K = 24, m = 80
+_GATHER = 64
 _UNDERFLOW = 1e-300
 
 
@@ -136,8 +138,12 @@ def empirical_exrip(
             redraws += int(bad.size)
             values[bad] = sample_values(dist, (bad.size, K), rng)
             nrm2[bad] = (np.abs(values[bad]) ** 2).sum(axis=1)
-        picked = cols[supports]  # take x K x m
-        y = np.einsum("tkm,tk->tm", picked, values)
+        y = np.empty((take, m), dtype=np.result_type(cols, values))
+        for i in range(0, take, _GATHER):
+            np.einsum(
+                "tkm,tk->tm", cols[supports[i : i + _GATHER]], values[i : i + _GATHER],
+                out=y[i : i + _GATHER],
+            )
         z2 = (np.abs(y) ** 2).sum(axis=1) / nrm2
         hits += int((np.abs(z2 - 1.0) <= delta).sum())
         s2 += float(z2.sum())
@@ -209,11 +215,8 @@ def bound_validity_report(
 ) -> ValidityReport:
     if dist is None:
         dist = NonzeroDistribution("complex_normal")
-    if constants is None:
-        constants = moment_constants(dist, K, samples=constant_samples, seed=0)
-    q = quality_measures(S)
-    theory = exrip_probability(
-        ExripInputs(q.alpha, q.beta, q.gamma, S.m, S.M, K, delta, constants)
+    theory = exrip_from_sign_matrix(
+        S, K, delta, dist, constants, constant_samples=constant_samples
     )
     Phi = sensing_matrix(S)
     est = empirical_exrip(Phi, K, delta, dist, trials, seed)

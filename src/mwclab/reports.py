@@ -16,12 +16,13 @@ from .guarantees import (
     SEARCH_BOUNDS,
     ExripInputs,
     exrip_approx,
+    exrip_from_sign_matrix,
     exrip_probability,
     min_channels_search,
     rip_min_m,
 )
 from .presets import Preset, TABLE2_ROW_ORDER, load_preset
-from .sensing import quality_measures
+from .sensing import correlation_measures
 from .signmatrix import FamilySpec, build_sign_matrix
 
 TABLE2_FIELDS = (
@@ -39,17 +40,6 @@ TABLE2_FIELDS = (
 TABLE1_FIELDS = ("bound", "k", "target", "m_required", "status", "note")
 SWEEP_FIELDS = ("m", "p_exact", "p_approx")
 
-_CONSTANTS_CACHE: dict = {}
-
-
-def _constants(kind: str, K: int, samples: int):
-    key = (kind, K, samples)
-    if key not in _CONSTANTS_CACHE:
-        _CONSTANTS_CACHE[key] = moment_constants(
-            NonzeroDistribution(kind), K, samples=samples, seed=0
-        )
-    return _CONSTANTS_CACHE[key]
-
 
 def table2_report(names=TABLE2_ROW_ORDER) -> list[dict]:
     """One row per sign-pattern family preset, in fixed order.
@@ -65,15 +55,15 @@ def table2_report(names=TABLE2_ROW_ORDER) -> list[dict]:
             preset = load_preset(name)
             spec = preset.family_spec()
             S = build_sign_matrix(spec)
-            q = quality_measures(S)
+            alpha, beta, gamma = correlation_measures(S)
             k = preset.get_int("k")
             delta = preset.get_float("delta")
             samples = preset.get_int("constant_samples", 10**6)
             probs = {}
             for kind in ("complex_normal", "complex_uniform"):
-                const = _constants(kind, k, samples)
+                const = moment_constants(NonzeroDistribution(kind), k, samples=samples)
                 probs[kind] = exrip_probability(
-                    ExripInputs(q.alpha, q.beta, q.gamma, S.m, S.M, k, delta, const)
+                    ExripInputs(alpha, beta, gamma, S.m, S.M, k, delta, const)
                 ).probability
             rows.append(
                 {
@@ -81,9 +71,9 @@ def table2_report(names=TABLE2_ROW_ORDER) -> list[dict]:
                     "m": S.m,
                     "M": S.M,
                     "k": k,
-                    "alpha100": 100.0 * q.alpha,
-                    "beta100": 100.0 * q.beta,
-                    "gamma100": 100.0 * q.gamma,
+                    "alpha100": 100.0 * alpha,
+                    "beta100": 100.0 * beta,
+                    "gamma100": 100.0 * gamma,
                     "p_complex_normal": probs["complex_normal"],
                     "p_complex_uniform": probs["complex_uniform"],
                     "status": "ok",
@@ -116,17 +106,14 @@ def fig2_report(preset: Preset) -> list[dict]:
     seed = preset.get_int("seed", 0)
     samples = preset.get_int("constant_samples", 10**6)
     kind = preset.get_str("dist", "complex_normal")
-    const = _constants(kind, k, samples)
+    const = moment_constants(NonzeroDistribution(kind), k, samples=samples)
     start = preset.get_int("m_start")
     stop = preset.get_int("m_stop")
     step = preset.get_int("m_step")
     rows = []
     for m in range(start, stop + 1, step):
-        spec = FamilySpec("random", m=m, M=M, seed=(seed, m))
-        q = quality_measures(build_sign_matrix(spec))
-        exact = exrip_probability(
-            ExripInputs(q.alpha, q.beta, q.gamma, m, M, k, delta, const)
-        ).probability
+        S = build_sign_matrix(FamilySpec("random", m=m, M=M, seed=(seed, m)))
+        exact = exrip_from_sign_matrix(S, k, delta, constants=const).probability
         approx = exrip_approx(m, delta).probability
         rows.append({"m": m, "p_exact": exact, "p_approx": approx})
     return rows
@@ -168,7 +155,7 @@ def table1_report(
             attempts=attempts,
             seed=seed,
             ceiling=ceiling,
-            constants=_constants(dist.kind, K_used, samples) if bound == "exrip" else None,
+            constant_samples=samples,
         )
         note = res.detail
         if bound == "rip":

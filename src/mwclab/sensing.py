@@ -174,6 +174,32 @@ def spectral_norm_sq(
     return _top_eigenvalue(_sign_gram(S), rel_tol, max_iter) / S.shape[0]
 
 
+def _correlations(Sf: np.ndarray) -> tuple[float, float, float, np.ndarray]:
+    """alpha, beta, gamma of a float64 +/-1 matrix, plus the smaller
+    Gram W they were taken from (see quality_measures)."""
+    m, M = Sf.shape
+    P = _column_power(Sf)
+    if not np.any(P > _ZERO_COLUMN_TOL):
+        raise ValueError("all sensing columns are zero")
+
+    W = _sign_gram(Sf)
+    G = W.astype(np.int64)
+    alpha = float((G * G).sum()) / (m * M) ** 2
+
+    beta = float((P * P).sum()) / (m * m * M**4)
+
+    rev = (-np.arange(M)) % M
+    Grev = (Sf @ Sf[:, rev].T).astype(np.int64)
+    gamma = float((Grev * Grev).sum()) / (m * M) ** 2
+    return alpha, beta, gamma, W
+
+
+def correlation_measures(S: SignMatrix) -> tuple[float, float, float]:
+    """(alpha, beta, gamma): the three measures the exrip bound reads,
+    without the coherence and spectral norm of quality_measures."""
+    return _correlations(S.entries.astype(np.float64))[:3]
+
+
 def quality_measures(S: SignMatrix) -> QualityReport:
     """alpha, beta, gamma, coherence and spectral norm of one matrix.
 
@@ -194,25 +220,10 @@ def quality_measures(S: SignMatrix) -> QualityReport:
     (every partial sum is an integer far below 2**53); they are cast
     back to int64 so the sums of squares are exact integers too.
     """
-    m, M = S.m, S.M
-    Sf = S.entries.astype(np.float64)
-    P = _column_power(Sf)
-    if not np.any(P > _ZERO_COLUMN_TOL):
-        raise ValueError("all sensing columns are zero")
-
-    W = _sign_gram(Sf)
-    G = W.astype(np.int64)
-    alpha = float((G * G).sum()) / (m * M) ** 2
-
-    beta = float((P * P).sum()) / (m * m * M**4)
-
-    rev = (-np.arange(M)) % M
-    Grev = (Sf @ Sf[:, rev].T).astype(np.int64)
-    gamma = float((Grev * Grev).sum()) / (m * M) ** 2
-
+    alpha, beta, gamma, W = _correlations(S.entries.astype(np.float64))
     mu, zero_columns = coherence(S.entries)
-    snorm = _top_eigenvalue(W, _POWER_REL_TOL, _POWER_MAX_ITER) / m
-    return QualityReport(alpha, beta, gamma, mu, snorm, m, M, zero_columns)
+    snorm = _top_eigenvalue(W, _POWER_REL_TOL, _POWER_MAX_ITER) / S.m
+    return QualityReport(alpha, beta, gamma, mu, snorm, S.m, S.M, zero_columns)
 
 
 def welch_lower_bound(m: int, M: int) -> float:
@@ -257,6 +268,7 @@ __all__ = [
     "QualityReport",
     "SensingMatrix",
     "coherence",
+    "correlation_measures",
     "quality_bounds_check",
     "quality_measures",
     "sensing_matrix",

@@ -4,7 +4,10 @@ Dirichlet identity for the complex Gaussian case."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mwclab import distributions
 from mwclab.distributions import (
     KINDS,
     MomentConstants,
@@ -78,10 +81,45 @@ def test_complex_normal_matches_dirichlet_identity():
     # |u_i|^2/||u||^2 is Dirichlet(1,...,1), so E sum w_i^2 = 2/(K+1);
     # the estimator must agree without knowing that formula
     for K in (2, 8, 24):
-        c = moment_constants(NonzeroDistribution("complex_normal"), K, samples=400_000, seed=0)
+        c = moment_constants(
+            NonzeroDistribution("complex_normal"), K, method="monte_carlo", samples=400_000, seed=0
+        )
         want = 2.0 / (K + 1)
         assert abs(c.C_K - want) < 6 * c.stderr_C, (K, c.C_K, want)
         assert abs(c.B_K - want) < 6 * c.stderr_B, (K, c.B_K, want)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(2, 32), st.integers(0, 2**32 - 1))
+def test_montecarlo_lands_on_closed_forms(K, seed):
+    # the estimator knows no closed form; it must agree with them
+    cn = moment_constants(
+        NonzeroDistribution("complex_normal"), K, method="monte_carlo", samples=10**5, seed=seed
+    )
+    want = 2.0 / (K + 1)
+    assert abs(cn.B_K - want) < 6 * cn.stderr_B, (K, cn.B_K, want)
+    assert abs(cn.C_K - want) < 6 * cn.stderr_C, (K, cn.C_K, want)
+    bs = moment_constants(
+        NonzeroDistribution("bernoulli_sign"), K, method="monte_carlo", samples=10**5, seed=seed
+    )
+    assert bs.B_K == 1.0
+    assert abs(bs.C_K - 1.0 / K) < 1e-12
+
+
+def test_auto_takes_closed_forms_without_drawing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed forms draw nothing")
+
+    monkeypatch.setattr(distributions, "sample_values", refuse)
+    for kind, B, C in (
+        ("complex_normal", 2.0 / 25, 2.0 / 25),
+        ("bernoulli_sign", 1.0, 1.0 / 24),
+        ("real_normal", 1.0, 72.0 / 624),
+    ):
+        c = moment_constants(NonzeroDistribution(kind, scale=2.0), 24, seed=5)
+        assert c == MomentConstants(B, C, 24, "closed_form"), kind
+    with pytest.raises(AssertionError):
+        moment_constants(NonzeroDistribution("complex_uniform"), 24, samples=10**5, seed=12345)
 
 
 def test_complex_uniform_frozen_values():
@@ -101,7 +139,7 @@ def test_closed_form_refused_where_unknown():
 
 def test_montecarlo_minimum_samples():
     with pytest.raises(ValueError):
-        moment_constants(NonzeroDistribution("complex_normal"), 4, samples=999)
+        moment_constants(NonzeroDistribution("complex_normal"), 4, method="monte_carlo", samples=999)
 
 
 def test_montecarlo_stderr_shrinks_with_samples():
@@ -112,12 +150,34 @@ def test_montecarlo_stderr_shrinks_with_samples():
     assert large.stderr_C < 0.75 * small.stderr_C  # roughly halves
 
 
+def test_montecarlo_covariance_matches_draws():
+    # recompute B, C and their covariance from the estimator's own streams
+    d = NonzeroDistribution("complex_uniform")
+    n, K, block = 10**5, 6, 2**14
+    c = moment_constants(d, K, samples=n, seed=2)
+    u = np.concatenate(
+        [sample_values(d, (min(block, n - i), K), block_rng(2, j))
+         for j, i in enumerate(range(0, n, block))]
+    )
+    w = np.abs(u) ** 2
+    nrm2 = w.sum(axis=1)
+    b = np.abs((u**2).sum(axis=1)) ** 2 / nrm2**2
+    cc = (w**2).sum(axis=1) / nrm2**2
+    assert np.isclose(c.B_K, b.mean(), rtol=1e-12)
+    assert np.isclose(c.C_K, cc.mean(), rtol=1e-12)
+    assert np.isclose(c.cov_BC, np.cov(b, cc, bias=True)[0, 1] / n, rtol=1e-6)
+    assert abs(c.cov_BC) <= c.stderr_B * c.stderr_C
+    # real kinds: B is identically 1, so it moves with nothing
+    r = moment_constants(NonzeroDistribution("real_uniform"), K, samples=n, seed=2)
+    assert r.stderr_B == 0.0 and r.cov_BC == 0.0
+
+
 def test_montecarlo_is_deterministic():
     d = NonzeroDistribution("complex_normal")
-    a = moment_constants(d, 5, samples=10**5, seed=9)
-    b = moment_constants(d, 5, samples=10**5, seed=9)
+    a = moment_constants(d, 5, method="monte_carlo", samples=10**5, seed=9)
+    b = moment_constants(d, 5, method="monte_carlo", samples=10**5, seed=9)
     assert a == b
-    c = moment_constants(d, 5, samples=10**5, seed=10)
+    c = moment_constants(d, 5, method="monte_carlo", samples=10**5, seed=10)
     assert c.C_K != a.C_K
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mwclab.distributions import MomentConstants, NonzeroDistribution
+from mwclab.distributions import MomentConstants, NonzeroDistribution, moment_constants
 from mwclab.guarantees import (
     BP_DELTA,
     ExripInputs,
@@ -98,6 +98,28 @@ def test_raw_value_linear_coefficients():
     db = exrip_probability(_inputs(beta=base.beta + h, constants=const)).raw_value - raw0
     want = -(-2.0 * (1.0 - const.C_K) * rho - (const.B_K - const.C_K) * rho + const.C_K * base.M) / d2
     assert np.isclose(db / h, want, rtol=1e-9)
+
+
+def test_monte_carlo_error_carries_through_bound():
+    const = moment_constants(NonzeroDistribution("complex_uniform"), 24, samples=10**5, seed=0)
+    res = exrip_probability(_inputs(constants=const))
+
+    def raw(B, C):
+        fixed = MomentConstants(B_K=B, C_K=C, K=24, source="closed_form")
+        return exrip_probability(_inputs(constants=fixed)).raw_value
+
+    B, C, h = const.B_K, const.C_K, 1e-4
+    dB = (raw(B + h, C) - raw(B, C)) / h
+    dC = (raw(B, C + h) - raw(B, C)) / h
+    var = (dB * const.stderr_B) ** 2 + (dC * const.stderr_C) ** 2 + 2 * dB * dC * const.cov_BC
+    assert res.params["B_K_stderr"] == const.stderr_B
+    assert res.params["C_K_stderr"] == const.stderr_C
+    assert np.isclose(res.params["probability_stderr"], math.sqrt(var), rtol=1e-6)
+    assert res.raw_value == raw(B, C)
+    # closed-form constants carry no error and add no keys
+    assert set(exrip_probability(_inputs()).params) == {
+        "alpha", "beta", "gamma", "m", "M", "K", "delta", "B_K", "C_K"
+    }
 
 
 def test_rho_property():

@@ -2,17 +2,23 @@
 sampling statistics, exact degenerate cases, reproducibility, and the
 validity report wiring."""
 
+import math
+
 import numpy as np
 import pytest
 
-from mwclab.distributions import NonzeroDistribution, block_rng
+from mwclab import distributions
+from mwclab.distributions import NonzeroDistribution, block_rng, sample_values
 from mwclab.montecarlo import (
+    _BLOCK,
     ExripEstimate,
+    _block_supports,
     bound_validity_report,
     empirical_exrip,
     sample_sparse_vector,
     sample_support,
 )
+from mwclab.reports import table2_report
 from mwclab.sensing import sensing_matrix
 from mwclab.signmatrix import SignMatrix
 
@@ -121,3 +127,93 @@ def test_validity_report_wiring(random_40_195):
     # should exceed it comfortably at these sizes
     assert rep.estimate.empirical_p + 3 * rep.estimate.stderr >= rep.theoretical.probability
     assert rep.moment4_predicted > 1.0
+
+
+def _whole_block_exrip(Phi, K, delta, dist, trials, seed):
+    """empirical_exrip as first written: one cols[supports] gather of
+    every trial in a block, then one einsum, over the same streams."""
+    cols = Phi.entries.T.copy()
+    M = cols.shape[0]
+    hits = 0
+    s2 = s4 = s8 = 0.0
+    redraws = done = block_index = 0
+    while done < trials:
+        take = min(_BLOCK, trials - done)
+        rng = block_rng(seed, block_index)
+        supports = _block_supports(M, K, take, rng)
+        values = sample_values(dist, (take, K), rng)
+        nrm2 = (np.abs(values) ** 2).sum(axis=1)
+        for _ in range(100):
+            bad = np.nonzero(nrm2 < 1e-300)[0]
+            if bad.size == 0:
+                break
+            redraws += int(bad.size)
+            values[bad] = sample_values(dist, (bad.size, K), rng)
+            nrm2[bad] = (np.abs(values[bad]) ** 2).sum(axis=1)
+        y = np.einsum("tkm,tk->tm", cols[supports], values)
+        z2 = (np.abs(y) ** 2).sum(axis=1) / nrm2
+        hits += int((np.abs(z2 - 1.0) <= delta).sum())
+        s2 += float(z2.sum())
+        s4 += float((z2 * z2).sum())
+        s8 += float((z2 * z2) @ (z2 * z2))
+        done += take
+        block_index += 1
+    p = hits / trials
+    m2, m4 = s2 / trials, s4 / trials
+    return ExripEstimate(
+        trials,
+        p,
+        math.sqrt(p * (1.0 - p) / trials),
+        m2,
+        math.sqrt(max(0.0, s4 / trials - m2 * m2) / trials),
+        m4,
+        math.sqrt(max(0.0, s8 / trials - m4 * m4) / trials),
+        delta,
+        K,
+        seed,
+        redraws,
+    )
+
+
+@pytest.mark.parametrize(
+    "case, K, kind, trials",
+    [
+        ("gold", 24, "complex_normal", 10_000),
+        ("random", 24, "complex_normal", 10_000),
+        ("random", 1, "complex_normal", 3_000),
+        ("random", 195, "complex_uniform", 3_000),
+        ("gold", 12, "bernoulli_sign", 4_100),
+        ("random", 7, "real_normal", 2048 + 64 * 3 + 5),
+    ],
+)
+def test_sliced_gather_is_bit_identical(case, K, kind, trials, gold_80_511, random_40_195):
+    S = gold_80_511 if case == "gold" else random_40_195
+    Phi = sensing_matrix(S)
+    dist = NonzeroDistribution(kind)
+    got = empirical_exrip(Phi, K, 0.41421356237309515, dist, trials, seed=3)
+    want = _whole_block_exrip(Phi, K, 0.41421356237309515, dist, trials, seed=3)
+    for field in ExripEstimate.__dataclass_fields__:
+        a, b = getattr(got, field), getattr(want, field)
+        assert type(a) is type(b) and a == b, field
+
+
+def test_constants_sampled_once_per_process(monkeypatch, random_40_195):
+    # table2 and a later complex-uniform verify share one memoized
+    # estimate per K instead of redrawing it
+    distributions._monte_carlo.cache_clear()
+    draws = []
+
+    def counting(dist, shape, rng):
+        draws.append((dist.kind, shape[1]))
+        return sample_values(dist, shape, rng)
+
+    monkeypatch.setattr(distributions, "sample_values", counting)
+    table2_report()
+    blocks = -(-(10**6) // 2**14)  # one 1e6-sample estimate in 2**14-sample blocks
+    assert sorted(draws) == sorted([("complex_uniform", 12), ("complex_uniform", 24)] * blocks)
+    before = len(draws)
+    rep = bound_validity_report(
+        random_40_195, 24, dist=NonzeroDistribution("complex_uniform"), trials=1000
+    )
+    assert len(draws) == before
+    assert rep.theoretical.params["B_K_stderr"] > 0.0

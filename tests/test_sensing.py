@@ -11,6 +11,7 @@ from mwclab.sensing import (
     QualityReport,
     _sign_gram,
     coherence,
+    correlation_measures,
     quality_bounds_check,
     quality_measures,
     sensing_matrix,
@@ -267,3 +268,5 @@ def test_alpha_gamma_equal_integer_pair_sums(S):
     q = quality_measures(_sm(S))
     assert q.alpha == float((G * G).sum()) / (m * M) ** 2
     assert q.gamma == float((Grev * Grev).sum()) / (m * M) ** 2
+    # the exrip-only path runs the same formulas
+    assert correlation_measures(_sm(S)) == (q.alpha, q.beta, q.gamma)
