@@ -9,8 +9,9 @@ handlers import the numeric modules lazily.
 Exit codes: 0 on success, 2 on a validation problem (bad flags, an
 inconsistent parameter combination, or a table2 row that failed after
 the table was written), 1 on an internal error.  A run
-record (command, seed, outputs, wall time) goes to stderr as one JSON
-line; stdout carries nothing but the artifact when --out is omitted.
+record (command, effective preset and its seed, outputs, wall time)
+goes to stderr as one JSON line; stdout carries nothing but the
+artifact when --out is omitted.
 """
 
 import argparse
@@ -19,6 +20,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 
 def _pin_threads() -> None:
@@ -62,105 +64,95 @@ def _output(path: str | None):
             yield fh
 
 
-def _load_preset_if_any(args):
-    from .presets import load_preset
+# flags whose argparse dest names a preset key; a flag that is given
+# wins over the preset's value
+_PRESET_KEYS = (
+    "family", "m", "n", "M", "family_seed", "k", "delta", "dist",
+    "constant_samples", "trials", "seed", "k_rows", "r", "attempts", "ceiling",
+)
+
+
+def _effective_preset(args):
+    """--preset (table1 and sweep default to theirs; without one, an
+    empty preset with no name) with every preset-key flag the user
+    gave laid over it.  Values are stored as strings, as the INI file
+    gives them; str() of an int or float parses back to the same value."""
+    from .presets import Preset, load_preset
 
     name = getattr(args, "preset", None)
-    return load_preset(name) if name else None
+    base = load_preset(name) if name else Preset(None, {})
+    given = {
+        key: str(value)
+        for key in _PRESET_KEYS
+        if (value := getattr(args, key, None)) is not None
+    }
+    return Preset(base.name, {**base.values, **given})
 
 
-def _resolve_matrix(args, preset):
-    """Sign matrix from --pattern, else --preset, else family flags."""
-    from .signmatrix import FamilySpec, build_sign_matrix, read_pattern_file
+def _family_spec(eff, sources: str):
+    """The effective preset's FamilySpec; `sources` names the other
+    inputs the command would accept in the error for a missing family."""
+    if eff.get_str("family") is None:
+        raise ValueError(f"need {sources} or --family")
+    if eff.name is None and eff.get_int("m") is None:
+        raise ValueError("--family needs --m")
+    return eff.family_spec()
+
+
+def _resolve_matrix(args, eff):
+    """Sign matrix from --pattern, else from the effective preset."""
+    from .signmatrix import build_sign_matrix, read_pattern_file
 
     if getattr(args, "pattern", None):
         return read_pattern_file(args.pattern)
-    if preset is not None:
-        return build_sign_matrix(preset.family_spec(m=getattr(args, "m", None)))
-    if not getattr(args, "family", None):
-        raise ValueError("need --pattern, --preset or --family")
-    if getattr(args, "m", None) is None:
-        raise ValueError("--family needs --m")
-    seed = getattr(args, "family_seed", None)
-    if seed is None and args.command == "gen":
-        seed = getattr(args, "seed", None)
-    spec = FamilySpec(
-        family=args.family,
-        m=args.m,
-        n=getattr(args, "n", None),
-        M=getattr(args, "M", None),
-        seed=seed,
-    )
-    return build_sign_matrix(spec)
+    return build_sign_matrix(_family_spec(eff, "--pattern, --preset"))
 
 
-def _pick_int(args_value, preset, key, fallback=None):
-    if args_value is not None:
-        return args_value
-    if preset is not None and preset.get_int(key) is not None:
-        return preset.get_int(key)
-    return fallback
-
-
-def _pick_float(args_value, preset, key, fallback=None):
-    if args_value is not None:
-        return args_value
-    if preset is not None and preset.get_float(key) is not None:
-        return preset.get_float(key)
-    return fallback
-
-
-def _require_k(args, preset) -> int:
-    k = _pick_int(getattr(args, "k", None), preset, "k")
-    if k is None:
-        raise ValueError("--k is required (no preset supplies it)")
-    return k
-
-
-def _delta(args, preset) -> float:
+def _eval_inputs(args, eff):
+    """(S, k, delta, value law, constant samples) for exrip, bounds and verify."""
     from .guarantees import BP_DELTA
 
-    return _pick_float(getattr(args, "delta", None), preset, "delta", BP_DELTA)
+    S = _resolve_matrix(args, eff)
+    k = eff.get_int("k")
+    if k is None:
+        raise ValueError("--k is required (no preset supplies it)")
+    return (
+        S,
+        k,
+        eff.get_float("delta", BP_DELTA),
+        _dist(eff.get_str("dist", "complex_normal")),
+        eff.get_int("constant_samples", 10**6),
+    )
 
 
-def cmd_gen(args) -> None:
+def cmd_gen(args, eff) -> None:
     from .signmatrix import write_pattern_file
 
-    preset = _load_preset_if_any(args)
-    S = _resolve_matrix(args, preset)
+    S = _resolve_matrix(args, eff)
     with _output(args.out) as fh:
         write_pattern_file(fh, S)
 
 
-def cmd_measures(args) -> None:
+def cmd_measures(args, eff) -> None:
     from .reports import write_json
     from .sensing import quality_measures
 
-    preset = _load_preset_if_any(args)
-    S = _resolve_matrix(args, preset)
-    q = quality_measures(S)
+    q = quality_measures(_resolve_matrix(args, eff))
     with _output(args.out) as fh:
-        write_json(fh, q.as_dict())
+        write_json(fh, asdict(q))
 
 
-def cmd_exrip(args) -> None:
+def cmd_exrip(args, eff) -> None:
     from .guarantees import exrip_from_sign_matrix
     from .reports import write_json
 
-    preset = _load_preset_if_any(args)
-    S = _resolve_matrix(args, preset)
-    res = exrip_from_sign_matrix(
-        S,
-        _require_k(args, preset),
-        delta=_delta(args, preset),
-        dist=_dist(args.dist),
-        constant_samples=_pick_int(args.samples, preset, "constant_samples", 10**6),
-    )
+    S, k, delta, dist, samples = _eval_inputs(args, eff)
+    res = exrip_from_sign_matrix(S, k, delta=delta, dist=dist, constant_samples=samples)
     with _output(args.out) as fh:
-        write_json(fh, res.as_dict())
+        write_json(fh, asdict(res))
 
 
-def cmd_bounds(args) -> None:
+def cmd_bounds(args, eff) -> None:
     from .guarantees import (
         coherence_guarantees,
         exrip_from_sign_matrix,
@@ -172,19 +164,10 @@ def cmd_bounds(args) -> None:
     from .reports import write_json
     from .sensing import quality_measures
 
-    preset = _load_preset_if_any(args)
-    S = _resolve_matrix(args, preset)
-    k = _require_k(args, preset)
-    delta = _delta(args, preset)
+    S, k, delta, dist, samples = _eval_inputs(args, eff)
     q = quality_measures(S)
     cg = coherence_guarantees(q.mu, S.M, q.spectral_norm_sq, k, args.candes_c)
-    exrip = exrip_from_sign_matrix(
-        S,
-        k,
-        delta=delta,
-        dist=_dist(args.dist),
-        constant_samples=_pick_int(args.samples, preset, "constant_samples", 10**6),
-    )
+    exrip = exrip_from_sign_matrix(S, k, delta=delta, dist=dist, constant_samples=samples)
     obj = {
         "m": S.m,
         "M": S.M,
@@ -200,101 +183,77 @@ def cmd_bounds(args) -> None:
             "mu_ok": cg.candes_plan_mu_ok,
             "k_ok": cg.candes_plan_k_ok,
         },
-        "calderbank": strip_calderbank(S.m, S.M, k, delta).as_dict(),
-        "gan": strip_gan(q.mu, S.M, k, delta).as_dict(),
-        "tropp": strip_tropp(q.mu, q.spectral_norm_sq, S.M, k, delta, args.tropp_t).as_dict(),
+        "calderbank": asdict(strip_calderbank(S.m, S.M, k, delta)),
+        "gan": asdict(strip_gan(q.mu, S.M, k, delta)),
+        "tropp": asdict(strip_tropp(q.mu, q.spectral_norm_sq, S.M, k, delta, args.tropp_t)),
         "rip_min_m": rip_min_m(S.M, k, delta, args.target),
         "rip_target_prob": args.target,
-        "exrip": exrip.as_dict(),
+        "exrip": asdict(exrip),
     }
     with _output(args.out) as fh:
         write_json(fh, obj)
 
 
-def cmd_verify(args) -> None:
+def cmd_verify(args, eff) -> None:
     from .montecarlo import bound_validity_report
     from .reports import write_json
 
-    preset = _load_preset_if_any(args)
-    S = _resolve_matrix(args, preset)
+    S, k, delta, dist, samples = _eval_inputs(args, eff)
     report = bound_validity_report(
         S,
-        _require_k(args, preset),
-        delta=_delta(args, preset),
-        dist=_dist(args.dist),
-        trials=_pick_int(args.trials, preset, "trials", 10**5),
-        seed=_pick_int(args.seed, preset, "seed", 0),
-        constant_samples=_pick_int(args.samples, preset, "constant_samples", 10**6),
+        k,
+        delta=delta,
+        dist=dist,
+        trials=eff.get_int("trials", 10**5),
+        seed=eff.get_int("seed", 0),
+        constant_samples=samples,
     )
     with _output(args.out) as fh:
-        write_json(fh, report.as_dict())
+        write_json(fh, asdict(report))
 
 
-def cmd_recover(args) -> None:
+def cmd_recover(args, eff) -> None:
     from .mmv import recovery_experiment
     from .reports import write_json
-    from .signmatrix import FamilySpec
 
-    preset = _load_preset_if_any(args)
-    if preset is not None:
-        spec = preset.family_spec(m=args.m)
-    else:
-        if not args.family:
-            raise ValueError("need --preset or --family")
-        if args.m is None:
-            raise ValueError("--family needs --m")
-        spec = FamilySpec(
-            family=args.family, m=args.m, n=args.n, M=args.M, seed=args.family_seed
-        )
+    spec = _family_spec(eff, "--preset")
     if args.noise_sigma is not None and args.snr is not None:
         raise ValueError("give --noise-sigma or --snr, not both")
-    k_rows = _pick_int(args.k_rows, preset, "k_rows")
-    r = _pick_int(args.r, preset, "r")
+    k_rows = eff.get_int("k_rows")
+    r = eff.get_int("r")
     if k_rows is None or r is None:
         raise ValueError("--k-rows and --r are required (no preset supplies them)")
     report = recovery_experiment(
         spec,
         k_rows=k_rows,
         r=r,
-        trials=_pick_int(args.trials, preset, "trials", 500),
-        dist=_dist(args.dist if args.dist else _pick_str(preset, "dist", "complex-normal")),
+        trials=eff.get_int("trials", 500),
+        dist=_dist(eff.get_str("dist", "complex_normal")),
         noise_sigma=args.noise_sigma if args.noise_sigma is not None else 0.0,
         snr_db=args.snr,
-        seed=_pick_int(args.seed, preset, "seed", 0),
+        seed=eff.get_int("seed", 0),
     )
     with _output(args.out) as fh:
-        write_json(fh, report.as_dict())
+        write_json(fh, asdict(report))
 
 
-def _pick_str(preset, key, fallback):
-    if preset is not None and preset.get_str(key):
-        return preset.get_str(key).replace("_", "-")
-    return fallback
-
-
-def cmd_sweep(args) -> None:
-    from .presets import Preset, load_preset
+def cmd_sweep(args, eff) -> None:
     from .reports import SWEEP_FIELDS, fig2_report, write_csv
 
-    preset = load_preset(args.preset or "fig2_sweep")
-    if args.seed is not None:
-        preset = Preset(preset.name, {**preset.values, "seed": str(args.seed)})
-    rows = fig2_report(preset)
+    rows = fig2_report(eff)
     with _output(args.out) as fh:
         write_csv(fh, SWEEP_FIELDS, rows)
 
 
-def cmd_table1(args) -> None:
-    from .presets import load_preset
+def cmd_table1(args, eff) -> None:
     from .reports import TABLE1_FIELDS, table1_report, write_csv
 
-    preset = load_preset(args.preset or "table1_mwc")
-    rows = table1_report(preset, attempts=args.attempts, ceiling=args.ceiling)
+    rows = table1_report(eff)
     with _output(args.out) as fh:
         write_csv(fh, TABLE1_FIELDS, rows)
 
 
-def cmd_table2(args) -> None:
+def cmd_table2(args, eff) -> None:
     from .reports import TABLE2_FIELDS, table2_report, write_csv
 
     rows = table2_report()
@@ -319,9 +278,12 @@ def _add_family_flags(p: argparse.ArgumentParser, with_pattern: bool = True) -> 
 def _add_eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, help="sparsity the guarantee is evaluated at")
     p.add_argument("--delta", type=float, help="isometry tolerance (default sqrt(2)-1)")
-    p.add_argument("--dist", choices=_DIST_TOKENS, default="complex-normal")
+    p.add_argument(
+        "--dist", choices=_DIST_TOKENS, help="value law (default the preset's, else complex-normal)"
+    )
     p.add_argument(
         "--samples",
+        dest="constant_samples",
         type=int,
         help="Monte Carlo sample count for the moment constants of complex-uniform and "
         "real-uniform values (the other laws use closed forms)",
@@ -337,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a sign pattern file")
     _add_family_flags(p, with_pattern=False)
-    p.add_argument("--seed", type=int, help="alias for --family-seed here")
+    p.add_argument("--seed", dest="family_seed", type=int, help="alias for --family-seed here")
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)
 
@@ -382,13 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("sweep", help="exact vs approximate probability per channel count (CSV)")
-    p.add_argument("--preset", help="default fig2_sweep")
+    p.add_argument("--preset", default="fig2_sweep", help="default %(default)s")
     p.add_argument("--seed", type=int, help="override the sweep seed")
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("table1", help="minimum channels per guarantee (CSV)")
-    p.add_argument("--preset", help="default table1_mwc")
+    p.add_argument("--preset", default="table1_mwc", help="default %(default)s")
     p.add_argument("--attempts", type=int, help="random draws per candidate m")
     p.add_argument("--ceiling", type=int, help="largest m the search will try")
     p.add_argument("--out")
@@ -405,7 +367,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        args.func(args)
+        eff = _effective_preset(args)
+        args.func(args, eff)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -417,8 +380,8 @@ def main(argv=None) -> int:
         return 1
     record = {
         "command": args.command,
-        "preset": getattr(args, "preset", None),
-        "seed": getattr(args, "seed", None),
+        "preset": eff.name,
+        "seed": eff.get_int("seed"),
         "outputs": [args.out if args.out else "-"],
         "wall_time_s": round(time.perf_counter() - start, 3),
     }

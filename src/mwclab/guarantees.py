@@ -34,15 +34,6 @@ class GuaranteeResult:
     feasible: bool
     params: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "bound": self.bound,
-            "probability": self.probability,
-            "raw_value": self.raw_value,
-            "feasible": self.feasible,
-            "params": self.params,
-        }
-
 
 def _clamp(raw: float) -> float:
     return min(1.0, max(0.0, raw))
@@ -179,16 +170,6 @@ class CoherenceGuarantees:
     candes_plan_evaluable: bool
     candes_plan_mu_ok: bool | None = None
     candes_plan_k_ok: bool | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "donoho_elad_max_k": self.donoho_elad_max_k,
-            "tropp_max_k": self.tropp_max_k,
-            "candes_plan_evaluable": self.candes_plan_evaluable,
-            "candes_plan_mu_ok": self.candes_plan_mu_ok,
-            "candes_plan_k_ok": self.candes_plan_k_ok,
-        }
 
 
 def coherence_guarantees(

@@ -14,18 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import NonzeroDistribution, block_rng, sample_values
-from .montecarlo import sample_support
-from .sensing import SensingMatrix, sensing_matrix
+from .montecarlo import sample_supports
+from .sensing import sensing_matrix
 from .signmatrix import FamilySpec, build_sign_matrix
-
-
-def _entries(Phi: SensingMatrix | np.ndarray) -> np.ndarray:
-    return Phi.entries if isinstance(Phi, SensingMatrix) else np.asarray(Phi)
 
 
 @dataclass(frozen=True)
 class MMVInstance:
-    Phi: SensingMatrix | np.ndarray
+    Phi: np.ndarray
     support: np.ndarray
     U: np.ndarray  # M x r, nonzero only on support rows
     V: np.ndarray  # m x r
@@ -34,7 +30,7 @@ class MMVInstance:
 
 
 def synthesize_mmv(
-    Phi: SensingMatrix | np.ndarray,
+    Phi: np.ndarray,
     support,
     r: int,
     dist: NonzeroDistribution,
@@ -50,15 +46,14 @@ def synthesize_mmv(
         raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
     if rng is None or isinstance(rng, int):
         rng = np.random.default_rng(rng)
-    A = _entries(Phi)
-    m, M = A.shape
+    m, M = Phi.shape
     support = np.asarray(sorted(int(i) for i in set(np.asarray(support).ravel().tolist())))
     if support.size and (support.min() < 0 or support.max() >= M):
         raise ValueError(f"support indices out of range for M={M}")
     U = np.zeros((M, r), dtype=np.complex128)
     if support.size:
         U[support] = sample_values(dist, (support.size, r), rng)
-    V = A @ U
+    V = Phi @ U
     if noise_sigma > 0:
         noise = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
         V = V + noise * (noise_sigma / math.sqrt(2.0))
@@ -73,15 +68,14 @@ class SompResult:
     reason: str | None = None
 
 
-def somp(Phi: SensingMatrix | np.ndarray, V: np.ndarray, k_target: int) -> SompResult:
+def somp(Phi: np.ndarray, V: np.ndarray, k_target: int) -> SompResult:
     """Greedy row-support estimate with k_target iterations.
 
     Ties in the selection score break toward the lowest column index.
     Stops early, flagged, if the residual hits exactly zero or the
     selected columns go rank-deficient.
     """
-    A = _entries(Phi)
-    m, M = A.shape
+    m, M = Phi.shape
     if not 1 <= k_target <= m:
         raise ValueError(f"need 1 <= k_target <= m, got k_target={k_target}, m={m}")
     V0 = np.asarray(V, dtype=np.complex128)
@@ -89,7 +83,7 @@ def somp(Phi: SensingMatrix | np.ndarray, V: np.ndarray, k_target: int) -> SompR
         V0 = V0[:, None]
     if V0.shape[0] != m:
         raise ValueError(f"V has {V0.shape[0]} rows, expected {m}")
-    AH = A.conj().T
+    AH = Phi.conj().T
     R = V0
     selected: list[int] = []
     early = False
@@ -103,7 +97,7 @@ def somp(Phi: SensingMatrix | np.ndarray, V: np.ndarray, k_target: int) -> SompR
             early, reason = True, "zero residual"
             break
         trial = selected + [best]
-        sub = A[:, trial]
+        sub = Phi[:, trial]
         # re-project the original measurements, not the residual
         X, _, rank, _ = np.linalg.lstsq(sub, V0, rcond=None)
         if rank < len(trial):
@@ -127,22 +121,6 @@ class RecoveryReport:
     snr_db: float | None
     seed: int
     params: dict = field(default_factory=dict)
-    per_trial: tuple = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "success_rate": self.success_rate,
-            "stderr": self.stderr,
-            "early_stops": self.early_stops,
-            "k_rows": self.k_rows,
-            "r": self.r,
-            "noise_sigma": self.noise_sigma,
-            "snr_db": self.snr_db,
-            "seed": self.seed,
-            "params": self.params,
-        }
 
 
 def noise_sigma_for_snr(
@@ -164,7 +142,6 @@ def recovery_experiment(
     noise_sigma: float = 0.0,
     snr_db: float | None = None,
     seed: int = 0,
-    keep_trials: bool = False,
 ) -> RecoveryReport:
     """Exact-support recovery rate over fresh supports, values, noise.
 
@@ -184,24 +161,14 @@ def recovery_experiment(
         noise_sigma = noise_sigma_for_snr(snr_db, k_rows, S.m, dist)
     successes = 0
     early_stops = 0
-    records = []
     for t in range(trials):
         rng = block_rng(seed, t)
-        support = np.sort(sample_support(M, k_rows, rng))
+        support = np.sort(sample_supports(M, k_rows, 1, rng)[0])
         inst = synthesize_mmv(Phi, support, r, dist, noise_sigma, rng)
         res = somp(Phi, inst.V, k_rows)
         ok = res.support.size == support.size and np.array_equal(res.support, support)
         successes += int(ok)
         early_stops += int(res.early_stop)
-        if keep_trials:
-            records.append(
-                {
-                    "trial": t,
-                    "success": int(ok),
-                    "true_support": "|".join(map(str, support.tolist())),
-                    "estimated_support": "|".join(map(str, res.support.tolist())),
-                }
-            )
     rate = successes / trials
     stderr = math.sqrt(rate * (1.0 - rate) / trials)
     return RecoveryReport(
@@ -222,7 +189,6 @@ def recovery_experiment(
             "family_seed": list(family.seed) if isinstance(family.seed, tuple) else family.seed,
             "dist": dist.kind,
         },
-        per_trial=tuple(records),
     )
 
 

@@ -20,7 +20,7 @@ from .distributions import (
     sample_values,
 )
 from .guarantees import BP_DELTA, GuaranteeResult, exrip_from_sign_matrix
-from .sensing import SensingMatrix, sensing_matrix
+from .sensing import sensing_matrix
 from .signmatrix import SignMatrix
 
 _BLOCK = 2048
@@ -30,39 +30,13 @@ _GATHER = 64
 _UNDERFLOW = 1e-300
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    length: int
-    support: np.ndarray  # K distinct indices
-    values: np.ndarray  # K nonzeros
+def sample_supports(M: int, K: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count uniform K-subsets of range(M), one per row, by partial
+    Fisher-Yates vectorized across the rows.
 
-    def dense(self) -> np.ndarray:
-        u = np.zeros(self.length, dtype=self.values.dtype)
-        u[self.support] = self.values
-        return u
-
-
-def sample_support(M: int, K: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform K-subset of range(M) by partial Fisher-Yates."""
-    idx = np.arange(M)
-    for i in range(K):
-        j = i + int(rng.integers(0, M - i))
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx[:K].copy()
-
-
-def sample_sparse_vector(
-    M: int, K: int, dist: NonzeroDistribution, rng: np.random.Generator
-) -> SparseVector:
-    if not 1 <= K <= M:
-        raise ValueError(f"need 1 <= K <= M, got K={K}, M={M}")
-    support = sample_support(M, K, rng)
-    values = sample_values(dist, K, rng)
-    return SparseVector(M, support, values)
-
-
-def _block_supports(M: int, K: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Partial Fisher-Yates vectorized across a block of trials."""
+    Step i draws one integer in [0, M - i) per row, so at count = 1 the
+    stream is consumed exactly as by the scalar shuffle, draw for draw.
+    """
     idx = np.tile(np.arange(M), (count, 1))
     rows = np.arange(count)
     for i in range(K):
@@ -87,24 +61,9 @@ class ExripEstimate:
     seed: int
     redraws: int
 
-    def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "empirical_p": self.empirical_p,
-            "stderr": self.stderr,
-            "moment2": self.moment2,
-            "moment2_stderr": self.moment2_stderr,
-            "moment4": self.moment4,
-            "moment4_stderr": self.moment4_stderr,
-            "delta": self.delta,
-            "K": self.K,
-            "seed": self.seed,
-            "redraws": self.redraws,
-        }
-
 
 def empirical_exrip(
-    Phi: SensingMatrix | np.ndarray,
+    Phi: np.ndarray,
     K: int,
     delta: float,
     dist: NonzeroDistribution,
@@ -114,11 +73,10 @@ def empirical_exrip(
     """Empirical isometry probability over `trials` sparse draws."""
     if trials < 10**3:
         raise ValueError(f"need at least 1000 trials, got {trials}")
-    entries = Phi.entries if isinstance(Phi, SensingMatrix) else np.asarray(Phi)
-    m, M = entries.shape
+    m, M = Phi.shape
     if not 1 <= K <= M:
         raise ValueError(f"need 1 <= K <= M, got K={K}, M={M}")
-    cols = entries.T.copy()  # M x m, row gather per support
+    cols = Phi.T.copy()  # M x m, row gather per support
 
     hits = 0
     s2 = s4 = s8 = 0.0
@@ -128,7 +86,7 @@ def empirical_exrip(
     while done < trials:
         take = min(_BLOCK, trials - done)
         rng = block_rng(seed, block_index)
-        supports = _block_supports(M, K, take, rng)
+        supports = sample_supports(M, K, take, rng)
         values = sample_values(dist, (take, K), rng)
         nrm2 = (np.abs(values) ** 2).sum(axis=1)
         for _ in range(100):
@@ -192,16 +150,6 @@ class ValidityReport:
     moment4_predicted: float
     moment4_gap: float
 
-    def as_dict(self) -> dict:
-        return {
-            "theoretical": self.theoretical.as_dict(),
-            "estimate": self.estimate.as_dict(),
-            "lower_bound_holds": self.lower_bound_holds,
-            "mean_z2_is_one": self.mean_z2_is_one,
-            "moment4_predicted": self.moment4_predicted,
-            "moment4_gap": self.moment4_gap,
-        }
-
 
 def bound_validity_report(
     S: SignMatrix,
@@ -228,10 +176,8 @@ def bound_validity_report(
 
 __all__ = [
     "ExripEstimate",
-    "SparseVector",
     "ValidityReport",
     "bound_validity_report",
     "empirical_exrip",
-    "sample_sparse_vector",
-    "sample_support",
+    "sample_supports",
 ]

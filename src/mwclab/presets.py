@@ -18,12 +18,8 @@ TABLE2_ROW_ORDER = (
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
+    name: str | None  # None for the flags-only configuration of the CLI
     values: dict
-
-    @property
-    def kind(self) -> str:
-        return self.values["kind"]
 
     def get_int(self, key: str, default: int | None = None) -> int | None:
         if key not in self.values:
@@ -38,20 +34,17 @@ class Preset:
     def get_str(self, key: str, default: str | None = None) -> str | None:
         return self.values.get(key, default)
 
-    def family_spec(self, m: int | None = None) -> FamilySpec:
-        """Build the sign-pattern spec; `m` overrides the preset row count
-        (sweeps reuse one preset across many m)."""
-        family = self.values["family"]
-        rows = m if m is not None else self.get_int("m")
+    def family_spec(self) -> FamilySpec:
+        """The sign-pattern spec from the family, m, n, M and family_seed keys."""
+        rows = self.get_int("m")
         if rows is None:
             raise ValueError(f"preset {self.name} has no row count and none was given")
-        seed = self.get_int("family_seed")
         return FamilySpec(
-            family=family,
+            family=self.values["family"],
             m=rows,
             n=self.get_int("n"),
             M=self.get_int("M"),
-            seed=seed,
+            seed=self.get_int("family_seed"),
         )
 
 

@@ -7,7 +7,6 @@ float formatting and newline conventions so reruns are byte-identical.
 """
 
 import csv
-import io
 import json
 from pathlib import Path
 
@@ -119,15 +118,13 @@ def fig2_report(preset: Preset) -> list[dict]:
     return rows
 
 
-def table1_report(
-    preset: Preset, attempts: int | None = None, ceiling: int | None = None
-) -> list[dict]:
+def table1_report(preset: Preset) -> list[dict]:
     """Minimum channel count per recovery guarantee at one (M, k).
 
     RIP and the expected-RIP rows use the doubled sparsity k_exrip
     (recovering a k-sparse support through basis pursuit needs the
     matrix to act on 2k-sparse differences); coherence rows state their
-    guarantee directly at k.  attempts/ceiling override the preset.
+    guarantee directly at k.
     """
     M = preset.get_int("M")
     k = preset.get_int("k")
@@ -136,8 +133,8 @@ def table1_report(
     seed = preset.get_int("seed", 0)
     target_exrip = preset.get_float("target_exrip", 0.85)
     target_other = preset.get_float("target_other", 0.97)
-    attempts = attempts if attempts is not None else preset.get_int("attempts", 100)
-    ceiling = ceiling if ceiling is not None else preset.get_int("ceiling", 1 << 15)
+    attempts = preset.get_int("attempts", 100)
+    ceiling = preset.get_int("ceiling", 1 << 15)
     samples = preset.get_int("constant_samples", 10**6)
     dist = NonzeroDistribution(preset.get_str("dist", "complex_normal"))
     rows = []
@@ -207,18 +204,11 @@ def write_json(out, obj) -> None:
         out.write(text)
 
 
-def render_csv(fieldnames, rows) -> str:
-    buf = io.StringIO()
-    write_csv(buf, fieldnames, rows)
-    return buf.getvalue()
-
-
 __all__ = [
     "SWEEP_FIELDS",
     "TABLE1_FIELDS",
     "TABLE2_FIELDS",
     "fig2_report",
-    "render_csv",
     "table1_report",
     "table2_report",
     "write_csv",

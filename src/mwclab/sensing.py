@@ -26,13 +26,6 @@ _POWER_MAX_ITER = 10000
 
 
 @dataclass(frozen=True)
-class SensingMatrix:
-    entries: np.ndarray  # complex m x M
-    source: SignMatrix
-    scaling: float
-
-
-@dataclass(frozen=True)
 class QualityReport:
     alpha: float
     beta: float
@@ -43,18 +36,6 @@ class QualityReport:
     M: int
     zero_columns: int
 
-    def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "mu": self.mu,
-            "spectral_norm_sq": self.spectral_norm_sq,
-            "m": self.m,
-            "M": self.M,
-            "zero_columns": self.zero_columns,
-        }
-
 
 @dataclass(frozen=True)
 class BoundsCheck:
@@ -63,11 +44,9 @@ class BoundsCheck:
     violations: tuple[str, ...]
 
 
-def sensing_matrix(S: SignMatrix) -> SensingMatrix:
-    m, M = S.m, S.M
-    scaling = 1.0 / np.sqrt(m * M)
-    entries = np.fft.fft(S.entries.astype(np.float64), axis=1) * scaling
-    return SensingMatrix(entries, S, scaling)
+def sensing_matrix(S: SignMatrix) -> np.ndarray:
+    """The complex m x M matrix Phi = S F / sqrt(mM)."""
+    return np.fft.fft(S.entries.astype(np.float64), axis=1) * (1.0 / np.sqrt(S.m * S.M))
 
 
 def _column_power(S: np.ndarray) -> np.ndarray:
@@ -266,7 +245,6 @@ def quality_bounds_check(report: QualityReport, strict: bool = False) -> BoundsC
 __all__ = [
     "BoundsCheck",
     "QualityReport",
-    "SensingMatrix",
     "coherence",
     "correlation_measures",
     "quality_bounds_check",

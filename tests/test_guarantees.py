@@ -2,6 +2,7 @@
 coherence plug-ins and StRIP bounds, and the minimal-m search."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -210,7 +211,7 @@ def test_tropp_strip_example():
 
 def test_result_as_dict_schema():
     res = strip_gan(0.01, 195, 12, BP_DELTA)
-    d = res.as_dict()
+    d = asdict(res)
     assert set(d) == {"bound", "probability", "raw_value", "feasible", "params"}
     assert isinstance(res, GuaranteeResult)
 

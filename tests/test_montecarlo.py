@@ -3,6 +3,7 @@ sampling statistics, exact degenerate cases, reproducibility, and the
 validity report wiring."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,11 +13,9 @@ from mwclab.distributions import NonzeroDistribution, block_rng, sample_values
 from mwclab.montecarlo import (
     _BLOCK,
     ExripEstimate,
-    _block_supports,
     bound_validity_report,
     empirical_exrip,
-    sample_sparse_vector,
-    sample_support,
+    sample_supports,
 )
 from mwclab.reports import table2_report
 from mwclab.sensing import sensing_matrix
@@ -31,32 +30,43 @@ def _phi(entries):
 
 def test_sample_support_is_uniform():
     M, K, draws = 195, 12, 4000
-    rng = np.random.default_rng(0)
+    supports = sample_supports(M, K, draws, np.random.default_rng(0))
+    assert supports.shape == (draws, K)
     counts = np.zeros(M)
-    for _ in range(draws):
-        s = sample_support(M, K, rng)
-        assert len(s) == K
+    for s in supports:
         assert len(set(int(i) for i in s)) == K
-        counts[np.asarray(s)] += 1
+        counts[s] += 1
     p = K / M
     sigma = np.sqrt(draws * p * (1 - p))
     assert np.all(np.abs(counts - draws * p) < 5 * sigma)
 
 
 def test_sample_support_full():
-    s = sample_support(7, 7, np.random.default_rng(1))
+    s = sample_supports(7, 7, 1, np.random.default_rng(1))[0]
     assert sorted(int(i) for i in s) == list(range(7))
 
 
-def test_sample_sparse_vector_bernoulli_values():
-    d = NonzeroDistribution("bernoulli_sign", scale=3.0)
-    v = sample_sparse_vector(50, 5, d, np.random.default_rng(2))
-    assert v.length == 50
-    assert len(v.support) == 5
-    assert set(np.unique(np.abs(v.values))) == {3.0}
-    dense = v.dense()
-    assert dense.shape == (50,)
-    assert np.count_nonzero(dense) == 5
+def _scalar_fisher_yates(M, K, rng):
+    """Reference: the scalar partial Fisher-Yates shuffle, one integer
+    draw in [0, M - i) per step."""
+    idx = np.arange(M)
+    for i in range(K):
+        j = i + int(rng.integers(0, M - i))
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:K].copy()
+
+
+@pytest.mark.parametrize("M, K", [(195, 12), (7, 7), (2047, 50), (511, 24), (10, 1)])
+def test_one_row_sampler_equals_scalar_shuffle(M, K):
+    # recovery_experiment draws one support per trial through the block
+    # sampler; its stream must match the scalar shuffle draw for draw
+    for seed in range(5):
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _scalar_fisher_yates(M, K, ref_rng)
+        got = sample_supports(M, K, 1, rng)
+        assert got.shape == (1, K)
+        assert np.array_equal(got[0], want)
+        assert rng.random() == ref_rng.random()
 
 
 def test_identity_matrix_never_fails():
@@ -105,14 +115,14 @@ def test_estimate_as_dict_keys():
     Phi = _phi([[1, 1], [1, -1]])
     est = empirical_exrip(Phi, 1, 0.4, CN, 1000, seed=0)
     assert isinstance(est, ExripEstimate)
-    d = est.as_dict()
+    d = asdict(est)
     for key in ("trials", "empirical_p", "stderr", "moment2", "moment4", "seed", "redraws"):
         assert key in d
 
 
 def test_validity_report_wiring(random_40_195):
     rep = bound_validity_report(random_40_195, 24, trials=5000, seed=0, constant_samples=10**5)
-    d = rep.as_dict()
+    d = asdict(rep)
     assert set(d) == {
         "theoretical",
         "estimate",
@@ -132,7 +142,7 @@ def test_validity_report_wiring(random_40_195):
 def _whole_block_exrip(Phi, K, delta, dist, trials, seed):
     """empirical_exrip as first written: one cols[supports] gather of
     every trial in a block, then one einsum, over the same streams."""
-    cols = Phi.entries.T.copy()
+    cols = Phi.T.copy()
     M = cols.shape[0]
     hits = 0
     s2 = s4 = s8 = 0.0
@@ -140,7 +150,7 @@ def _whole_block_exrip(Phi, K, delta, dist, trials, seed):
     while done < trials:
         take = min(_BLOCK, trials - done)
         rng = block_rng(seed, block_index)
-        supports = _block_supports(M, K, take, rng)
+        supports = sample_supports(M, K, take, rng)
         values = sample_values(dist, (take, K), rng)
         nrm2 = (np.abs(values) ** 2).sum(axis=1)
         for _ in range(100):

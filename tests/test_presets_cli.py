@@ -170,6 +170,8 @@ def test_cli_table1_trimmed(tmp_path):
     assert "never" in rows["candes_plan"]
     assert "never" in rows["calderbank"]
     assert rows["exrip_approx"].split(",")[3] == "39"
+    record = json.loads(r.stderr.strip().splitlines()[-1])
+    assert (record["preset"], record["seed"]) == ("table1_mwc", 0)
 
 
 def test_cli_table2_full(tmp_path):
@@ -231,6 +233,11 @@ def test_cli_run_record_on_stderr(tmp_path):
     assert record["outputs"] == [str(out)]
     assert "wall_time_s" in record
 
+    r = run_cli("sweep", "--seed", "3", "--out", str(tmp_path / "s.csv"))
+    assert r.returncode == 0, r.stderr
+    record = json.loads(r.stderr.strip().splitlines()[-1])
+    assert (record["preset"], record["seed"]) == ("fig2_sweep", 3)
+
 
 def test_cli_exit_codes():
     assert run_cli("measures").returncode == 2  # no input source
@@ -245,3 +252,69 @@ def test_cli_stdout_when_no_out_flag():
     assert r.stdout.splitlines()[0] == "2 7 random 3"
     record = json.loads(r.stderr.strip().splitlines()[-1])
     assert record["outputs"] == ["-"]
+
+
+def _artifact(tmp_path, *args):
+    out = tmp_path / "artifact"
+    r = run_cli(*args, "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    return out.read_bytes()
+
+
+# table2_kasami's pattern keys spelled as flags; its k is 12 and its
+# delta, seed, trials and samples are the flag defaults
+KASAMI = ("--family", "kasami", "--n", "8", "--m", "16")
+
+
+@pytest.mark.parametrize(
+    "with_preset, flags_only",
+    [
+        (
+            ("measures", "--preset", "table2_kasami", "--m", "8"),
+            ("measures", "--family", "kasami", "--n", "8", "--m", "8"),
+        ),
+        (
+            ("exrip", "--preset", "table2_kasami", "--k", "5", "--dist", "complex-uniform",
+             "--samples", "200000"),
+            ("exrip", *KASAMI, "--k", "5", "--dist", "complex-uniform", "--samples", "200000"),
+        ),
+        (
+            ("verify", "--preset", "table2_kasami", "--trials", "1000", "--seed", "7",
+             "--samples", "20000"),
+            ("verify", *KASAMI, "--k", "12", "--trials", "1000", "--seed", "7",
+             "--samples", "20000"),
+        ),
+        (
+            # the parent ignored every pattern flag but --m next to --preset
+            ("measures", "--preset", "table2_gold", "--n", "11"),
+            ("measures", "--family", "gold", "--n", "11", "--m", "80"),
+        ),
+        (
+            ("gen", "--family", "random", "--M", "31", "--m", "4", "--seed", "9"),
+            ("gen", "--family", "random", "--M", "31", "--m", "4", "--family-seed", "9"),
+        ),
+    ],
+)
+def test_cli_flags_win_over_preset(tmp_path, with_preset, flags_only):
+    got = _artifact(tmp_path, *with_preset)
+    assert got == _artifact(tmp_path, *flags_only)
+    if with_preset[0] == "exrip":
+        assert json.loads(got)["params"]["K"] == 5
+    if with_preset[0] == "verify":
+        estimate = json.loads(got)["estimate"]
+        assert (estimate["trials"], estimate["seed"]) == (1000, 7)
+    if with_preset[0] == "measures":
+        assert json.loads(got)["M"] == (2047 if "table2_gold" in with_preset else 255)
+
+
+def test_cli_missing_inputs_keep_their_messages():
+    r = run_cli("measures")
+    assert r.returncode == 2
+    assert "error: need --pattern, --preset or --family" in r.stderr
+    r = run_cli("exrip", "--family", "gold", "--n", "5", "--m", "4")
+    assert r.returncode == 2
+    assert "error: --k is required (no preset supplies it)" in r.stderr
+    # a preset without a family is a validation error, not a KeyError
+    r = run_cli("measures", "--preset", "table1_mwc")
+    assert r.returncode == 2
+    assert "error: need --pattern, --preset or --family" in r.stderr
