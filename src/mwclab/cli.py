@@ -68,7 +68,7 @@ def _output(path: str | None):
 # wins over the preset's value
 _PRESET_KEYS = (
     "family", "m", "n", "M", "family_seed", "k", "delta", "dist",
-    "constant_samples", "trials", "seed", "k_rows", "r", "attempts", "ceiling",
+    "trials", "seed", "k_rows", "r", "attempts", "ceiling",
 )
 
 
@@ -109,7 +109,7 @@ def _resolve_matrix(args, eff):
 
 
 def _eval_inputs(args, eff):
-    """(S, k, delta, value law, constant samples) for exrip, bounds and verify."""
+    """(S, k, delta, value law) for exrip, bounds and verify."""
     from .guarantees import BP_DELTA
 
     S = _resolve_matrix(args, eff)
@@ -121,7 +121,6 @@ def _eval_inputs(args, eff):
         k,
         eff.get_float("delta", BP_DELTA),
         _dist(eff.get_str("dist", "complex_normal")),
-        eff.get_int("constant_samples", 10**6),
     )
 
 
@@ -146,16 +145,18 @@ def cmd_exrip(args, eff) -> None:
     from .guarantees import exrip_from_sign_matrix
     from .reports import write_json
 
-    S, k, delta, dist, samples = _eval_inputs(args, eff)
-    res = exrip_from_sign_matrix(S, k, delta=delta, dist=dist, constant_samples=samples)
+    S, k, delta, dist = _eval_inputs(args, eff)
+    res = exrip_from_sign_matrix(S, k, delta=delta, dist=dist)
     with _output(args.out) as fh:
         write_json(fh, asdict(res))
 
 
 def cmd_bounds(args, eff) -> None:
+    from .distributions import moment_constants
     from .guarantees import (
+        ExripInputs,
         coherence_guarantees,
-        exrip_from_sign_matrix,
+        exrip_probability,
         rip_min_m,
         strip_calderbank,
         strip_gan,
@@ -164,10 +165,12 @@ def cmd_bounds(args, eff) -> None:
     from .reports import write_json
     from .sensing import quality_measures
 
-    S, k, delta, dist, samples = _eval_inputs(args, eff)
+    S, k, delta, dist = _eval_inputs(args, eff)
     q = quality_measures(S)
     cg = coherence_guarantees(q.mu, S.M, q.spectral_norm_sq, k, args.candes_c)
-    exrip = exrip_from_sign_matrix(S, k, delta=delta, dist=dist, constant_samples=samples)
+    exrip = exrip_probability(
+        ExripInputs(q.alpha, q.beta, q.gamma, S.m, S.M, k, delta, moment_constants(dist, k))
+    )
     obj = {
         "m": S.m,
         "M": S.M,
@@ -198,7 +201,7 @@ def cmd_verify(args, eff) -> None:
     from .montecarlo import bound_validity_report
     from .reports import write_json
 
-    S, k, delta, dist, samples = _eval_inputs(args, eff)
+    S, k, delta, dist = _eval_inputs(args, eff)
     report = bound_validity_report(
         S,
         k,
@@ -206,7 +209,6 @@ def cmd_verify(args, eff) -> None:
         dist=dist,
         trials=eff.get_int("trials", 10**5),
         seed=eff.get_int("seed", 0),
-        constant_samples=samples,
     )
     with _output(args.out) as fh:
         write_json(fh, asdict(report))
@@ -279,14 +281,10 @@ def _add_eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, help="sparsity the guarantee is evaluated at")
     p.add_argument("--delta", type=float, help="isometry tolerance (default sqrt(2)-1)")
     p.add_argument(
-        "--dist", choices=_DIST_TOKENS, help="value law (default the preset's, else complex-normal)"
-    )
-    p.add_argument(
-        "--samples",
-        dest="constant_samples",
-        type=int,
-        help="Monte Carlo sample count for the moment constants of complex-uniform and "
-        "real-uniform values (the other laws use closed forms)",
+        "--dist",
+        choices=_DIST_TOKENS,
+        help="value law (default the preset's, else complex-normal); every law has exact "
+        "moment constants",
     )
 
 

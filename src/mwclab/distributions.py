@@ -14,13 +14,16 @@ over K i.i.d. draws u_i.  For any real-valued kind sum_i u_i^2 equals
                    independent of the radii)
   bernoulli_sign   C_K = 1 / K             (every |u_i| is equal)
 
-and for K = 1 (both constants are 1).  Only complex_uniform and
-real_uniform are estimated by Monte Carlo, and each estimate is
-memoized per (law, K, samples, seed), so every caller in one process
-shares a single run.
+and for K = 1 (both constants are 1).  The uniform kinds are exact too:
+1/s^2 = int_0^inf t e^(-ts) dt turns C_K into one integral,
+
+    C_K = K int_0^inf t E[|u|^4 e^(-t|u|^2)] phi(t)^(K-1) dt,   phi(t) = E[e^(-t|u|^2)],
+
+whose inner expectations have erf closed forms.  complex_uniform has
+B_K = C_K: its real and imaginary parts are independent and symmetric,
+so E[u^2 e^(-t|u|^2)] = 0 and every cross term of |sum_i u_i^2|^2 vanishes.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -28,10 +31,13 @@ import numpy as np
 
 KINDS = ("real_normal", "real_uniform", "complex_normal", "complex_uniform", "bernoulli_sign")
 
-_MIN_MC_SAMPLES = 10**5
+# trapezoid grid in s = ln t for the uniform kinds' C_K integral, whose
+# integrand decays at least like e^(2s) below and e^(-Ks/2) above
+_S_LO, _S_HI, _S_STEP = -25.0, 45.0, 0.05
 
-# kinds with closed-form constants at every K
-_CLOSED_KINDS = ("real_normal", "complex_normal", "bernoulli_sign")
+# below this t the erf recurrences cancel and the power series is used;
+# at t = 4 its last term is below 1e-18
+_SERIES_MAX_T, _SERIES_TERMS = 4.0, 20
 
 
 @dataclass(frozen=True)
@@ -93,88 +99,68 @@ class MomentConstants:
     B_K: float
     C_K: float
     K: int
-    source: str  # "closed_form" or "monte_carlo"
+    # no constant is sampled, so this is always None; it stays while
+    # perfbench/tracer.py reads `samples` off every result
     samples: int | None = None
-    stderr_B: float | None = None
-    stderr_C: float | None = None
-    cov_BC: float | None = None  # covariance of the two estimates
 
 
-def moment_constants(
-    dist: NonzeroDistribution,
-    K: int,
-    method: str = "auto",
-    samples: int = 10**6,
-    seed: int = 0,
-) -> MomentConstants:
-    """B_K and C_K for K nonzeros drawn from dist.
-
-    method "closed_form" is valid for real_normal, complex_normal,
-    bernoulli_sign and any kind at K = 1; "monte_carlo" needs
-    samples >= 1e5 and averages over per-block counter-derived streams
-    so the estimate does not depend on how the blocks are scheduled;
-    "auto" picks the closed form when one exists.  samples and seed
-    matter only to the Monte Carlo.
-    """
+def moment_constants(dist: NonzeroDistribution, K: int) -> MomentConstants:
+    """B_K and C_K for K nonzeros drawn from dist, exact for every kind."""
     if K < 1:
         raise ValueError(f"K must be positive, got {K}")
-    closed = K == 1 or dist.kind in _CLOSED_KINDS
-    if method == "auto":
-        method = "closed_form" if closed else "monte_carlo"
-    if method == "closed_form":
-        if not closed:
-            raise ValueError(f"no closed form for kind {dist.kind!r} at K={K}")
-        if K == 1:
-            return MomentConstants(1.0, 1.0, K, "closed_form")
-        if dist.kind == "real_normal":
-            return MomentConstants(1.0, 3.0 * K / (2 * K + K * K), K, "closed_form")
-        if dist.kind == "complex_normal":
-            return MomentConstants(2.0 / (K + 1), 2.0 / (K + 1), K, "closed_form")
-        return MomentConstants(1.0, 1.0 / K, K, "closed_form")
-    if method != "monte_carlo":
-        raise ValueError(f"unknown method {method!r}")
-    if samples < _MIN_MC_SAMPLES:
-        raise ValueError(f"monte_carlo needs at least {_MIN_MC_SAMPLES} samples, got {samples}")
-    return _monte_carlo(dist, K, samples, seed)
+    if K == 1:
+        return MomentConstants(1.0, 1.0, K)
+    if dist.kind == "real_normal":
+        return MomentConstants(1.0, 3.0 * K / (2 * K + K * K), K)
+    if dist.kind == "complex_normal":
+        return MomentConstants(2.0 / (K + 1), 2.0 / (K + 1), K)
+    if dist.kind == "bernoulli_sign":
+        return MomentConstants(1.0, 1.0 / K, K)
+    if dist.kind == "real_uniform":
+        # phi and E[x^4 e^(-t x^2)] are the first and last of _uniform_moments
+        return MomentConstants(1.0, _quadrature_c(K, lambda t: _uniform_moments(t)[::2]), K)
+    c = _quadrature_c(K, _complex_uniform_transforms)
+    return MomentConstants(c, c, K)
 
 
-@functools.lru_cache(maxsize=256)
-def _monte_carlo(dist: NonzeroDistribution, K: int, samples: int, seed: int) -> MomentConstants:
-    """Seeded estimate of B_K and C_K with their standard errors and
-    covariance; memoized, and the result is frozen, so sharing is safe."""
-    block = 1 << 14
-    sum_b = sum_b2 = sum_c = sum_c2 = sum_bc = 0.0
-    done = 0
-    idx = 0
-    while done < samples:
-        take = min(block, samples - done)
-        rng = block_rng(seed, idx)
-        u = sample_values(dist, (take, K), rng)
-        nrm2 = (np.abs(u) ** 2).sum(axis=1)
-        c = (np.abs(u) ** 4).sum(axis=1) / nrm2**2
-        b = np.abs((u**2).sum(axis=1)) ** 2 / nrm2**2
-        sum_b += float(b.sum())
-        sum_b2 += float((b * b).sum())
-        sum_c += float(c.sum())
-        sum_c2 += float((c * c).sum())
-        sum_bc += float((b * c).sum())
-        done += take
-        idx += 1
-    mean_b = sum_b / samples
-    mean_c = sum_c / samples
-    var_b = max(0.0, sum_b2 / samples - mean_b**2)
-    var_c = max(0.0, sum_c2 / samples - mean_c**2)
-    cov_bc = sum_bc / samples - mean_b * mean_c
-    return MomentConstants(
-        mean_b,
-        mean_c,
-        K,
-        "monte_carlo",
-        samples=samples,
-        stderr_B=math.sqrt(var_b / samples),
-        stderr_C=math.sqrt(var_c / samples),
-        cov_BC=cov_bc / samples,
-    )
+def _quadrature_c(K: int, transforms) -> float:
+    """The module docstring's integral for C_K, given transforms(t) =
+    (phi(t), E[|u|^4 e^(-t|u|^2)]), by the trapezoid rule in s = ln t.
+    It is elementwise numpy and one fixed-order sum, with no BLAS."""
+    t = np.exp(_S_LO + _S_STEP * np.arange(round((_S_HI - _S_LO) / _S_STEP) + 1))
+    phi, q = transforms(t)
+    return K * _S_STEP * float((t * t * q * phi ** (K - 1)).sum())
+
+
+def _uniform_moments(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E[x^2j e^(-t x^2)] for j = 0, 1, 2 and x ~ U[-1/2, 1/2].
+
+    Large t: a0 = sqrt(pi/t) erf(sqrt(t)/2) and, integrating by parts,
+    a2 = (a0 - e^(-t/4)) / 2t, a4 = (3 a2 - e^(-t/4)/4) / 2t.  Small t:
+    the series sum_n (-t)^n / (n! 4^(n+j) (2n+2j+1)), by Horner.
+    """
+    small = t < _SERIES_MAX_T
+    ts, tl = t[small], t[~small]
+    r, e = np.sqrt(tl), np.exp(-tl / 4)
+    a0 = math.sqrt(math.pi) / r * np.array([math.erf(v) for v in r / 2])
+    a2 = (a0 - e) / (2 * tl)
+    moments = []
+    for j, large in enumerate((a0, a2, (3 * a2 - e / 4) / (2 * tl))):
+        series = np.zeros_like(ts)
+        for n in reversed(range(_SERIES_TERMS)):
+            coef = (-1) ** n / (math.factorial(n) * 4.0 ** (n + j) * (2 * n + 2 * j + 1))
+            series = series * ts + coef
+        a = np.empty_like(t)
+        a[small], a[~small] = series, large
+        moments.append(a)
+    return tuple(moments)
+
+
+def _complex_uniform_transforms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|u|^2 = x^2 + y^2 with x, y independent: phi = a0^2 and
+    E[(x^2 + y^2)^2 e^(-t|u|^2)] = 2 a4 a0 + 2 a2^2."""
+    a0, a2, a4 = _uniform_moments(t)
+    return a0 * a0, 2 * a4 * a0 + 2 * a2 * a2
 
 
 __all__ = [

@@ -82,15 +82,8 @@ class ExripInputs:
 
 def exrip_probability(inputs: ExripInputs) -> GuaranteeResult:
     """Lower bound on the probability that a random-support K-sparse
-    vector with i.i.d. symmetric nonzeros sees a delta-isometry.
-
-    raw is linear in B_K and C_K, so Monte-Carlo constants carry their
-    error straight through: params then also hold B_K_stderr,
-    C_K_stderr and probability_stderr, the standard error of raw from
-    the two estimates and their covariance.
-    """
-    const = inputs.constants
-    B, C = const.B_K, const.C_K
+    vector with i.i.d. symmetric nonzeros sees a delta-isometry."""
+    B, C = inputs.constants.B_K, inputs.constants.C_K
     rho = inputs.rho
     excess = (
         (1.0 - C) * rho * (1.0 + inputs.alpha - 2.0 * inputs.beta)
@@ -98,8 +91,7 @@ def exrip_probability(inputs: ExripInputs) -> GuaranteeResult:
         + C * inputs.M * inputs.beta
         - 1.0
     )
-    d2 = inputs.delta**2
-    raw = 1.0 - excess / d2
+    raw = 1.0 - excess / inputs.delta**2
     params = {
         "alpha": inputs.alpha,
         "beta": inputs.beta,
@@ -111,18 +103,6 @@ def exrip_probability(inputs: ExripInputs) -> GuaranteeResult:
         "B_K": B,
         "C_K": C,
     }
-    if const.source == "monte_carlo":
-        odd = rho * (inputs.gamma - inputs.beta)
-        dB = -odd / d2  # d raw / d B_K
-        dC = (rho * (1.0 + inputs.alpha - 2.0 * inputs.beta) + odd - inputs.M * inputs.beta) / d2
-        var = (
-            dB * dB * const.stderr_B**2
-            + dC * dC * const.stderr_C**2
-            + 2.0 * dB * dC * const.cov_BC
-        )
-        params["B_K_stderr"] = const.stderr_B
-        params["C_K_stderr"] = const.stderr_C
-        params["probability_stderr"] = math.sqrt(max(0.0, var))
     return _feasible("exrip", raw, params)
 
 
@@ -132,14 +112,12 @@ def exrip_from_sign_matrix(
     delta: float = BP_DELTA,
     dist: NonzeroDistribution | None = None,
     constants: MomentConstants | None = None,
-    constant_samples: int = 10**6,
-    constant_seed: int = 0,
 ) -> GuaranteeResult:
     """Convenience path: measures, moment constants, then the bound."""
     if constants is None:
         if dist is None:
             raise ValueError("need either a distribution or explicit constants")
-        constants = moment_constants(dist, K, samples=constant_samples, seed=constant_seed)
+        constants = moment_constants(dist, K)
     alpha, beta, gamma = correlation_measures(S)
     return exrip_probability(ExripInputs(alpha, beta, gamma, S.m, S.M, K, delta, constants))
 
@@ -322,8 +300,6 @@ def min_channels_search(
     seed: int = 0,
     ceiling: int = 1 << 15,
     candes_plan_c: float | None = None,
-    constants: MomentConstants | None = None,
-    constant_samples: int = 10**6,
 ) -> SearchResult:
     """Smallest m at which `bound` guarantees the target, by doubling
     then bisection.
@@ -364,10 +340,10 @@ def min_channels_search(
                 bound, None, "never", None,
                 f"large-m probability limit {capstr} below target {target_prob}", params,
             )
-    if bound == "exrip" and constants is None:
+    if bound == "exrip":
         if dist is None:
-            raise ValueError("exrip search needs a distribution or explicit constants")
-        constants = moment_constants(dist, K, samples=constant_samples, seed=0)
+            raise ValueError("exrip search needs a distribution")
+        constants = moment_constants(dist, K)
 
     witness: dict[int, tuple[int, ...] | None] = {}
 

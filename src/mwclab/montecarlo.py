@@ -159,13 +159,10 @@ def bound_validity_report(
     trials: int = 10**5,
     seed: int = 0,
     constants: MomentConstants | None = None,
-    constant_samples: int = 10**6,
 ) -> ValidityReport:
     if dist is None:
         dist = NonzeroDistribution("complex_normal")
-    theory = exrip_from_sign_matrix(
-        S, K, delta, dist, constants, constant_samples=constant_samples
-    )
+    theory = exrip_from_sign_matrix(S, K, delta, dist, constants)
     Phi = sensing_matrix(S)
     est = empirical_exrip(Phi, K, delta, dist, trials, seed)
     holds = est.empirical_p + 3.0 * est.stderr >= theory.probability

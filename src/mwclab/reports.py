@@ -57,10 +57,9 @@ def table2_report(names=TABLE2_ROW_ORDER) -> list[dict]:
             alpha, beta, gamma = correlation_measures(S)
             k = preset.get_int("k")
             delta = preset.get_float("delta")
-            samples = preset.get_int("constant_samples", 10**6)
             probs = {}
             for kind in ("complex_normal", "complex_uniform"):
-                const = moment_constants(NonzeroDistribution(kind), k, samples=samples)
+                const = moment_constants(NonzeroDistribution(kind), k)
                 probs[kind] = exrip_probability(
                     ExripInputs(alpha, beta, gamma, S.m, S.M, k, delta, const)
                 ).probability
@@ -103,9 +102,8 @@ def fig2_report(preset: Preset) -> list[dict]:
     k = preset.get_int("k")
     delta = preset.get_float("delta")
     seed = preset.get_int("seed", 0)
-    samples = preset.get_int("constant_samples", 10**6)
     kind = preset.get_str("dist", "complex_normal")
-    const = moment_constants(NonzeroDistribution(kind), k, samples=samples)
+    const = moment_constants(NonzeroDistribution(kind), k)
     start = preset.get_int("m_start")
     stop = preset.get_int("m_stop")
     step = preset.get_int("m_step")
@@ -135,7 +133,6 @@ def table1_report(preset: Preset) -> list[dict]:
     target_other = preset.get_float("target_other", 0.97)
     attempts = preset.get_int("attempts", 100)
     ceiling = preset.get_int("ceiling", 1 << 15)
-    samples = preset.get_int("constant_samples", 10**6)
     dist = NonzeroDistribution(preset.get_str("dist", "complex_normal"))
     rows = []
     for bound in SEARCH_BOUNDS:
@@ -152,7 +149,6 @@ def table1_report(preset: Preset) -> list[dict]:
             attempts=attempts,
             seed=seed,
             ceiling=ceiling,
-            constant_samples=samples,
         )
         note = res.detail
         if bound == "rip":

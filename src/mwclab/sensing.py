@@ -81,9 +81,14 @@ def coherence(S: np.ndarray) -> tuple[float, int]:
     the result is bit-stable.  Above _FULL_GRAM_MAX_M columns the Gram
     is assembled in blocks from Phi instead, to bound memory.
     """
-    m, M = S.shape
     Sf = S.astype(np.float64)
-    P = _column_power(Sf)
+    return _coherence(Sf, _column_power(Sf))
+
+
+def _coherence(Sf: np.ndarray, P: np.ndarray) -> tuple[float, int]:
+    """coherence of a float64 +/-1 matrix whose column power P
+    (_column_power) the caller already has."""
+    m, M = Sf.shape
     nz = P > _ZERO_COLUMN_TOL
     zero_columns = int(M - nz.sum())
     if nz.sum() < 2:
@@ -153,9 +158,10 @@ def spectral_norm_sq(
     return _top_eigenvalue(_sign_gram(S), rel_tol, max_iter) / S.shape[0]
 
 
-def _correlations(Sf: np.ndarray) -> tuple[float, float, float, np.ndarray]:
+def _correlations(Sf: np.ndarray) -> tuple[float, float, float, np.ndarray, np.ndarray]:
     """alpha, beta, gamma of a float64 +/-1 matrix, plus the smaller
-    Gram W they were taken from (see quality_measures)."""
+    Gram W and the column power P they were taken from (see
+    quality_measures)."""
     m, M = Sf.shape
     P = _column_power(Sf)
     if not np.any(P > _ZERO_COLUMN_TOL):
@@ -170,7 +176,7 @@ def _correlations(Sf: np.ndarray) -> tuple[float, float, float, np.ndarray]:
     rev = (-np.arange(M)) % M
     Grev = (Sf @ Sf[:, rev].T).astype(np.int64)
     gamma = float((Grev * Grev).sum()) / (m * M) ** 2
-    return alpha, beta, gamma, W
+    return alpha, beta, gamma, W, P
 
 
 def correlation_measures(S: SignMatrix) -> tuple[float, float, float]:
@@ -199,8 +205,9 @@ def quality_measures(S: SignMatrix) -> QualityReport:
     (every partial sum is an integer far below 2**53); they are cast
     back to int64 so the sums of squares are exact integers too.
     """
-    alpha, beta, gamma, W = _correlations(S.entries.astype(np.float64))
-    mu, zero_columns = coherence(S.entries)
+    Sf = S.entries.astype(np.float64)
+    alpha, beta, gamma, W, P = _correlations(Sf)
+    mu, zero_columns = _coherence(Sf, P)
     snorm = _top_eigenvalue(W, _POWER_REL_TOL, _POWER_MAX_ITER) / S.m
     return QualityReport(alpha, beta, gamma, mu, snorm, S.m, S.M, zero_columns)
 

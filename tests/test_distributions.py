@@ -1,11 +1,12 @@
 """Nonzero-value distributions and the two moment constants feeding the
-probability bound, checked against closed forms and an independent
-Dirichlet identity for the complex Gaussian case."""
+probability bound, checked against closed forms, an independent
+Dirichlet identity for the complex Gaussian case, and a Monte Carlo
+spelled out in the test for the uniform kinds' quadrature."""
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mwclab import distributions
 from mwclab.distributions import (
@@ -51,7 +52,6 @@ def test_k_equals_one_is_exactly_one():
     for kind in KINDS:
         c = moment_constants(NonzeroDistribution(kind), 1)
         assert c.B_K == 1.0 and c.C_K == 1.0
-        assert c.source == "closed_form"
 
 
 def test_real_normal_closed_form():
@@ -66,119 +66,104 @@ def test_real_normal_closed_form():
 def test_real_kinds_have_unit_B():
     # real symmetric values: sum u_i^2 = ||u||^2 exactly
     for kind in ("real_normal", "real_uniform", "bernoulli_sign"):
-        c = moment_constants(NonzeroDistribution(kind), 6, samples=10**5, seed=3)
-        assert abs(c.B_K - 1.0) < 1e-12, kind
+        for K in (2, 6, 24):
+            assert moment_constants(NonzeroDistribution(kind), K).B_K == 1.0, (kind, K)
+
+
+def test_complex_uniform_B_equals_C():
+    # independent symmetric real and imaginary parts: E[u^2 e^(-t|u|^2)]
+    # vanishes, so |sum u_i^2|^2 keeps only the diagonal terms of C_K
+    for K in (2, 3, 12, 24, 195):
+        c = moment_constants(NonzeroDistribution("complex_uniform"), K)
+        assert c.B_K == c.C_K, K
 
 
 def test_bernoulli_constants_are_degenerate():
     # |u_i| identical: C_K = 1/K with zero variance
-    c = moment_constants(NonzeroDistribution("bernoulli_sign"), 5, samples=10**5, seed=4)
+    c = moment_constants(NonzeroDistribution("bernoulli_sign"), 5)
     assert abs(c.C_K - 0.2) < 1e-12
     assert abs(c.B_K - 1.0) < 1e-12
 
 
 def test_complex_normal_matches_dirichlet_identity():
-    # |u_i|^2/||u||^2 is Dirichlet(1,...,1), so E sum w_i^2 = 2/(K+1);
-    # the estimator must agree without knowing that formula
-    for K in (2, 8, 24):
-        c = moment_constants(
-            NonzeroDistribution("complex_normal"), K, method="monte_carlo", samples=400_000, seed=0
-        )
-        want = 2.0 / (K + 1)
-        assert abs(c.C_K - want) < 6 * c.stderr_C, (K, c.C_K, want)
-        assert abs(c.B_K - want) < 6 * c.stderr_B, (K, c.B_K, want)
+    # |u_i|^2/||u||^2 is Dirichlet(1,...,1), so E sum w_i^2 = 2/(K+1).
+    # The uniform kinds' quadrature, fed the complex Gaussian's
+    # phi(t) = 1/(1+2t) and E[|u|^4 e^(-t|u|^2)] = 8/(1+2t)^3, must
+    # return it without knowing that formula
+    def gaussian(t):
+        return 1.0 / (1.0 + 2.0 * t), 8.0 / (1.0 + 2.0 * t) ** 3
+
+    for K in range(2, 65):
+        got = distributions._quadrature_c(K, gaussian)
+        assert abs(got / (2.0 / (K + 1)) - 1.0) <= 1e-13, K
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.integers(2, 32), st.integers(0, 2**32 - 1))
-def test_montecarlo_lands_on_closed_forms(K, seed):
-    # the estimator knows no closed form; it must agree with them
-    cn = moment_constants(
-        NonzeroDistribution("complex_normal"), K, method="monte_carlo", samples=10**5, seed=seed
-    )
-    want = 2.0 / (K + 1)
-    assert abs(cn.B_K - want) < 6 * cn.stderr_B, (K, cn.B_K, want)
-    assert abs(cn.C_K - want) < 6 * cn.stderr_C, (K, cn.C_K, want)
-    bs = moment_constants(
-        NonzeroDistribution("bernoulli_sign"), K, method="monte_carlo", samples=10**5, seed=seed
-    )
-    assert bs.B_K == 1.0
-    assert abs(bs.C_K - 1.0 / K) < 1e-12
+def test_real_uniform_two_term_closed_form():
+    # E[(x^4 + y^4) / (x^2 + y^2)^2] over the unit square is 3/2 - pi/4
+    c = moment_constants(NonzeroDistribution("real_uniform"), 2)
+    assert abs(c.C_K - (1.5 - math.pi / 4)) <= 1e-14
 
 
-def test_auto_takes_closed_forms_without_drawing(monkeypatch):
+def test_quadrature_step_halving(monkeypatch):
+    # the trapezoid rule in ln t converges geometrically: halving the
+    # step must not move C_K beyond rounding, also for K in the thousands
+    # where the integrand sits at t ~ 12/K and the small-t series matters
+    Ks = (2, 3, 12, 24, 195, 1000, 4096, 8191)
+    laws = ("real_uniform", "complex_uniform")
+    coarse = {(k, K): moment_constants(NonzeroDistribution(k), K).C_K for k in laws for K in Ks}
+    monkeypatch.setattr(distributions, "_S_STEP", distributions._S_STEP / 2)
+    for (kind, K), c in coarse.items():
+        fine = moment_constants(NonzeroDistribution(kind), K).C_K
+        assert abs(c / fine - 1.0) <= 1e-12, (kind, K, c, fine)
+
+
+def test_montecarlo_lands_on_closed_forms():
+    # a plain Monte Carlo of B_K and C_K, spelled out here, must agree
+    # with the quadrature within 4 standard errors for both uniform laws
+    rng = np.random.default_rng(20240)
+    for kind in ("real_uniform", "complex_uniform"):
+        d = NonzeroDistribution(kind)
+        for K in (2, 12, 24):
+            u = sample_values(d, (200_000, K), rng)
+            w = np.abs(u) ** 2
+            nrm4 = w.sum(axis=1) ** 2
+            exact = moment_constants(d, K)
+            for name, draws in (
+                ("C_K", (w * w).sum(axis=1) / nrm4),
+                ("B_K", np.abs((u * u).sum(axis=1)) ** 2 / nrm4),
+            ):
+                want = getattr(exact, name)
+                err = draws.std() / math.sqrt(draws.size)
+                assert abs(draws.mean() - want) <= 4 * err + 1e-15, (kind, K, name)
+
+
+def test_constants_draw_nothing(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("closed forms draw nothing")
+        raise AssertionError("moment constants draw nothing")
 
     monkeypatch.setattr(distributions, "sample_values", refuse)
+    monkeypatch.setattr(distributions, "block_rng", refuse)
     for kind, B, C in (
         ("complex_normal", 2.0 / 25, 2.0 / 25),
         ("bernoulli_sign", 1.0, 1.0 / 24),
         ("real_normal", 1.0, 72.0 / 624),
     ):
-        c = moment_constants(NonzeroDistribution(kind, scale=2.0), 24, seed=5)
-        assert c == MomentConstants(B, C, 24, "closed_form"), kind
-    with pytest.raises(AssertionError):
-        moment_constants(NonzeroDistribution("complex_uniform"), 24, samples=10**5, seed=12345)
+        c = moment_constants(NonzeroDistribution(kind, scale=2.0), 24)
+        assert c == MomentConstants(B, C, 24), kind
+    for kind in ("complex_uniform", "real_uniform"):
+        a = moment_constants(NonzeroDistribution(kind, scale=2.0), 24)
+        assert a == moment_constants(NonzeroDistribution(kind), 24)
+        assert a.samples is None
 
 
 def test_complex_uniform_frozen_values():
-    # frozen reference values from earlier large-sample runs
-    c12 = moment_constants(NonzeroDistribution("complex_uniform"), 12, samples=400_000, seed=0)
-    assert abs(c12.B_K - 0.11525) < 0.002
-    assert abs(c12.C_K - 0.11547) < 0.002
-    c24 = moment_constants(NonzeroDistribution("complex_uniform"), 24, samples=400_000, seed=0)
-    assert abs(c24.B_K - 0.05806) < 0.0015
-    assert abs(c24.C_K - 0.05806) < 0.0015
-
-
-def test_closed_form_refused_where_unknown():
-    with pytest.raises(ValueError):
-        moment_constants(NonzeroDistribution("complex_uniform"), 4, method="closed_form")
-
-
-def test_montecarlo_minimum_samples():
-    with pytest.raises(ValueError):
-        moment_constants(NonzeroDistribution("complex_normal"), 4, method="monte_carlo", samples=999)
-
-
-def test_montecarlo_stderr_shrinks_with_samples():
-    d = NonzeroDistribution("complex_uniform")
-    small = moment_constants(d, 6, samples=10**5, seed=1)
-    large = moment_constants(d, 6, samples=4 * 10**5, seed=1)
-    assert large.stderr_C < small.stderr_C
-    assert large.stderr_C < 0.75 * small.stderr_C  # roughly halves
-
-
-def test_montecarlo_covariance_matches_draws():
-    # recompute B, C and their covariance from the estimator's own streams
-    d = NonzeroDistribution("complex_uniform")
-    n, K, block = 10**5, 6, 2**14
-    c = moment_constants(d, K, samples=n, seed=2)
-    u = np.concatenate(
-        [sample_values(d, (min(block, n - i), K), block_rng(2, j))
-         for j, i in enumerate(range(0, n, block))]
-    )
-    w = np.abs(u) ** 2
-    nrm2 = w.sum(axis=1)
-    b = np.abs((u**2).sum(axis=1)) ** 2 / nrm2**2
-    cc = (w**2).sum(axis=1) / nrm2**2
-    assert np.isclose(c.B_K, b.mean(), rtol=1e-12)
-    assert np.isclose(c.C_K, cc.mean(), rtol=1e-12)
-    assert np.isclose(c.cov_BC, np.cov(b, cc, bias=True)[0, 1] / n, rtol=1e-6)
-    assert abs(c.cov_BC) <= c.stderr_B * c.stderr_C
-    # real kinds: B is identically 1, so it moves with nothing
-    r = moment_constants(NonzeroDistribution("real_uniform"), K, samples=n, seed=2)
-    assert r.stderr_B == 0.0 and r.cov_BC == 0.0
-
-
-def test_montecarlo_is_deterministic():
-    d = NonzeroDistribution("complex_normal")
-    a = moment_constants(d, 5, method="monte_carlo", samples=10**5, seed=9)
-    b = moment_constants(d, 5, method="monte_carlo", samples=10**5, seed=9)
-    assert a == b
-    c = moment_constants(d, 5, method="monte_carlo", samples=10**5, seed=10)
-    assert c.C_K != a.C_K
+    # reference values from an independent 30-digit quadrature
+    c12 = moment_constants(NonzeroDistribution("complex_uniform"), 12)
+    assert abs(c12.C_K - 0.1154875879235219436) <= 1e-15
+    c24 = moment_constants(NonzeroDistribution("complex_uniform"), 24)
+    assert abs(c24.C_K - 0.0580579754474443085) <= 1e-15
+    r24 = moment_constants(NonzeroDistribution("real_uniform"), 24)
+    assert abs(r24.C_K - 0.0752824782836820319) <= 1e-15
 
 
 def test_block_rng_streams():

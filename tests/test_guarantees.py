@@ -25,7 +25,7 @@ from mwclab.guarantees import (
 )
 from mwclab.sensing import coherence
 
-UNIT = MomentConstants(B_K=1.0, C_K=1.0, K=1, source="closed_form")
+UNIT = MomentConstants(B_K=1.0, C_K=1.0, K=1)
 
 
 def _inputs(alpha=0.02, beta=0.002, gamma=0.002, m=80, M=511, K=24, delta=BP_DELTA, constants=UNIT):
@@ -38,7 +38,7 @@ def test_delta_constant():
 
 def test_gold_probability_window(gold_80_511):
     res = exrip_from_sign_matrix(
-        gold_80_511, 24, dist=NonzeroDistribution("complex_normal"), constant_samples=200_000
+        gold_80_511, 24, dist=NonzeroDistribution("complex_normal")
     )
     assert res.feasible
     assert 0.930 <= res.probability <= 0.945
@@ -46,14 +46,14 @@ def test_gold_probability_window(gold_80_511):
 
 def test_kasami_probability_window(kasami_16_255):
     res = exrip_from_sign_matrix(
-        kasami_16_255, 12, dist=NonzeroDistribution("complex_normal"), constant_samples=200_000
+        kasami_16_255, 12, dist=NonzeroDistribution("complex_normal")
     )
     assert 0.65 <= res.probability <= 0.72
 
 
 def test_hadamard_probability_clamps_to_zero(hadamard_80_512):
     res = exrip_from_sign_matrix(
-        hadamard_80_512, 24, dist=NonzeroDistribution("complex_normal"), constant_samples=200_000
+        hadamard_80_512, 24, dist=NonzeroDistribution("complex_normal")
     )
     assert res.probability == 0.0
     assert res.raw_value is not None and res.raw_value < -1.0  # kept, not hidden
@@ -74,16 +74,22 @@ def test_unit_constants_depend_only_on_M_beta_delta():
 
 
 def test_equal_B_and_C_remove_gamma():
-    const = MomentConstants(B_K=0.08, C_K=0.08, K=24, source="closed_form")
-    a = exrip_probability(_inputs(gamma=0.001, constants=const))
-    b = exrip_probability(_inputs(gamma=0.03, constants=const))
-    assert a.raw_value == b.raw_value
+    # complex-uniform constants have B_K == C_K exactly, like the Gaussian's
+    for const in (
+        MomentConstants(B_K=0.08, C_K=0.08, K=24),
+        moment_constants(NonzeroDistribution("complex_uniform"), 24),
+    ):
+        a = exrip_probability(_inputs(gamma=0.001, constants=const))
+        b = exrip_probability(_inputs(gamma=0.03, constants=const))
+        assert a.raw_value == b.raw_value
+        # exact constants carry no standard errors into params
+        assert set(b.params) == {"alpha", "beta", "gamma", "m", "M", "K", "delta", "B_K", "C_K"}
 
 
 def test_raw_value_linear_coefficients():
     # raw is affine in (alpha, beta, gamma); finite differences must
     # equal the analytic coefficients to rounding error
-    const = MomentConstants(B_K=0.11, C_K=0.09, K=24, source="closed_form")
+    const = MomentConstants(B_K=0.11, C_K=0.09, K=24)
     base = _inputs(constants=const)
     rho = base.rho
     d2 = base.delta**2
@@ -99,28 +105,6 @@ def test_raw_value_linear_coefficients():
     db = exrip_probability(_inputs(beta=base.beta + h, constants=const)).raw_value - raw0
     want = -(-2.0 * (1.0 - const.C_K) * rho - (const.B_K - const.C_K) * rho + const.C_K * base.M) / d2
     assert np.isclose(db / h, want, rtol=1e-9)
-
-
-def test_monte_carlo_error_carries_through_bound():
-    const = moment_constants(NonzeroDistribution("complex_uniform"), 24, samples=10**5, seed=0)
-    res = exrip_probability(_inputs(constants=const))
-
-    def raw(B, C):
-        fixed = MomentConstants(B_K=B, C_K=C, K=24, source="closed_form")
-        return exrip_probability(_inputs(constants=fixed)).raw_value
-
-    B, C, h = const.B_K, const.C_K, 1e-4
-    dB = (raw(B + h, C) - raw(B, C)) / h
-    dC = (raw(B, C + h) - raw(B, C)) / h
-    var = (dB * const.stderr_B) ** 2 + (dC * const.stderr_C) ** 2 + 2 * dB * dC * const.cov_BC
-    assert res.params["B_K_stderr"] == const.stderr_B
-    assert res.params["C_K_stderr"] == const.stderr_C
-    assert np.isclose(res.params["probability_stderr"], math.sqrt(var), rtol=1e-6)
-    assert res.raw_value == raw(B, C)
-    # closed-form constants carry no error and add no keys
-    assert set(exrip_probability(_inputs()).params) == {
-        "alpha", "beta", "gamma", "m", "M", "K", "delta", "B_K", "C_K"
-    }
 
 
 def test_rho_property():

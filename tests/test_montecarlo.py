@@ -8,7 +8,6 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from mwclab import distributions
 from mwclab.distributions import NonzeroDistribution, block_rng, sample_values
 from mwclab.montecarlo import (
     _BLOCK,
@@ -17,7 +16,6 @@ from mwclab.montecarlo import (
     empirical_exrip,
     sample_supports,
 )
-from mwclab.reports import table2_report
 from mwclab.sensing import sensing_matrix
 from mwclab.signmatrix import SignMatrix
 
@@ -121,7 +119,7 @@ def test_estimate_as_dict_keys():
 
 
 def test_validity_report_wiring(random_40_195):
-    rep = bound_validity_report(random_40_195, 24, trials=5000, seed=0, constant_samples=10**5)
+    rep = bound_validity_report(random_40_195, 24, trials=5000, seed=0)
     d = asdict(rep)
     assert set(d) == {
         "theoretical",
@@ -205,25 +203,3 @@ def test_sliced_gather_is_bit_identical(case, K, kind, trials, gold_80_511, rand
     for field in ExripEstimate.__dataclass_fields__:
         a, b = getattr(got, field), getattr(want, field)
         assert type(a) is type(b) and a == b, field
-
-
-def test_constants_sampled_once_per_process(monkeypatch, random_40_195):
-    # table2 and a later complex-uniform verify share one memoized
-    # estimate per K instead of redrawing it
-    distributions._monte_carlo.cache_clear()
-    draws = []
-
-    def counting(dist, shape, rng):
-        draws.append((dist.kind, shape[1]))
-        return sample_values(dist, shape, rng)
-
-    monkeypatch.setattr(distributions, "sample_values", counting)
-    table2_report()
-    blocks = -(-(10**6) // 2**14)  # one 1e6-sample estimate in 2**14-sample blocks
-    assert sorted(draws) == sorted([("complex_uniform", 12), ("complex_uniform", 24)] * blocks)
-    before = len(draws)
-    rep = bound_validity_report(
-        random_40_195, 24, dist=NonzeroDistribution("complex_uniform"), trials=1000
-    )
-    assert len(draws) == before
-    assert rep.theoretical.params["B_K_stderr"] > 0.0

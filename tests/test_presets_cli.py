@@ -92,9 +92,7 @@ def test_cli_gen_is_reproducible(tmp_path):
 
 def test_cli_exrip_schema(tmp_path):
     out = tmp_path / "e.json"
-    r = run_cli(
-        "exrip", "--preset", "table2_kasami", "--samples", "100000", "--out", str(out)
-    )
+    r = run_cli("exrip", "--preset", "table2_kasami", "--out", str(out))
     assert r.returncode == 0, r.stderr
     d = json.loads(out.read_text())
     assert set(d) == {"bound", "probability", "raw_value", "feasible", "params"}
@@ -106,7 +104,7 @@ def test_cli_bounds_schema(tmp_path):
     out = tmp_path / "b.json"
     r = run_cli(
         "bounds", "--family", "random", "--M", "63", "--m", "10",
-        "--family-seed", "1", "--k", "4", "--samples", "100000", "--out", str(out),
+        "--family-seed", "1", "--k", "4", "--out", str(out),
     )
     assert r.returncode == 0, r.stderr
     d = json.loads(out.read_text())
@@ -122,8 +120,7 @@ def test_cli_verify_thread_independent(tmp_path):
     for name, threads in (("v1.json", "1"), ("v2.json", "2")):
         out = tmp_path / name
         r = run_cli(
-            "verify", "--preset", "table2_kasami", "--trials", "2000",
-            "--samples", "100000", "--out", str(out),
+            "verify", "--preset", "table2_kasami", "--trials", "2000", "--out", str(out),
             env_extra={"MWCLAB_THREADS": threads},
         )
         assert r.returncode == 0, r.stderr
@@ -262,7 +259,7 @@ def _artifact(tmp_path, *args):
 
 
 # table2_kasami's pattern keys spelled as flags; its k is 12 and its
-# delta, seed, trials and samples are the flag defaults
+# delta, seed and trials are the flag defaults
 KASAMI = ("--family", "kasami", "--n", "8", "--m", "16")
 
 
@@ -274,15 +271,12 @@ KASAMI = ("--family", "kasami", "--n", "8", "--m", "16")
             ("measures", "--family", "kasami", "--n", "8", "--m", "8"),
         ),
         (
-            ("exrip", "--preset", "table2_kasami", "--k", "5", "--dist", "complex-uniform",
-             "--samples", "200000"),
-            ("exrip", *KASAMI, "--k", "5", "--dist", "complex-uniform", "--samples", "200000"),
+            ("exrip", "--preset", "table2_kasami", "--k", "5", "--dist", "complex-uniform"),
+            ("exrip", *KASAMI, "--k", "5", "--dist", "complex-uniform"),
         ),
         (
-            ("verify", "--preset", "table2_kasami", "--trials", "1000", "--seed", "7",
-             "--samples", "20000"),
-            ("verify", *KASAMI, "--k", "12", "--trials", "1000", "--seed", "7",
-             "--samples", "20000"),
+            ("verify", "--preset", "table2_kasami", "--trials", "1000", "--seed", "7"),
+            ("verify", *KASAMI, "--k", "12", "--trials", "1000", "--seed", "7"),
         ),
         (
             # the parent ignored every pattern flag but --m next to --preset

@@ -20,7 +20,8 @@ from mwclab.sensing import (
     spectral_norm_sq,
     welch_lower_bound,
 )
-from mwclab.signmatrix import SignMatrix
+from mwclab.signmatrix import FamilySpec, SignMatrix, build_sign_matrix
+from mwclab.tables import PRIMITIVE_POLYS
 
 
 def _sm(entries):
@@ -272,3 +273,30 @@ def test_alpha_gamma_equal_integer_pair_sums(S):
     assert q.gamma == float((Grev * Grev).sum()) / (m * M) ** 2
     # the exrip-only path runs the same formulas
     assert correlation_measures(_sm(S)) == (q.alpha, q.beta, q.gamma)
+
+
+@st.composite
+def maximal_shapes(draw):
+    """(degree, rows) of a shipped maximal family, rows capped at 128."""
+    n = draw(st.integers(3, 13))
+    population = len(PRIMITIVE_POLYS[n]) * ((1 << n) - 1)
+    return n, draw(st.integers(1, min(population, 128)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(maximal_shapes())
+@example((3, 4))
+@example((5, 10))
+@example((7, 40))
+@example((9, 80))
+@example((11, 100))
+@example((13, 30))
+def test_maximal_beta_is_flat_spectrum_theorem(shape):
+    # every row is an m-sequence (or a shift of one): |DFT|^2 is 1 at
+    # frequency 0 and M + 1 elsewhere, so P_0 = m, P_j = m (M + 1) and
+    # beta = (1 + (M - 1)(M + 1)^2) / M^4 with no FFT or Gram involved
+    n, m = shape
+    M = (1 << n) - 1
+    _, beta, _ = correlation_measures(build_sign_matrix(FamilySpec("maximal", m=m, n=n)))
+    want = (1 + (M - 1) * (M + 1) ** 2) / M**4
+    assert abs(beta - want) <= 1e-14 * want, (n, m, beta, want)
