@@ -16,8 +16,18 @@ import math
 from dataclasses import dataclass, field
 
 from .distributions import MomentConstants, NonzeroDistribution, moment_constants
-from .sensing import coherence, correlation_measures, spectral_norm_sq
-from .signmatrix import SignMatrix, _random_signs
+from .sensing import (
+    _FULL_GRAM_MAX_M,
+    _POWER_MAX_ITER,
+    _POWER_REL_TOL,
+    _block_gram,
+    _gram_coherence,
+    _top_eigenvalue,
+    coherence,
+    correlation_measures,
+    spectral_norm_sq,
+)
+from .signmatrix import SignMatrix, _random_signs, _sign_blocks
 
 # exact-recovery threshold for basis pursuit: delta_2K below sqrt(2)-1
 BP_DELTA = math.sqrt(2.0) - 1.0
@@ -268,21 +278,42 @@ class SearchResult:
     params: dict = field(default_factory=dict)
 
 
+def _stream_gram(key, m: int, M: int):
+    """S^T S of _random_signs(key, m, M), accumulated over the row blocks
+    of the sign stream: the same T, bit for bit, with no m x M matrix."""
+    return _block_gram(_sign_blocks(key, m, M), M)
+
+
+def _witness_norm_sq(key, m: int, M: int) -> float:
+    """spectral_norm_sq of the witness drawn for key, from the same Gram:
+    S^T S streamed when the witness is tall, S S^T of its rows otherwise."""
+    if m > M:
+        return _top_eigenvalue(_stream_gram(key, m, M), _POWER_REL_TOL, _POWER_MAX_ITER) / m
+    return spectral_norm_sq(_random_signs(key, m, M))
+
+
 @functools.lru_cache(maxsize=1024)
 def _best_random_instance(M: int, m: int, attempts: int, seed: int):
     """Lowest-coherence random instance out of `attempts`; returns
     (mu, witness key).
 
-    The coherence and statistical searches probe the same candidate m
+    Up to _FULL_GRAM_MAX_M columns each candidate is scored from its
+    Gram S^T S alone, accumulated over the row blocks of the sign stream
+    (_stream_gram), so no m x M candidate ever exists; the mu is the one
+    coherence gives for the materialized draw, bit for bit.  The
+    coherence and statistical searches probe the same candidate m
     values, so results are cached per argument tuple.  The cache keeps
-    no matrix (a tall candidate is tens of MB); _random_signs(key, m, M)
-    regenerates the witness where a bound needs more than mu.
+    no matrix or Gram; the key regenerates the witness where a bound
+    needs more than mu.
     """
     best_mu = math.inf
     best_key = None
     for a in range(attempts):
         key = (seed, m, a)
-        mu, _ = coherence(_random_signs(key, m, M))
+        if M <= _FULL_GRAM_MAX_M:
+            mu, _ = _gram_coherence(_stream_gram(key, m, M), m)
+        else:
+            mu, _ = coherence(_random_signs(key, m, M))
         if mu < best_mu:
             best_mu = mu
             best_key = key
@@ -375,7 +406,7 @@ def min_channels_search(
         if bound == "tropp_coherence":
             return mu > 0 and math.floor(1.0 / (3.0 * mu)) >= K
         if bound == "candes_plan":
-            snorm = spectral_norm_sq(_random_signs(key, m, M))
+            snorm = _witness_norm_sq(key, m, M)
             g = coherence_guarantees(mu, M, snorm, K, candes_plan_c)
             return bool(g.candes_plan_mu_ok and g.candes_plan_k_ok)
         if bound == "gan":
@@ -383,7 +414,7 @@ def min_channels_search(
             return r.feasible and r.probability >= target_prob
         # tropp_strip: t chosen to put the success probability at the target
         t = max(1.0, -math.log1p(-target_prob) / math.log(K / 2.0)) if K > 2 else 1.0
-        snorm = spectral_norm_sq(_random_signs(key, m, M))
+        snorm = _witness_norm_sq(key, m, M)
         r = strip_tropp(mu, snorm, M, K, delta, t)
         return r.feasible and r.probability >= target_prob
 

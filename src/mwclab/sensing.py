@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signmatrix import SignMatrix
+from .signmatrix import _BLOCK_ROWS, SignMatrix
 
 # above this M the full M x M Gram is not materialized
 _FULL_GRAM_MAX_M = 4096
@@ -58,15 +58,42 @@ def _column_power(S: np.ndarray) -> np.ndarray:
     return A.sum(axis=0)
 
 
+def _block_gram(blocks, M: int) -> np.ndarray:
+    """T = S^T S (M x M, float64) accumulated over row blocks of S.
+
+    Each block of at most _BLOCK_ROWS rows runs as a float32 BLAS
+    product: its partial sums are integers of magnitude at most
+    _BLOCK_ROWS < 2**24, so it is exact whatever the blocking, FMA use
+    or thread count, and the float64 sum of the blocks is exact too.  A
+    materialized matrix and the same rows streamed by _sign_blocks give
+    the same T, bit for bit.
+    """
+    T = np.zeros((M, M))
+    for B in blocks:
+        Bf = B.astype(np.float32, copy=False)
+        T += Bf.T @ Bf
+    return T
+
+
+def _column_gram(S: np.ndarray) -> np.ndarray:
+    """S^T S of a materialized +/-1 matrix (see _block_gram)."""
+    return _block_gram(
+        (S[i : i + _BLOCK_ROWS] for i in range(0, S.shape[0], _BLOCK_ROWS)), S.shape[1]
+    )
+
+
 def _sign_gram(S: np.ndarray) -> np.ndarray:
     """The smaller Gram of a +/-1 matrix, S S^T if m <= M else S^T S.
 
-    It runs as a float64 BLAS product and is exact: every partial sum
-    of +/-1 products is an integer of magnitude at most max(m, M), far
-    below 2**53, whatever the blocking, FMA use or thread count.
+    S S^T runs as a float64 BLAS product and is exact: every partial sum
+    of +/-1 products is an integer of magnitude at most M, far below
+    2**53, whatever the blocking, FMA use or thread count.  S^T S is
+    accumulated over row blocks (_column_gram).
     """
+    if S.shape[0] > S.shape[1]:
+        return _column_gram(S)
     Sf = S.astype(np.float64, copy=False)
-    return Sf @ Sf.T if S.shape[0] <= S.shape[1] else Sf.T @ Sf
+    return Sf @ Sf.T
 
 
 def coherence(S: np.ndarray) -> tuple[float, int]:
@@ -76,49 +103,66 @@ def coherence(S: np.ndarray) -> tuple[float, int]:
     is undefined there) and counted.  Returns (mu, zero_columns).
 
     The Gram is F^H (S^T S) F / (mM): the integer product S^T S followed
-    by a DFT along each axis.  The integer product is exact in float64
-    regardless of BLAS threading, and the FFTs are single-threaded, so
-    the result is bit-stable.  Above _FULL_GRAM_MAX_M columns the Gram
-    is assembled in blocks from Phi instead, to bound memory.
+    by a DFT along each axis, with the squared column norms of Phi on
+    its diagonal.  The integer product is exact regardless of BLAS
+    threading (_block_gram), and the FFTs are single-threaded, so the
+    result is bit-stable, and any route to the same S^T S (such as the
+    channel search's streamed one) gives the same mu.  Above
+    _FULL_GRAM_MAX_M columns the Gram is assembled in blocks from Phi
+    instead, to bound memory.
     """
+    S = np.asarray(S)
+    if S.shape[1] <= _FULL_GRAM_MAX_M:
+        return _gram_coherence(_column_gram(S), S.shape[0])
     Sf = S.astype(np.float64)
-    return _coherence(Sf, _column_power(Sf))
+    return _blocked_coherence(Sf, _column_power(Sf))
 
 
-def _coherence(Sf: np.ndarray, P: np.ndarray) -> tuple[float, int]:
-    """coherence of a float64 +/-1 matrix whose column power P
-    (_column_power) the caller already has."""
+def _gram_coherence(T: np.ndarray, m: int) -> tuple[float, int]:
+    """coherence of an m-row +/-1 matrix from its Gram T = S^T S alone:
+    G = F^H T F / (mM), column power from the diagonal of G."""
+    M = T.shape[0]
+    G = np.fft.ifft(np.fft.fft(T, axis=1), axis=0) / m
+    d2 = G.diagonal().real  # ||Phi_j||^2 = P_j / (mM)
+    nz = d2 * (m * M) > _ZERO_COLUMN_TOL
+    zero_columns = int(M - nz.sum())
+    if nz.sum() < 2:
+        return 0.0, zero_columns
+    A = np.abs(G[np.ix_(nz, nz)])
+    d = np.sqrt(d2[nz])
+    A /= d[:, None]
+    A /= d[None, :]
+    np.fill_diagonal(A, 0.0)
+    # duplicate columns give exactly 1 up to rounding dust
+    return min(float(A.max()), 1.0), zero_columns
+
+
+def _blocked_coherence(Sf: np.ndarray, P: np.ndarray) -> tuple[float, int]:
+    """coherence of a float64 +/-1 matrix with column power P
+    (_column_power), from blocks of Phi^H Phi: memory stays bounded
+    for any M."""
     m, M = Sf.shape
     nz = P > _ZERO_COLUMN_TOL
     zero_columns = int(M - nz.sum())
     if nz.sum() < 2:
         return 0.0, zero_columns
     norms = np.sqrt(P / (m * M))
+    Phi = np.fft.fft(Sf, axis=1) / np.sqrt(m * M)
+    cols = np.nonzero(nz)[0]
+    PhiH = Phi[:, cols].conj().T
+    dn = norms[cols]
     best = 0.0
-    if M <= _FULL_GRAM_MAX_M:
-        T = Sf.T @ Sf
-        G = np.fft.ifft(np.fft.fft(T, axis=1), axis=0) / m
-        A = np.abs(G[np.ix_(nz, nz)])
-        d = norms[nz]
-        A /= d[:, None]
-        A /= d[None, :]
-        np.fill_diagonal(A, 0.0)
-        best = float(A.max())
-    else:
-        Phi = np.fft.fft(Sf, axis=1) / np.sqrt(m * M)
-        cols = np.nonzero(nz)[0]
-        PhiH = Phi[:, cols].conj().T
-        dn = norms[cols]
-        block = max(1, (1 << 25) // len(cols))
-        for start in range(0, len(cols), block):
-            sel = cols[start : start + block]
-            A = np.abs(PhiH @ Phi[:, sel])
-            A /= dn[:, None]
-            A /= norms[sel][None, :]
-            # rows of PhiH follow cols order, so the global diagonal
-            # entry of column sel[k] sits at row start + k
-            A[start + np.arange(len(sel)), np.arange(len(sel))] = 0.0
-            best = max(best, float(A.max()))
+    # about 4M complex entries (64 MB) per block product, plus its abs
+    block = max(1, (1 << 22) // len(cols))
+    for start in range(0, len(cols), block):
+        sel = cols[start : start + block]
+        A = np.abs(PhiH @ Phi[:, sel])
+        A /= dn[:, None]
+        A /= norms[sel][None, :]
+        # rows of PhiH follow cols order, so the global diagonal
+        # entry of column sel[k] sits at row start + k
+        A[start + np.arange(len(sel)), np.arange(len(sel))] = 0.0
+        best = max(best, float(A.max()))
     # duplicate columns give exactly 1 up to rounding dust
     return min(best, 1.0), zero_columns
 
@@ -152,8 +196,7 @@ def spectral_norm_sq(
 
     Phi Phi^H = S S^T / m because F F^H = M I, so the squared operator
     norm is the top eigenvalue of S S^T (or equivalently S^T S) over m.
-    The Gram is a float64 BLAS product, exact because its entries and
-    every partial sum are integers far below 2**53 (see _sign_gram).
+    The Gram is an exact BLAS product (see _sign_gram).
     """
     return _top_eigenvalue(_sign_gram(S), rel_tol, max_iter) / S.shape[0]
 
@@ -201,13 +244,17 @@ def quality_measures(S: SignMatrix) -> QualityReport:
     with P_j the column power of S F.  alpha comes from the smaller
     Gram W (_sign_gram, ||S S^T||_F = ||S^T S||_F), which also gives
     the spectral norm; gamma from S R S^T with R the cyclic reversal
-    n -> -n mod M.  The products run in float64 BLAS and are exact
-    (every partial sum is an integer far below 2**53); they are cast
-    back to int64 so the sums of squares are exact integers too.
+    n -> -n mod M.  The products run in BLAS and are exact (every
+    partial sum is an integer that the float type holds exactly, see
+    _sign_gram); they are cast back to int64 so the sums of squares are
+    exact integers too.  The coherence reads S^T S (coherence).
     """
     Sf = S.entries.astype(np.float64)
     alpha, beta, gamma, W, P = _correlations(Sf)
-    mu, zero_columns = _coherence(Sf, P)
+    if S.M <= _FULL_GRAM_MAX_M:
+        mu, zero_columns = _gram_coherence(_column_gram(Sf), S.m)
+    else:
+        mu, zero_columns = _blocked_coherence(Sf, P)
     snorm = _top_eigenvalue(W, _POWER_REL_TOL, _POWER_MAX_ITER) / S.m
     return QualityReport(alpha, beta, gamma, mu, snorm, S.m, S.M, zero_columns)
 

@@ -110,14 +110,35 @@ def _maximal_rows(n: int, m: int) -> list[np.ndarray]:
     return rows
 
 
+# rows per block of the sign stream; a block's Gram has integer partial
+# sums of magnitude at most this, exact even in float32 (below 2**24)
+_BLOCK_ROWS = 4096
+
+
+def _sign_blocks(key, m: int, M: int):
+    """The rows of _random_signs(key, m, M) as consecutive float32
+    blocks of at most _BLOCK_ROWS rows.
+
+    Each sign is the top bit of one 32-bit draw (+1 when set), exactly
+    what integers(0, 2) takes from the same draw; blocks drawn in order
+    give the same signs as one m x M draw and leave the Generator in the
+    same state, so a tall matrix need never exist in full.
+    """
+    rng = np.random.default_rng(key)
+    for start in range(0, m, _BLOCK_ROWS):
+        bits = rng.integers(0, 1 << 32, size=(min(_BLOCK_ROWS, m - start), M), dtype=np.uint32)
+        # keep the top bit and write the float32 pattern of +1 (top bit
+        # set, 0x3F800000) or -1 (clear, 0xBF800000) in place
+        bits &= 0x80000000
+        bits ^= 0xBF800000
+        yield bits.view(np.float32)
+
+
 def _random_signs(key, m: int, M: int) -> np.ndarray:
     """m x M i.i.d. equiprobable int8 signs from `key`, a seed or a
     Generator (which the draw advances).  Every random sign pattern in
-    the package comes from this one stream."""
-    S = np.random.default_rng(key).integers(0, 2, size=(m, M))
-    S *= 2
-    S -= 1
-    return S.astype(np.int8)
+    the package comes from this one stream (see _sign_blocks)."""
+    return np.concatenate(list(_sign_blocks(key, m, M))).astype(np.int8)
 
 
 def _random_entries(m: int, M: int, seed: Seed) -> np.ndarray:

@@ -314,6 +314,8 @@ def test_criterion_11_byte_determinism(tmp_path):
         ("verify", ["verify", "--preset", "table2_kasami", "--trials", "2000"]),
         ("exrip", ["exrip", "--preset", "table2_kasami", "--dist", "complex-uniform"]),
         ("sweep", ["sweep"]),
+        # the channel search: tall candidates scored from block-streamed Grams
+        ("table1", ["table1", "--attempts", "2", "--ceiling", "8192"]),
     )
     ok = True
     for name, argv in jobs:

@@ -9,9 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mwclab.guarantees import _stream_gram
 from mwclab.sensing import (
+    _FULL_GRAM_MAX_M,
+    _POWER_MAX_ITER,
+    _POWER_REL_TOL,
     QualityReport,
+    _blocked_coherence,
+    _column_gram,
+    _column_power,
+    _gram_coherence,
     _sign_gram,
+    _top_eigenvalue,
     coherence,
     correlation_measures,
     quality_bounds_check,
@@ -20,7 +29,7 @@ from mwclab.sensing import (
     spectral_norm_sq,
     welch_lower_bound,
 )
-from mwclab.signmatrix import FamilySpec, SignMatrix, build_sign_matrix
+from mwclab.signmatrix import FamilySpec, SignMatrix, _random_signs, build_sign_matrix
 from mwclab.tables import PRIMITIVE_POLYS
 
 
@@ -300,3 +309,104 @@ def test_maximal_beta_is_flat_spectrum_theorem(shape):
     _, beta, _ = correlation_measures(build_sign_matrix(FamilySpec("maximal", m=m, n=n)))
     want = (1 + (M - 1) * (M + 1) ** 2) / M**4
     assert abs(beta - want) <= 1e-14 * want, (n, m, beta, want)
+
+
+def _assert_one_coherence(S):
+    """The Gram-only mu and the blocked Phi-product mu agree."""
+    m, M = S.shape
+    Sf = S.astype(np.float64)
+    mu, zeros = _gram_coherence(_column_gram(S), m)
+    mu_b, zeros_b = _blocked_coherence(Sf, _column_power(Sf))
+    assert zeros == zeros_b
+    assert abs(mu - mu_b) <= 1e-13 * mu_b, (S.shape, mu, mu_b)
+    if M <= _FULL_GRAM_MAX_M:
+        assert coherence(S) == (mu, zeros)  # the public path is the Gram path
+    return mu, zeros
+
+
+@pytest.mark.parametrize(
+    "spec, zero_columns",
+    [
+        (FamilySpec("hadamard", m=80, M=512), 385),
+        (FamilySpec("hadamard", m=160, M=4096), 3841),
+        (FamilySpec("gold", m=80, n=9), 0),
+        (FamilySpec("gold", m=160, n=11), 0),
+        (FamilySpec("kasami", m=16, n=8), 0),
+        (FamilySpec("kasami", m=32, n=10), 0),
+    ],
+)
+def test_gram_coherence_matches_blocked_path_structured(spec, zero_columns):
+    _, zeros = _assert_one_coherence(build_sign_matrix(spec).entries)
+    assert zeros == zero_columns
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 600), st.integers(2, 64), st.integers(0, 10_000))
+@example(4353, 195, 0)  # the shape of table1's donoho_elad witness
+def test_gram_coherence_matches_blocked_path_random(m, M, seed):
+    _assert_one_coherence(_signs(m, M, seed))
+
+
+def _welch_mu(m, n):
+    return float(np.sqrt((n - m) / (m * (n - 1))))
+
+
+@st.composite
+def wide_family_specs(draw):
+    """A shipped structured family (M up to 2047) with fewer rows than
+    columns."""
+    fam = draw(st.sampled_from(["maximal", "gold", "kasami", "hadamard"]))
+    if fam == "maximal":
+        n = draw(st.integers(3, 11))
+        cap = len(PRIMITIVE_POLYS[n]) * ((1 << n) - 1)
+    elif fam == "gold":
+        n = draw(st.sampled_from([5, 7, 9, 11]))
+        cap = (1 << n) + 1
+    elif fam == "kasami":
+        n = draw(st.sampled_from([4, 6, 8, 10]))
+        cap = 1 << (n // 2)
+    else:
+        n = draw(st.integers(3, 11))
+        cap = (1 << n) - 1  # the all-ones row is skipped
+    return FamilySpec(fam, m=draw(st.integers(1, min(cap, 96))), n=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_family_specs())
+@example(FamilySpec("gold", m=80, n=9))
+@example(FamilySpec("maximal", m=80, n=9))
+@example(FamilySpec("kasami", m=64, n=12))
+@example(FamilySpec("hadamard", m=80, M=512))
+def test_coherence_respects_welch_bound(spec):
+    # n unit vectors in C^m with n > m have max |<u_j, u_k>| at least
+    # sqrt((n - m) / (m (n - 1))); only the n nonzero columns count
+    S = build_sign_matrix(spec)
+    mu, zeros = coherence(S.entries)
+    n = S.M - zeros
+    if n > S.m:
+        assert mu >= _welch_mu(S.m, n) * (1 - 1e-12), (spec, mu, _welch_mu(S.m, n))
+
+
+@pytest.mark.parametrize("family", ["gold", "maximal"])
+def test_power_iteration_matches_eigvalsh_shipped_grams(family):
+    W = _sign_gram(build_sign_matrix(FamilySpec(family, m=80, n=9)).entries)
+    assert W.shape == (80, 80)
+    lam = _top_eigenvalue(W, _POWER_REL_TOL, _POWER_MAX_ITER)
+    want = np.linalg.eigvalsh(W)[-1]
+    assert abs(lam - want) <= 1e-10 * want, (lam, want)
+
+
+def test_power_iteration_on_a_tall_witness_gram():
+    # the streamed 195 x 195 Gram of the full table1's donoho_elad
+    # witness at seed 0.  The stopping rule bounds the step change, not
+    # the error: with l2/l1 = 0.9965 here the error is about
+    # _POWER_REL_TOL * r^2 / (1 - r^2), 1.4e-8 relative rather than 1e-10
+    m, M, key = 4353, 195, (0, 4353, 95)
+    T = _stream_gram(key, m, M)
+    Si = _random_signs(key, m, M).astype(np.float64)
+    assert np.array_equal(T, Si.T @ Si)
+    lam = _top_eigenvalue(T, _POWER_REL_TOL, _POWER_MAX_ITER)
+    ev = np.linalg.eigvalsh(T)
+    ratio = ev[-2] / ev[-1]
+    assert abs(lam - ev[-1]) <= 2 * _POWER_REL_TOL / (1 - ratio**2) * ev[-1]
+    assert spectral_norm_sq(Si) == lam / m

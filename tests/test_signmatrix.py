@@ -1,15 +1,22 @@
 """Family specs, deterministic row-selection policies, and the pattern
 file format."""
 
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
+from mwclab import cli
 from mwclab import sequences as sq
+from mwclab.guarantees import _stream_gram
+from mwclab.sensing import _column_gram
 from mwclab.signmatrix import (
+    _BLOCK_ROWS,
     FamilySpec,
     SignMatrix,
+    _random_signs,
+    _sign_blocks,
     build_sign_matrix,
     read_pattern_file,
     write_pattern_file,
@@ -139,3 +146,63 @@ def test_pattern_file_bad_entries():
     buf = io.StringIO("1 3 random none\n1 2 1\n")
     with pytest.raises(ValueError):
         read_pattern_file(buf)
+
+
+# m x M shapes around the stream's block size: one row, part of a block,
+# exactly one block, a block and a part, more than two blocks; an odd
+# m M leaves half of a 64-bit draw buffered in the Generator
+STREAM_SHAPES = [(1, 7), (37, 13), (_BLOCK_ROWS, 5), (_BLOCK_ROWS + 3, 9), (2 * _BLOCK_ROWS + 7, 3)]
+
+
+def _spelled_out_signs(rng, m, M):
+    # the published stream: one m x M integers(0, 2) draw mapped to +/-1
+    return (rng.integers(0, 2, size=(m, M)) * 2 - 1).astype(np.int8)
+
+
+@pytest.mark.parametrize("m, M", STREAM_SHAPES)
+def test_random_signs_is_the_spelled_out_stream(m, M):
+    S = _random_signs((4, m, 1), m, M)
+    assert S.dtype == np.int8
+    assert np.array_equal(S, _spelled_out_signs(np.random.default_rng((4, m, 1)), m, M))
+    blocks = list(_sign_blocks((4, m, 1), m, M))
+    assert all(B.dtype == np.float32 and len(B) <= _BLOCK_ROWS for B in blocks)
+    assert np.array_equal(np.concatenate(blocks), S)
+
+
+@pytest.mark.parametrize("m, M", STREAM_SHAPES)
+def test_random_signs_leaves_the_generator_where_one_draw_does(m, M):
+    # _random_entries redraws duplicate rows from the advanced Generator;
+    # the odd 1 x 7 draw first makes the next one start on a buffered half
+    ours = np.random.default_rng(21)
+    ref = np.random.default_rng(21)
+    for shape in ((1, 7), (m, M), (3, 5)):
+        assert np.array_equal(_random_signs(ours, *shape), _spelled_out_signs(ref, *shape))
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("m, M", STREAM_SHAPES)
+def test_streamed_gram_equals_integer_gram(m, M):
+    key = (3, m, 0)
+    Si = _random_signs(key, m, M).astype(np.int64)
+    want = (Si.T @ Si).astype(np.float64)
+    T = _stream_gram(key, m, M)
+    assert T.dtype == np.float64
+    assert np.array_equal(T, want)
+    # the materialized matrix runs the same row blocks
+    assert np.array_equal(_column_gram(Si.astype(np.int8)), want)
+
+
+@pytest.mark.parametrize(
+    "M, m, seed, digest",
+    [
+        (127, 12, 9, "d1e87a7015baffeb1ebf960898f37da291d5b026371537b3c97708d5a61906f7"),
+        (2047, 128, 3, "344f7c64f314ce4f60fa0c85cdc85741c56dc0a2e25557c271aa052c58c16be1"),
+        (40, _BLOCK_ROWS + 4, 11, "71b2ac7f54dac88bd742ebd213921cb420ebd498edc0afbe5ef9dfcf91bfdb80"),
+    ],
+)
+def test_gen_random_pattern_bytes_are_pinned(M, m, seed, digest, tmp_path):
+    # digests of the pattern files written before the stream was blocked
+    out = tmp_path / "random.pat"
+    argv = ["gen", "--family", "random", "--M", str(M), "--m", str(m), "--seed", str(seed)]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
