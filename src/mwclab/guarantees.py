@@ -17,13 +17,11 @@ from dataclasses import dataclass, field
 
 from .distributions import MomentConstants, NonzeroDistribution, moment_constants
 from .sensing import (
-    _FULL_GRAM_MAX_M,
     _POWER_MAX_ITER,
     _POWER_REL_TOL,
     _block_gram,
-    _gram_coherence,
+    _coherence,
     _top_eigenvalue,
-    coherence,
     correlation_measures,
     spectral_norm_sq,
 )
@@ -297,10 +295,12 @@ def _best_random_instance(M: int, m: int, attempts: int, seed: int):
     """Lowest-coherence random instance out of `attempts`; returns
     (mu, witness key).
 
-    Up to _FULL_GRAM_MAX_M columns each candidate is scored from its
-    Gram S^T S alone, accumulated over the row blocks of the sign stream
-    (_stream_gram), so no m x M candidate ever exists; the mu is the one
-    coherence gives for the materialized draw, bit for bit.  The
+    Each candidate takes the coherence route of its shape (_coherence):
+    a tall one is scored from its Gram S^T S alone, accumulated over the
+    row blocks of the sign stream (_stream_gram), so no m x M candidate
+    ever exists; a wide one is drawn in full and scored from blocks of
+    Phi^H Phi.  Either way the mu is the one coherence gives for the
+    materialized draw, bit for bit.  The
     coherence and statistical searches probe the same candidate m
     values, so results are cached per argument tuple.  The cache keeps
     no matrix or Gram; the key regenerates the witness where a bound
@@ -310,10 +310,9 @@ def _best_random_instance(M: int, m: int, attempts: int, seed: int):
     best_key = None
     for a in range(attempts):
         key = (seed, m, a)
-        if M <= _FULL_GRAM_MAX_M:
-            mu, _ = _gram_coherence(_stream_gram(key, m, M), m)
-        else:
-            mu, _ = coherence(_random_signs(key, m, M))
+        mu, _ = _coherence(
+            m, M, lambda: _stream_gram(key, m, M), lambda: _random_signs(key, m, M)
+        )
         if mu < best_mu:
             best_mu = mu
             best_key = key
@@ -414,6 +413,10 @@ def min_channels_search(
             return r.feasible and r.probability >= target_prob
         # tropp_strip: t chosen to put the success probability at the target
         t = max(1.0, -math.log1p(-target_prob) / math.log(K / 2.0)) if K > 2 else 1.0
+        # the norm term only adds to the condition's left side, so a
+        # probe that fails on mu alone needs no witness norm
+        if not strip_tropp(mu, 0.0, M, K, delta, t).feasible:
+            return False
         snorm = _witness_norm_sq(key, m, M)
         r = strip_tropp(mu, snorm, M, K, delta, t)
         return r.feasible and r.probability >= target_prob

@@ -13,9 +13,6 @@ import numpy as np
 
 from .signmatrix import _BLOCK_ROWS, SignMatrix
 
-# above this M the full M x M Gram is not materialized
-_FULL_GRAM_MAX_M = 4096
-
 # ||Phi_j||^2 below this is a structural zero (exact cancellation in the
 # DFT of every row); true nonzero norms are orders of magnitude larger
 _ZERO_COLUMN_TOL = 1e-9
@@ -49,13 +46,13 @@ def sensing_matrix(S: SignMatrix) -> np.ndarray:
     return np.fft.fft(S.entries.astype(np.float64), axis=1) * (1.0 / np.sqrt(S.m * S.M))
 
 
-def _column_power(S: np.ndarray) -> np.ndarray:
-    """P[j] = sum_i |DFT(S_i)[j]|^2; column norms of S F are P / 1."""
+def _row_spectrum(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S F, P) of a +/-1 matrix: the unscaled row DFT and its column
+    power P[j] = sum_i |(S F)[i, j]|^2."""
     F = np.fft.fft(S.astype(np.float64, copy=False), axis=1)
     A = np.abs(F)
-    del F
     A **= 2
-    return A.sum(axis=0)
+    return F, A.sum(axis=0)
 
 
 def _block_gram(blocks, M: int) -> np.ndarray:
@@ -101,66 +98,61 @@ def coherence(S: np.ndarray) -> tuple[float, int]:
 
     Zero-norm columns are excluded from the maximization (the quantity
     is undefined there) and counted.  Returns (mu, zero_columns).
-
-    The Gram is F^H (S^T S) F / (mM): the integer product S^T S followed
-    by a DFT along each axis, with the squared column norms of Phi on
-    its diagonal.  The integer product is exact regardless of BLAS
-    threading (_block_gram), and the FFTs are single-threaded, so the
-    result is bit-stable, and any route to the same S^T S (such as the
-    channel search's streamed one) gives the same mu.  Above
-    _FULL_GRAM_MAX_M columns the Gram is assembled in blocks from Phi
-    instead, to bound memory.
     """
     S = np.asarray(S)
-    if S.shape[1] <= _FULL_GRAM_MAX_M:
-        return _gram_coherence(_column_gram(S), S.shape[0])
-    Sf = S.astype(np.float64)
-    return _blocked_coherence(Sf, _column_power(Sf))
+    return _coherence(*S.shape, lambda: _column_gram(S), lambda: S)
+
+
+def _coherence(m: int, M: int, column_gram, signs) -> tuple[float, int]:
+    """coherence of an m x M +/-1 matrix by shape alone: a tall one
+    (m > M) from column_gram() = S^T S, which a caller may stream or
+    already hold, a wide one from signs() = S; only one is called."""
+    if m > M:
+        return _gram_coherence(column_gram(), m)
+    return _blocked_coherence(signs())
 
 
 def _gram_coherence(T: np.ndarray, m: int) -> tuple[float, int]:
-    """coherence of an m-row +/-1 matrix from its Gram T = S^T S alone:
-    G = F^H T F / (mM), column power from the diagonal of G."""
+    """coherence from T = S^T S alone: G = F^H T F / (mM), column power
+    from its diagonal.  T is exact (_block_gram) and the FFTs are
+    single-threaded, so every route to the same T gives the same mu."""
     M = T.shape[0]
     G = np.fft.ifft(np.fft.fft(T, axis=1), axis=0) / m
     d2 = G.diagonal().real  # ||Phi_j||^2 = P_j / (mM)
     nz = d2 * (m * M) > _ZERO_COLUMN_TOL
-    zero_columns = int(M - nz.sum())
-    if nz.sum() < 2:
-        return 0.0, zero_columns
-    A = np.abs(G[np.ix_(nz, nz)])
-    d = np.sqrt(d2[nz])
-    A /= d[:, None]
-    A /= d[None, :]
-    np.fill_diagonal(A, 0.0)
-    # duplicate columns give exactly 1 up to rounding dust
-    return min(float(A.max()), 1.0), zero_columns
+    return _normalized_max(lambda sel: G[np.ix_(nz, sel)], np.sqrt(d2), nz)
 
 
-def _blocked_coherence(Sf: np.ndarray, P: np.ndarray) -> tuple[float, int]:
-    """coherence of a float64 +/-1 matrix with column power P
-    (_column_power), from blocks of Phi^H Phi: memory stays bounded
-    for any M."""
-    m, M = Sf.shape
+def _blocked_coherence(S: np.ndarray) -> tuple[float, int]:
+    """coherence from blocks of Phi^H Phi, one row DFT giving both Phi
+    and the column power: no M x M array.  The complex BLAS products fix
+    the last ulp of mu per BLAS build, not per thread count."""
+    m, M = S.shape
+    Phi, P = _row_spectrum(S)
+    Phi /= np.sqrt(m * M)
     nz = P > _ZERO_COLUMN_TOL
-    zero_columns = int(M - nz.sum())
-    if nz.sum() < 2:
+    PhiH = Phi[:, nz].conj().T
+    return _normalized_max(lambda sel: PhiH @ Phi[:, sel], np.sqrt(P / (m * M)), nz)
+
+
+def _normalized_max(pairs, norms: np.ndarray, nz: np.ndarray) -> tuple[float, int]:
+    """(mu, zero_columns) given ||Phi_j|| (norms), the nonzero columns
+    (nz) and pairs(sel), the <Phi_j, Phi_k> block for nonzero j and k
+    in sel.  Blocks of about 4M entries are normalized, their diagonal
+    zeroed and their max taken, exact whatever the blocking."""
+    cols = np.flatnonzero(nz)
+    zero_columns = int(len(nz) - len(cols))
+    if len(cols) < 2:
         return 0.0, zero_columns
-    norms = np.sqrt(P / (m * M))
-    Phi = np.fft.fft(Sf, axis=1) / np.sqrt(m * M)
-    cols = np.nonzero(nz)[0]
-    PhiH = Phi[:, cols].conj().T
-    dn = norms[cols]
+    d = norms[cols]
     best = 0.0
-    # about 4M complex entries (64 MB) per block product, plus its abs
     block = max(1, (1 << 22) // len(cols))
     for start in range(0, len(cols), block):
         sel = cols[start : start + block]
-        A = np.abs(PhiH @ Phi[:, sel])
-        A /= dn[:, None]
+        A = np.abs(pairs(sel))
+        A /= d[:, None]
         A /= norms[sel][None, :]
-        # rows of PhiH follow cols order, so the global diagonal
-        # entry of column sel[k] sits at row start + k
+        # column sel[k] is row start + k
         A[start + np.arange(len(sel)), np.arange(len(sel))] = 0.0
         best = max(best, float(A.max()))
     # duplicate columns give exactly 1 up to rounding dust
@@ -201,12 +193,11 @@ def spectral_norm_sq(
     return _top_eigenvalue(_sign_gram(S), rel_tol, max_iter) / S.shape[0]
 
 
-def _correlations(Sf: np.ndarray) -> tuple[float, float, float, np.ndarray, np.ndarray]:
+def _correlations(Sf: np.ndarray) -> tuple[float, float, float, np.ndarray]:
     """alpha, beta, gamma of a float64 +/-1 matrix, plus the smaller
-    Gram W and the column power P they were taken from (see
-    quality_measures)."""
+    Gram W that alpha was taken from (see quality_measures)."""
     m, M = Sf.shape
-    P = _column_power(Sf)
+    P = _row_spectrum(Sf)[1]
     if not np.any(P > _ZERO_COLUMN_TOL):
         raise ValueError("all sensing columns are zero")
 
@@ -219,7 +210,7 @@ def _correlations(Sf: np.ndarray) -> tuple[float, float, float, np.ndarray, np.n
     rev = (-np.arange(M)) % M
     Grev = (Sf @ Sf[:, rev].T).astype(np.int64)
     gamma = float((Grev * Grev).sum()) / (m * M) ** 2
-    return alpha, beta, gamma, W, P
+    return alpha, beta, gamma, W
 
 
 def correlation_measures(S: SignMatrix) -> tuple[float, float, float]:
@@ -247,14 +238,12 @@ def quality_measures(S: SignMatrix) -> QualityReport:
     n -> -n mod M.  The products run in BLAS and are exact (every
     partial sum is an integer that the float type holds exactly, see
     _sign_gram); they are cast back to int64 so the sums of squares are
-    exact integers too.  The coherence reads S^T S (coherence).
+    exact integers too.  The coherence takes the route of its shape
+    (_coherence); a tall matrix is scored from W, which is S^T S there.
     """
     Sf = S.entries.astype(np.float64)
-    alpha, beta, gamma, W, P = _correlations(Sf)
-    if S.M <= _FULL_GRAM_MAX_M:
-        mu, zero_columns = _gram_coherence(_column_gram(Sf), S.m)
-    else:
-        mu, zero_columns = _blocked_coherence(Sf, P)
+    alpha, beta, gamma, W = _correlations(Sf)
+    mu, zero_columns = _coherence(S.m, S.M, lambda: W, lambda: Sf)
     snorm = _top_eigenvalue(W, _POWER_REL_TOL, _POWER_MAX_ITER) / S.m
     return QualityReport(alpha, beta, gamma, mu, snorm, S.m, S.M, zero_columns)
 

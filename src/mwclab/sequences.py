@@ -172,13 +172,14 @@ def kasami_small_family(n: int) -> list[np.ndarray]:
 def hadamard_family(M: int) -> list[np.ndarray]:
     """The M rows of the Sylvester Hadamard matrix, row 0 all ones.
 
-    Row r is (-1)**popcount(r & j) over columns j.
+    Row r is (-1)**popcount(r & j) over columns j, built in int8 by
+    Sylvester doubling H <- [[H, H], [H, -H]].
     """
     if M < 2 or M & (M - 1):
         raise ValueError(f"M must be a power of two >= 2, got {M}")
-    idx = np.arange(M, dtype=np.uint64)
-    bits = np.bitwise_count(idx[:, None] & idx[None, :])
-    H = np.where(bits & 1, -1, 1).astype(np.int8)
+    H = np.ones((1, 1), dtype=np.int8)
+    while len(H) < M:
+        H = np.block([[H, H], [H, -H]])
     return list(H)
 
 

@@ -311,6 +311,8 @@ def test_criterion_11_byte_determinism(tmp_path):
     jobs = (
         ("gen", ["gen", "--family", "random", "--M", "127", "--m", "12", "--seed", "9"]),
         ("measures", ["measures", "--family", "gold", "--n", "5", "--m", "8"]),
+        # a wide pattern scored from complex Phi^H Phi blocks
+        ("measures_kasami", ["measures", "--family", "kasami", "--n", "12", "--m", "64"]),
         ("verify", ["verify", "--preset", "table2_kasami", "--trials", "2000"]),
         ("exrip", ["exrip", "--preset", "table2_kasami", "--dist", "complex-uniform"]),
         ("sweep", ["sweep"]),

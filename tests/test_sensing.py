@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 
 from mwclab.guarantees import _stream_gram
 from mwclab.sensing import (
-    _FULL_GRAM_MAX_M,
     _POWER_MAX_ITER,
     _POWER_REL_TOL,
     QualityReport,
     _blocked_coherence,
     _column_gram,
-    _column_power,
     _gram_coherence,
     _sign_gram,
     _top_eigenvalue,
@@ -312,15 +310,15 @@ def test_maximal_beta_is_flat_spectrum_theorem(shape):
 
 
 def _assert_one_coherence(S):
-    """The Gram-only mu and the blocked Phi-product mu agree."""
+    """The Gram-only mu and the blocked Phi-product mu agree, and the
+    public coherence is the S^T S one for a tall S, the blocked one
+    otherwise."""
     m, M = S.shape
-    Sf = S.astype(np.float64)
     mu, zeros = _gram_coherence(_column_gram(S), m)
-    mu_b, zeros_b = _blocked_coherence(Sf, _column_power(Sf))
+    mu_b, zeros_b = _blocked_coherence(S)
     assert zeros == zeros_b
     assert abs(mu - mu_b) <= 1e-13 * mu_b, (S.shape, mu, mu_b)
-    if M <= _FULL_GRAM_MAX_M:
-        assert coherence(S) == (mu, zeros)  # the public path is the Gram path
+    assert coherence(S) == ((mu, zeros) if m > M else (mu_b, zeros_b)), S.shape
     return mu, zeros
 
 
@@ -345,6 +343,18 @@ def test_gram_coherence_matches_blocked_path_structured(spec, zero_columns):
 @example(4353, 195, 0)  # the shape of table1's donoho_elad witness
 def test_gram_coherence_matches_blocked_path_random(m, M, seed):
     _assert_one_coherence(_signs(m, M, seed))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 300), st.integers(0, 10_000))
+@example(4353, 195, 0)  # the shape of table1's donoho_elad witness
+@example(64, 2047, 3)
+def test_quality_measures_coherence_is_the_public_one(m, M, seed):
+    # quality_measures scores a tall S from the Gram it already holds;
+    # the route, and so every bit, is the one coherence takes
+    S = _signs(m, M, seed)
+    q = quality_measures(_sm(S))
+    assert (q.mu, q.zero_columns) == coherence(S), S.shape
 
 
 def _welch_mu(m, n):

@@ -127,6 +127,17 @@ def test_hadamard_family_orthogonal():
     assert np.array_equal(H @ H.T, 16 * np.eye(16, dtype=np.int64))
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_hadamard_rows_are_walsh_functions(n):
+    # pins the row order, which orthogonality alone does not
+    M = 1 << n
+    idx = np.arange(M)
+    want = np.where(np.bitwise_count(idx[:, None] & idx[None, :]) & 1, -1, 1)
+    H = np.array(sq.hadamard_family(M))
+    assert H.dtype == np.int8
+    assert np.array_equal(H, want)
+
+
 def test_hadamard_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         sq.hadamard_family(12)
