@@ -142,11 +142,12 @@ def cmd_measures(args, eff) -> None:
 
 
 def cmd_exrip(args, eff) -> None:
+    from .distributions import moment_constants
     from .guarantees import exrip_from_sign_matrix
     from .reports import write_json
 
     S, k, delta, dist = _eval_inputs(args, eff)
-    res = exrip_from_sign_matrix(S, k, delta=delta, dist=dist)
+    res = exrip_from_sign_matrix(S, k, delta, moment_constants(dist, k))
     with _output(args.out) as fh:
         write_json(fh, asdict(res))
 

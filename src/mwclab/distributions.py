@@ -42,20 +42,18 @@ _SERIES_MAX_T, _SERIES_TERMS = 4.0, 20
 
 @dataclass(frozen=True)
 class NonzeroDistribution:
-    """kind plus a scale; the scale cancels in every ratio computed here.
+    """A unit-scale value law; any scale would cancel in every ratio
+    computed here.
 
-    Uniform kinds draw from [-0.5, 0.5] * scale; complex kinds draw the
-    real and imaginary parts independently from the named base law.
+    Uniform kinds draw from [-0.5, 0.5]; complex kinds draw the real and
+    imaginary parts independently from the named base law.
     """
 
     kind: str
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
 
     @property
     def is_complex(self) -> bool:
@@ -64,28 +62,26 @@ class NonzeroDistribution:
     @property
     def second_moment(self) -> float:
         """E|u|^2 of a single draw (noise scaling in experiments)."""
-        s2 = self.scale**2
         return {
-            "real_normal": s2,
-            "real_uniform": s2 / 12,
-            "complex_normal": 2 * s2,
-            "complex_uniform": s2 / 6,
-            "bernoulli_sign": s2,
+            "real_normal": 1.0,
+            "real_uniform": 1 / 12,
+            "complex_normal": 2.0,
+            "complex_uniform": 1 / 6,
+            "bernoulli_sign": 1.0,
         }[self.kind]
 
 
 def sample_values(dist: NonzeroDistribution, shape, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. draws from dist; complex128 for complex kinds."""
-    s = dist.scale
     if dist.kind == "real_normal":
-        return rng.standard_normal(shape) * s
+        return rng.standard_normal(shape)
     if dist.kind == "real_uniform":
-        return (rng.random(shape) - 0.5) * s
+        return rng.random(shape) - 0.5
     if dist.kind == "complex_normal":
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * s
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if dist.kind == "complex_uniform":
-        return ((rng.random(shape) - 0.5) + 1j * (rng.random(shape) - 0.5)) * s
-    return (rng.integers(0, 2, shape) * 2.0 - 1.0) * s
+        return (rng.random(shape) - 0.5) + 1j * (rng.random(shape) - 0.5)
+    return rng.integers(0, 2, shape) * 2.0 - 1.0
 
 
 def block_rng(seed: int, block: int) -> np.random.Generator:

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 
 from .distributions import MomentConstants, NonzeroDistribution, moment_constants
 from .sensing import (
-    _POWER_MAX_ITER,
-    _POWER_REL_TOL,
     _block_gram,
     _coherence,
+    _row_spectrum,
     _top_eigenvalue,
     correlation_measures,
     spectral_norm_sq,
@@ -115,17 +114,9 @@ def exrip_probability(inputs: ExripInputs) -> GuaranteeResult:
 
 
 def exrip_from_sign_matrix(
-    S: SignMatrix,
-    K: int,
-    delta: float = BP_DELTA,
-    dist: NonzeroDistribution | None = None,
-    constants: MomentConstants | None = None,
+    S: SignMatrix, K: int, delta: float, constants: MomentConstants
 ) -> GuaranteeResult:
-    """Convenience path: measures, moment constants, then the bound."""
-    if constants is None:
-        if dist is None:
-            raise ValueError("need either a distribution or explicit constants")
-        constants = moment_constants(dist, K)
+    """Convenience path: the measures the bound reads, then the bound."""
     alpha, beta, gamma = correlation_measures(S)
     return exrip_probability(ExripInputs(alpha, beta, gamma, S.m, S.M, K, delta, constants))
 
@@ -182,9 +173,10 @@ def coherence_guarantees(
     return CoherenceGuarantees(mu, de, tk, True, mu_ok, k_ok)
 
 
-def rip_min_m(M: int, K: int, delta: float, prob: float, c: float = RIP_C) -> int:
+def rip_min_m(M: int, K: int, delta: float, prob: float) -> int:
     """Smallest m with m >= (2/(c delta)) (ln(2 L) + K ln(12/delta) + t),
-    L = (M choose K) computed by exact log-gamma and t = -ln(1 - prob)."""
+    c = RIP_C, L = (M choose K) computed by exact log-gamma and
+    t = -ln(1 - prob)."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if not 0.0 < prob < 1.0:
@@ -193,7 +185,7 @@ def rip_min_m(M: int, K: int, delta: float, prob: float, c: float = RIP_C) -> in
         raise ValueError(f"need 1 <= K <= M, got K={K}, M={M}")
     t = -math.log1p(-prob)
     ln_l = math.lgamma(M + 1) - math.lgamma(K + 1) - math.lgamma(M - K + 1)
-    rhs = (2.0 / (c * delta)) * (math.log(2.0) + ln_l + K * math.log(12.0 / delta) + t)
+    rhs = (2.0 / (RIP_C * delta)) * (math.log(2.0) + ln_l + K * math.log(12.0 / delta) + t)
     return max(1, math.ceil(rhs))
 
 
@@ -286,7 +278,7 @@ def _witness_norm_sq(key, m: int, M: int) -> float:
     """spectral_norm_sq of the witness drawn for key, from the same Gram:
     S^T S streamed when the witness is tall, S S^T of its rows otherwise."""
     if m > M:
-        return _top_eigenvalue(_stream_gram(key, m, M), _POWER_REL_TOL, _POWER_MAX_ITER) / m
+        return _top_eigenvalue(_stream_gram(key, m, M)) / m
     return spectral_norm_sq(_random_signs(key, m, M))
 
 
@@ -311,7 +303,10 @@ def _best_random_instance(M: int, m: int, attempts: int, seed: int):
     for a in range(attempts):
         key = (seed, m, a)
         mu, _ = _coherence(
-            m, M, lambda: _stream_gram(key, m, M), lambda: _random_signs(key, m, M)
+            m,
+            M,
+            lambda: _stream_gram(key, m, M),
+            lambda: _row_spectrum(_random_signs(key, m, M)),
         )
         if mu < best_mu:
             best_mu = mu
@@ -329,7 +324,6 @@ def min_channels_search(
     attempts: int = 100,
     seed: int = 0,
     ceiling: int = 1 << 15,
-    candes_plan_c: float | None = None,
 ) -> SearchResult:
     """Smallest m at which `bound` guarantees the target, by doubling
     then bisection.
@@ -339,7 +333,8 @@ def min_channels_search(
     best one (lowest coherence, or highest probability for exrip).
     Probability targets default to 0.97 except exrip variants, whose
     conventional target is 0.85.  The witness seed replays the
-    instance that satisfied the bound at the returned m.
+    instance that satisfied the bound at the returned m.  candes_plan
+    needs an unspecified constant and is reported as never satisfied.
     """
     if bound not in SEARCH_BOUNDS:
         raise ValueError(f"unknown bound {bound!r}, expected one of {SEARCH_BOUNDS}")
@@ -358,7 +353,7 @@ def min_channels_search(
         "ceiling": ceiling,
     }
 
-    if bound == "candes_plan" and candes_plan_c is None:
+    if bound == "candes_plan":
         return SearchResult(bound, None, "never", None, "constant c not supplied", params)
     if bound == "calderbank":
         # instance-independent with a finite large-m asymptote
@@ -393,7 +388,7 @@ def min_channels_search(
             for a in range(attempts):
                 key = (seed, m, a)
                 S = SignMatrix(_random_signs(key, m, M), "random", key)
-                p = exrip_from_sign_matrix(S, K, delta, constants=constants).probability
+                p = exrip_from_sign_matrix(S, K, delta, constants).probability
                 if p > best:
                     best = p
                     witness[m] = key
@@ -404,10 +399,6 @@ def min_channels_search(
             return mu > 0 and math.floor(0.5 * (1.0 + 1.0 / mu)) >= K
         if bound == "tropp_coherence":
             return mu > 0 and math.floor(1.0 / (3.0 * mu)) >= K
-        if bound == "candes_plan":
-            snorm = _witness_norm_sq(key, m, M)
-            g = coherence_guarantees(mu, M, snorm, K, candes_plan_c)
-            return bool(g.candes_plan_mu_ok and g.candes_plan_k_ok)
         if bound == "gan":
             r = strip_gan(mu, M, K, delta)
             return r.feasible and r.probability >= target_prob

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    MomentConstants,
-    NonzeroDistribution,
-    block_rng,
-    sample_values,
-)
+from .distributions import NonzeroDistribution, block_rng, moment_constants, sample_values
 from .guarantees import BP_DELTA, GuaranteeResult, exrip_from_sign_matrix
 from .sensing import sensing_matrix
 from .signmatrix import SignMatrix
@@ -158,11 +153,10 @@ def bound_validity_report(
     dist: NonzeroDistribution | None = None,
     trials: int = 10**5,
     seed: int = 0,
-    constants: MomentConstants | None = None,
 ) -> ValidityReport:
     if dist is None:
         dist = NonzeroDistribution("complex_normal")
-    theory = exrip_from_sign_matrix(S, K, delta, dist, constants)
+    theory = exrip_from_sign_matrix(S, K, delta, moment_constants(dist, K))
     Phi = sensing_matrix(S)
     est = empirical_exrip(Phi, K, delta, dist, trials, seed)
     holds = est.empirical_p + 3.0 * est.stderr >= theory.probability

@@ -40,7 +40,7 @@ TABLE1_FIELDS = ("bound", "k", "target", "m_required", "status", "note")
 SWEEP_FIELDS = ("m", "p_exact", "p_approx")
 
 
-def table2_report(names=TABLE2_ROW_ORDER) -> list[dict]:
+def table2_report() -> list[dict]:
     """One row per sign-pattern family preset, in fixed order.
 
     A row whose preset or parameters fail validation (ValueError or
@@ -48,7 +48,7 @@ def table2_report(names=TABLE2_ROW_ORDER) -> list[dict]:
     remaining rows; any other exception propagates.
     """
     rows = []
-    for name in names:
+    for name in TABLE2_ROW_ORDER:
         label = name.removeprefix("table2_")
         try:
             preset = load_preset(name)
@@ -79,18 +79,7 @@ def table2_report(names=TABLE2_ROW_ORDER) -> list[dict]:
             )
         except (ValueError, KeyError) as exc:  # keep the table going, flag the row
             rows.append(
-                {
-                    "family": label,
-                    "m": None,
-                    "M": None,
-                    "k": None,
-                    "alpha100": None,
-                    "beta100": None,
-                    "gamma100": None,
-                    "p_complex_normal": None,
-                    "p_complex_uniform": None,
-                    "status": f"error: {exc}",
-                }
+                {**dict.fromkeys(TABLE2_FIELDS), "family": label, "status": f"error: {exc}"}
             )
     return rows
 
@@ -110,7 +99,7 @@ def fig2_report(preset: Preset) -> list[dict]:
     rows = []
     for m in range(start, stop + 1, step):
         S = build_sign_matrix(FamilySpec("random", m=m, M=M, seed=(seed, m)))
-        exact = exrip_from_sign_matrix(S, k, delta, constants=const).probability
+        exact = exrip_from_sign_matrix(S, k, delta, const).probability
         approx = exrip_approx(m, delta).probability
         rows.append({"m": m, "p_exact": exact, "p_approx": approx})
     return rows

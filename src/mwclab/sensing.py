@@ -80,17 +80,9 @@ def _column_gram(S: np.ndarray) -> np.ndarray:
 
 
 def _sign_gram(S: np.ndarray) -> np.ndarray:
-    """The smaller Gram of a +/-1 matrix, S S^T if m <= M else S^T S.
-
-    S S^T runs as a float64 BLAS product and is exact: every partial sum
-    of +/-1 products is an integer of magnitude at most M, far below
-    2**53, whatever the blocking, FMA use or thread count.  S^T S is
-    accumulated over row blocks (_column_gram).
-    """
-    if S.shape[0] > S.shape[1]:
-        return _column_gram(S)
-    Sf = S.astype(np.float64, copy=False)
-    return Sf @ Sf.T
+    """The smaller Gram of a +/-1 matrix, S S^T if m <= M else S^T S,
+    both exact block products (_column_gram)."""
+    return _column_gram(S if S.shape[0] > S.shape[1] else S.T)
 
 
 def coherence(S: np.ndarray) -> tuple[float, int]:
@@ -100,16 +92,17 @@ def coherence(S: np.ndarray) -> tuple[float, int]:
     is undefined there) and counted.  Returns (mu, zero_columns).
     """
     S = np.asarray(S)
-    return _coherence(*S.shape, lambda: _column_gram(S), lambda: S)
+    return _coherence(*S.shape, lambda: _column_gram(S), lambda: _row_spectrum(S))
 
 
-def _coherence(m: int, M: int, column_gram, signs) -> tuple[float, int]:
+def _coherence(m: int, M: int, column_gram, spectrum) -> tuple[float, int]:
     """coherence of an m x M +/-1 matrix by shape alone: a tall one
     (m > M) from column_gram() = S^T S, which a caller may stream or
-    already hold, a wide one from signs() = S; only one is called."""
+    already hold, a wide one from spectrum() = _row_spectrum(S); only
+    one is called."""
     if m > M:
         return _gram_coherence(column_gram(), m)
-    return _blocked_coherence(signs())
+    return _blocked_coherence(*spectrum())
 
 
 def _gram_coherence(T: np.ndarray, m: int) -> tuple[float, int]:
@@ -123,12 +116,12 @@ def _gram_coherence(T: np.ndarray, m: int) -> tuple[float, int]:
     return _normalized_max(lambda sel: G[np.ix_(nz, sel)], np.sqrt(d2), nz)
 
 
-def _blocked_coherence(S: np.ndarray) -> tuple[float, int]:
-    """coherence from blocks of Phi^H Phi, one row DFT giving both Phi
-    and the column power: no M x M array.  The complex BLAS products fix
-    the last ulp of mu per BLAS build, not per thread count."""
-    m, M = S.shape
-    Phi, P = _row_spectrum(S)
+def _blocked_coherence(Phi: np.ndarray, P: np.ndarray) -> tuple[float, int]:
+    """coherence from blocks of Phi^H Phi, given the row spectrum
+    (S F, P), whose S F is scaled to Phi in place: no M x M array.  The
+    complex BLAS products fix the last ulp of mu per BLAS build, not per
+    thread count."""
+    m, M = Phi.shape
     Phi /= np.sqrt(m * M)
     nz = P > _ZERO_COLUMN_TOL
     PhiH = Phi[:, nz].conj().T
@@ -159,7 +152,7 @@ def _normalized_max(pairs, norms: np.ndarray, nz: np.ndarray) -> tuple[float, in
     return min(best, 1.0), zero_columns
 
 
-def _top_eigenvalue(W: np.ndarray, rel_tol: float, max_iter: int) -> float:
+def _top_eigenvalue(W: np.ndarray) -> float:
     """Power iteration on a symmetric positive semidefinite matrix.
     The matvec runs through einsum to keep the reduction order fixed."""
     n = W.shape[0]
@@ -167,37 +160,36 @@ def _top_eigenvalue(W: np.ndarray, rel_tol: float, max_iter: int) -> float:
     v = 1.0 + ((np.arange(n) * 2654435761) % 1000) / 1000.0
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         w = np.einsum("ij,j->i", W, v)
         new = float(v @ w)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
-        if abs(new - lam) <= rel_tol * max(abs(new), 1.0):
+        if abs(new - lam) <= _POWER_REL_TOL * max(abs(new), 1.0):
             lam = new
             break
         lam = new
     return lam
 
 
-def spectral_norm_sq(
-    S: np.ndarray, rel_tol: float = _POWER_REL_TOL, max_iter: int = _POWER_MAX_ITER
-) -> float:
+def spectral_norm_sq(S: np.ndarray) -> float:
     """||Phi||^2 via power iteration on the smaller integer Gram.
 
     Phi Phi^H = S S^T / m because F F^H = M I, so the squared operator
     norm is the top eigenvalue of S S^T (or equivalently S^T S) over m.
     The Gram is an exact BLAS product (see _sign_gram).
     """
-    return _top_eigenvalue(_sign_gram(S), rel_tol, max_iter) / S.shape[0]
+    return _top_eigenvalue(_sign_gram(S)) / S.shape[0]
 
 
-def _correlations(Sf: np.ndarray) -> tuple[float, float, float, np.ndarray]:
+def _correlations(Sf: np.ndarray):
     """alpha, beta, gamma of a float64 +/-1 matrix, plus the smaller
-    Gram W that alpha was taken from (see quality_measures)."""
+    Gram W that alpha was taken from and the row spectrum (S F, P) that
+    beta was (see quality_measures)."""
     m, M = Sf.shape
-    P = _row_spectrum(Sf)[1]
+    F, P = _row_spectrum(Sf)
     if not np.any(P > _ZERO_COLUMN_TOL):
         raise ValueError("all sensing columns are zero")
 
@@ -210,7 +202,7 @@ def _correlations(Sf: np.ndarray) -> tuple[float, float, float, np.ndarray]:
     rev = (-np.arange(M)) % M
     Grev = (Sf @ Sf[:, rev].T).astype(np.int64)
     gamma = float((Grev * Grev).sum()) / (m * M) ** 2
-    return alpha, beta, gamma, W
+    return alpha, beta, gamma, W, (F, P)
 
 
 def correlation_measures(S: SignMatrix) -> tuple[float, float, float]:
@@ -237,14 +229,14 @@ def quality_measures(S: SignMatrix) -> QualityReport:
     the spectral norm; gamma from S R S^T with R the cyclic reversal
     n -> -n mod M.  The products run in BLAS and are exact (every
     partial sum is an integer that the float type holds exactly, see
-    _sign_gram); they are cast back to int64 so the sums of squares are
+    _block_gram); they are cast back to int64 so the sums of squares are
     exact integers too.  The coherence takes the route of its shape
-    (_coherence); a tall matrix is scored from W, which is S^T S there.
+    (_coherence): a tall matrix is scored from W, which is S^T S there,
+    a wide one from the row spectrum that beta was taken from.
     """
-    Sf = S.entries.astype(np.float64)
-    alpha, beta, gamma, W = _correlations(Sf)
-    mu, zero_columns = _coherence(S.m, S.M, lambda: W, lambda: Sf)
-    snorm = _top_eigenvalue(W, _POWER_REL_TOL, _POWER_MAX_ITER) / S.m
+    alpha, beta, gamma, W, spectrum = _correlations(S.entries.astype(np.float64))
+    mu, zero_columns = _coherence(S.m, S.M, lambda: W, lambda: spectrum)
+    snorm = _top_eigenvalue(W) / S.m
     return QualityReport(alpha, beta, gamma, mu, snorm, S.m, S.M, zero_columns)
 
 

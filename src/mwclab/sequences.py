@@ -33,36 +33,31 @@ def _check_primitive(poly: int) -> int:
     return n
 
 
-def lfsr_msequence(poly: int, initial_state: int | None = None) -> np.ndarray:
-    """One full period of the maximal-length LFSR sequence of poly.
+def lfsr_msequence(poly: int) -> np.ndarray:
+    """One full period of the maximal-length LFSR sequence of poly,
+    from the all-ones register state.
 
     Args:
         poly: primitive polynomial, integer-encoded, degree n in 3..13.
-        initial_state: nonzero n-bit register state; defaults to all ones.
 
     Returns:
         int8 array of length 2**n - 1 with entries in {-1, +1}.
 
     Raises:
-        ValueError: poly is not in the primitive table, the state is
-            invalid, or the generated period is not exactly 2**n - 1
-            (the latter would mean a corrupted table).
+        ValueError: poly is not in the primitive table, or the generated
+            period is not exactly 2**n - 1 (a corrupted table).
     """
     n = _check_primitive(poly)
     M = (1 << n) - 1
-    if initial_state is None:
-        initial_state = M
-    if not 0 < initial_state <= M:
-        raise ValueError(f"initial state must be a nonzero {n}-bit value")
     taps = poly & M
     out = np.empty(M, dtype=np.int8)
-    state = initial_state
+    state = M
     period = None
     for t in range(M):
         out[t] = 1 - 2 * (state & 1)
         fb = bin(state & taps).count("1") & 1
         state = (state >> 1) | (fb << (n - 1))
-        if state == initial_state and period is None:
+        if state == M and period is None:
             period = t + 1
     if period != M:
         raise ValueError(f"0x{poly:x} has period {period}, expected {M}")
@@ -106,18 +101,17 @@ def gold_t(n: int) -> int:
     return (1 << ((n + 1) // 2)) + 1
 
 
-def gold_family(n: int, preferred_pair: tuple[int, int] | None = None) -> list[np.ndarray]:
+def gold_family(n: int) -> list[np.ndarray]:
     """All 2**n + 1 Gold sequences of odd degree n.
 
     The family is the two base m-sequences a, b followed by a * T^i(b)
     for every cyclic shift i = 0..M-1 (XOR in bit terms is the
     elementwise product in sign terms).  Every cross-correlation value
-    between distinct members lies in {-1, -t(n), t(n) - 2}; the pair is
-    rejected if its spectrum violates that.
+    between distinct members lies in {-1, -t(n), t(n) - 2}; the shipped
+    pair is rejected if its spectrum violates that.
 
     Args:
         n: odd register length with a shipped pair (5, 7, 9 or 11).
-        preferred_pair: override the shipped (base, partner) polynomials.
 
     Returns:
         list of 2**n + 1 int8 arrays of length 2**n - 1, ordered
@@ -127,9 +121,7 @@ def gold_family(n: int, preferred_pair: tuple[int, int] | None = None) -> list[n
         raise ValueError(
             f"gold families ship for odd n in {sorted(GOLD_PREFERRED_PAIRS)}, got n={n}"
         )
-    if preferred_pair is None:
-        preferred_pair = GOLD_PREFERRED_PAIRS[n]
-    pa, pb = preferred_pair
+    pa, pb = GOLD_PREFERRED_PAIRS[n]
     if _check_primitive(pa) != n or _check_primitive(pb) != n:
         raise ValueError(f"pair (0x{pa:x}, 0x{pb:x}) is not two degree-{n} primitives")
     a = lfsr_msequence(pa)

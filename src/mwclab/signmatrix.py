@@ -229,9 +229,7 @@ def write_pattern_file(path: str | os.PathLike | io.TextIOBase, sm: SignMatrix) 
     fh = open(path, "w") if own else path
     try:
         fh.write(f"{sm.m} {sm.M} {sm.family} {_format_seed(sm.seed)}\n")
-        for row in sm.entries:
-            fh.write(" ".join(str(int(v)) for v in row))
-            fh.write("\n")
+        np.savetxt(fh, sm.entries, fmt="%d")
     finally:
         if own:
             fh.close()

@@ -55,11 +55,6 @@ def constants_k24():
     return moment_constants(CN, 24)
 
 
-@pytest.fixture(scope="module")
-def constants_k12():
-    return moment_constants(CN, 12)
-
-
 def test_criterion_01_gold_row(table2_rows):
     g = table2_rows["gold"]
     ok = (
@@ -127,7 +122,7 @@ def test_criterion_05_sweep_gap():
     _report(5, "exact vs approximate sweep", ok, f"max gap {gap:.5f} over m in [20, 100]")
 
 
-def test_criterion_06_bound_validity(constants_k24, constants_k12):
+def test_criterion_06_bound_validity():
     details = []
     ok = True
     for name in TABLE2_ROW_ORDER:
@@ -141,7 +136,6 @@ def test_criterion_06_bound_validity(constants_k24, constants_k12):
             dist=CN,
             trials=10**5,
             seed=0,
-            constants=constants_k24 if k == 24 else constants_k12,
         )
         holds = rep.lower_bound_holds and rep.mean_z2_is_one
         ok = ok and holds

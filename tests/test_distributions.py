@@ -29,7 +29,7 @@ def test_kind_validation():
 def test_second_moments_match_montecarlo():
     rng = np.random.default_rng(0)
     for kind in KINDS:
-        d = NonzeroDistribution(kind, scale=1.5)
+        d = NonzeroDistribution(kind)
         u = sample_values(d, (200_000,), rng)
         assert np.isclose(np.mean(np.abs(u) ** 2), d.second_moment, rtol=0.02), kind
 
@@ -43,9 +43,9 @@ def test_complex_kinds_are_complex():
 
 
 def test_bernoulli_values_are_signs():
-    d = NonzeroDistribution("bernoulli_sign", scale=2.0)
+    d = NonzeroDistribution("bernoulli_sign")
     u = sample_values(d, (1000,), np.random.default_rng(2))
-    assert set(np.unique(u)) == {-2.0, 2.0}
+    assert set(np.unique(u)) == {-1.0, 1.0}
 
 
 def test_k_equals_one_is_exactly_one():
@@ -148,12 +148,10 @@ def test_constants_draw_nothing(monkeypatch):
         ("bernoulli_sign", 1.0, 1.0 / 24),
         ("real_normal", 1.0, 72.0 / 624),
     ):
-        c = moment_constants(NonzeroDistribution(kind, scale=2.0), 24)
+        c = moment_constants(NonzeroDistribution(kind), 24)
         assert c == MomentConstants(B, C, 24), kind
     for kind in ("complex_uniform", "real_uniform"):
-        a = moment_constants(NonzeroDistribution(kind, scale=2.0), 24)
-        assert a == moment_constants(NonzeroDistribution(kind), 24)
-        assert a.samples is None
+        assert moment_constants(NonzeroDistribution(kind), 24).samples is None
 
 
 def test_complex_uniform_frozen_values():
@@ -172,11 +170,3 @@ def test_block_rng_streams():
     c = block_rng(7, 4).standard_normal(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_scale_enters_second_moment():
-    assert NonzeroDistribution("complex_normal", scale=3.0).second_moment == pytest.approx(18.0)
-    assert NonzeroDistribution("real_uniform", scale=2.0).second_moment == pytest.approx(4.0 / 12.0)
-    assert isinstance(
-        moment_constants(NonzeroDistribution("real_normal"), 3), MomentConstants
-    )

@@ -13,6 +13,7 @@ from mwclab.guarantees import (
     ExripInputs,
     GuaranteeResult,
     _best_random_instance,
+    _witness_norm_sq,
     coherence_guarantees,
     exrip_approx,
     exrip_from_sign_matrix,
@@ -23,9 +24,11 @@ from mwclab.guarantees import (
     strip_gan,
     strip_tropp,
 )
-from mwclab.sensing import coherence
+from mwclab.sensing import coherence, spectral_norm_sq
+from mwclab.signmatrix import _random_signs
 
 UNIT = MomentConstants(B_K=1.0, C_K=1.0, K=1)
+CN = NonzeroDistribution("complex_normal")
 
 
 def _inputs(alpha=0.02, beta=0.002, gamma=0.002, m=80, M=511, K=24, delta=BP_DELTA, constants=UNIT):
@@ -37,24 +40,18 @@ def test_delta_constant():
 
 
 def test_gold_probability_window(gold_80_511):
-    res = exrip_from_sign_matrix(
-        gold_80_511, 24, dist=NonzeroDistribution("complex_normal")
-    )
+    res = exrip_from_sign_matrix(gold_80_511, 24, BP_DELTA, moment_constants(CN, 24))
     assert res.feasible
     assert 0.930 <= res.probability <= 0.945
 
 
 def test_kasami_probability_window(kasami_16_255):
-    res = exrip_from_sign_matrix(
-        kasami_16_255, 12, dist=NonzeroDistribution("complex_normal")
-    )
+    res = exrip_from_sign_matrix(kasami_16_255, 12, BP_DELTA, moment_constants(CN, 12))
     assert 0.65 <= res.probability <= 0.72
 
 
 def test_hadamard_probability_clamps_to_zero(hadamard_80_512):
-    res = exrip_from_sign_matrix(
-        hadamard_80_512, 24, dist=NonzeroDistribution("complex_normal")
-    )
+    res = exrip_from_sign_matrix(hadamard_80_512, 24, BP_DELTA, moment_constants(CN, 24))
     assert res.probability == 0.0
     assert res.raw_value is not None and res.raw_value < -1.0  # kept, not hidden
 
@@ -266,6 +263,16 @@ def test_search_witness_replays_the_satisfying_mu():
     # one channel fewer, the best of the same draws misses the bound
     mu_below = _best_random_instance(M, m - 1, attempts, seed)[0]
     assert math.floor(0.5 * (1.0 + 1.0 / mu_below)) < K
+
+
+@pytest.mark.parametrize("key", [(0, 4353, 95), (0, 40, 0)])
+def test_witness_norm_is_the_spectral_norm_of_the_draw(key):
+    # a tall witness (table1's donoho_elad one) streams its S^T S, a
+    # wide one takes S S^T of its rows: both give the spectral norm of
+    # the materialized draw, bit for bit
+    _, m, _ = key
+    M = 195
+    assert _witness_norm_sq(key, m, M) == spectral_norm_sq(_random_signs(key, m, M))
 
 
 def test_search_rejects_nonpositive_attempts():

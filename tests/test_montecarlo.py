@@ -77,14 +77,6 @@ def test_identity_matrix_never_fails():
     assert est.stderr == 0.0
 
 
-def test_scale_invariance_of_event():
-    Phi = _phi(np.random.default_rng(3).integers(0, 2, (6, 31)) * 2 - 1)
-    a = empirical_exrip(Phi, 4, 0.3, NonzeroDistribution("complex_normal", 1.0), 2000, seed=5)
-    b = empirical_exrip(Phi, 4, 0.3, NonzeroDistribution("complex_normal", 3.0), 2000, seed=5)
-    assert a.empirical_p == b.empirical_p
-    assert np.isclose(a.moment2, b.moment2, rtol=1e-12)
-
-
 def test_bit_reproducibility():
     Phi = _phi(np.random.default_rng(4).integers(0, 2, (8, 63)) * 2 - 1)
     a = empirical_exrip(Phi, 6, 0.4, CN, 3000, seed=11)

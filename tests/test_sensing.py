@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from mwclab.guarantees import _stream_gram
 from mwclab.sensing import (
-    _POWER_MAX_ITER,
     _POWER_REL_TOL,
     QualityReport,
     _blocked_coherence,
     _column_gram,
     _gram_coherence,
+    _row_spectrum,
     _sign_gram,
     _top_eigenvalue,
     coherence,
@@ -315,7 +315,7 @@ def _assert_one_coherence(S):
     otherwise."""
     m, M = S.shape
     mu, zeros = _gram_coherence(_column_gram(S), m)
-    mu_b, zeros_b = _blocked_coherence(S)
+    mu_b, zeros_b = _blocked_coherence(*_row_spectrum(S))
     assert zeros == zeros_b
     assert abs(mu - mu_b) <= 1e-13 * mu_b, (S.shape, mu, mu_b)
     assert coherence(S) == ((mu, zeros) if m > M else (mu_b, zeros_b)), S.shape
@@ -401,7 +401,7 @@ def test_coherence_respects_welch_bound(spec):
 def test_power_iteration_matches_eigvalsh_shipped_grams(family):
     W = _sign_gram(build_sign_matrix(FamilySpec(family, m=80, n=9)).entries)
     assert W.shape == (80, 80)
-    lam = _top_eigenvalue(W, _POWER_REL_TOL, _POWER_MAX_ITER)
+    lam = _top_eigenvalue(W)
     want = np.linalg.eigvalsh(W)[-1]
     assert abs(lam - want) <= 1e-10 * want, (lam, want)
 
@@ -415,7 +415,7 @@ def test_power_iteration_on_a_tall_witness_gram():
     T = _stream_gram(key, m, M)
     Si = _random_signs(key, m, M).astype(np.float64)
     assert np.array_equal(T, Si.T @ Si)
-    lam = _top_eigenvalue(T, _POWER_REL_TOL, _POWER_MAX_ITER)
+    lam = _top_eigenvalue(T)
     ev = np.linalg.eigvalsh(T)
     ratio = ev[-2] / ev[-1]
     assert abs(lam - ev[-1]) <= 2 * _POWER_REL_TOL / (1 - ratio**2) * ev[-1]
