@@ -113,26 +113,30 @@ def _gram_coherence(T: np.ndarray, m: int) -> tuple[float, int]:
     G = np.fft.ifft(np.fft.fft(T, axis=1), axis=0) / m
     d2 = G.diagonal().real  # ||Phi_j||^2 = P_j / (mM)
     nz = d2 * (m * M) > _ZERO_COLUMN_TOL
-    return _normalized_max(lambda sel: G[np.ix_(nz, sel)], np.sqrt(d2), nz)
+    cols = np.flatnonzero(nz)
+    return _normalized_max(lambda start, sel: G[np.ix_(cols[start:], sel)], np.sqrt(d2), nz)
 
 
 def _blocked_coherence(Phi: np.ndarray, P: np.ndarray) -> tuple[float, int]:
-    """coherence from blocks of Phi^H Phi, given the row spectrum
-    (S F, P), whose S F is scaled to Phi in place: no M x M array.  The
-    complex BLAS products fix the last ulp of mu per BLAS build, not per
-    thread count."""
+    """coherence from the blocks of Phi^H Phi on and below its diagonal
+    (see _normalized_max), given the row spectrum (S F, P), whose S F is
+    scaled to Phi in place: no M x M array.  The complex BLAS products
+    fix the last ulp of mu per BLAS build, not per thread count."""
     m, M = Phi.shape
     Phi /= np.sqrt(m * M)
     nz = P > _ZERO_COLUMN_TOL
     PhiH = Phi[:, nz].conj().T
-    return _normalized_max(lambda sel: PhiH @ Phi[:, sel], np.sqrt(P / (m * M)), nz)
+    return _normalized_max(lambda start, sel: PhiH[start:] @ Phi[:, sel], np.sqrt(P / (m * M)), nz)
 
 
 def _normalized_max(pairs, norms: np.ndarray, nz: np.ndarray) -> tuple[float, int]:
     """(mu, zero_columns) given ||Phi_j|| (norms), the nonzero columns
-    (nz) and pairs(sel), the <Phi_j, Phi_k> block for nonzero j and k
-    in sel.  Blocks of about 4M entries are normalized, their diagonal
-    zeroed and their max taken, exact whatever the blocking."""
+    (nz) and pairs(start, sel), the <Phi_j, Phi_k> block for k in sel =
+    cols[start:start + block] and j in cols[start:].  The Gram is
+    Hermitian, so these blocks on and below its diagonal hold every
+    |<Phi_j, Phi_k>|.  Blocks of at most about 4M entries are normalized,
+    their diagonal zeroed and their max taken, exact whatever the
+    blocking."""
     cols = np.flatnonzero(nz)
     zero_columns = int(len(nz) - len(cols))
     if len(cols) < 2:
@@ -142,11 +146,11 @@ def _normalized_max(pairs, norms: np.ndarray, nz: np.ndarray) -> tuple[float, in
     block = max(1, (1 << 22) // len(cols))
     for start in range(0, len(cols), block):
         sel = cols[start : start + block]
-        A = np.abs(pairs(sel))
-        A /= d[:, None]
+        A = np.abs(pairs(start, sel))
+        A /= d[start:, None]
         A /= norms[sel][None, :]
-        # column sel[k] is row start + k
-        A[start + np.arange(len(sel)), np.arange(len(sel))] = 0.0
+        # column sel[k] is row k
+        A[np.arange(len(sel)), np.arange(len(sel))] = 0.0
         best = max(best, float(A.max()))
     # duplicate columns give exactly 1 up to rounding dust
     return min(best, 1.0), zero_columns

@@ -47,21 +47,28 @@ def lfsr_msequence(poly: int) -> np.ndarray:
         ValueError: poly is not in the primitive table, or the generated
             period is not exactly 2**n - 1 (a corrupted table).
     """
-    n = _check_primitive(poly)
+    return _lfsr_msequences([poly])[0]
+
+
+def _lfsr_msequences(polys) -> np.ndarray:
+    """lfsr_msequence of every poly in polys, all of one degree n, as
+    the rows of one int8 array: the registers step together as one
+    numpy vector, so a period costs 2**n - 1 vector steps, not one
+    Python loop per polynomial."""
+    (n,) = {_check_primitive(p) for p in polys}  # one degree, else ValueError
     M = (1 << n) - 1
-    taps = poly & M
-    out = np.empty(M, dtype=np.int8)
-    state = M
-    period = None
+    taps = np.array(polys, dtype=np.int32) & M
+    # states[t] holds every register before step t
+    states = np.empty((M + 1, len(taps)), dtype=np.int32)
+    states[0] = M
     for t in range(M):
-        out[t] = 1 - 2 * (state & 1)
-        fb = bin(state & taps).count("1") & 1
-        state = (state >> 1) | (fb << (n - 1))
-        if state == M and period is None:
-            period = t + 1
-    if period != M:
-        raise ValueError(f"0x{poly:x} has period {period}, expected {M}")
-    return out
+        fb = (np.bitwise_count(states[t] & taps) & 1).astype(np.int32)
+        states[t + 1] = (states[t] >> 1) | (fb << (n - 1))
+    for poly, hit in zip(polys, (states[1:] == M).T):
+        period = int(hit.argmax()) + 1 if hit.any() else None
+        if period != M:
+            raise ValueError(f"0x{poly:x} has period {period}, expected {M}")
+    return np.ascontiguousarray(1 - 2 * (states[:M].T & 1), dtype=np.int8)
 
 
 def sequence_period(seq: np.ndarray) -> int:
@@ -124,8 +131,7 @@ def gold_family(n: int) -> list[np.ndarray]:
     pa, pb = GOLD_PREFERRED_PAIRS[n]
     if _check_primitive(pa) != n or _check_primitive(pb) != n:
         raise ValueError(f"pair (0x{pa:x}, 0x{pb:x}) is not two degree-{n} primitives")
-    a = lfsr_msequence(pa)
-    b = lfsr_msequence(pb)
+    a, b = _lfsr_msequences([pa, pb])
     t = gold_t(n)
     cc = cyclic_crosscorrelation(a, b)
     allowed = {-1, -t, t - 2}

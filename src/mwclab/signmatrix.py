@@ -100,7 +100,7 @@ def _maximal_rows(n: int, m: int) -> list[np.ndarray]:
             f"maximal family of degree {n} has {population} rows "
             f"({len(polys)} polynomials x {M} shifts), requested {m}"
         )
-    base = [sequences.lfsr_msequence(p) for p in polys[: min(m, len(polys))]]
+    base = sequences._lfsr_msequences(polys[: min(m, len(polys))])
     rows = list(base)
     # past one sequence per polynomial, walk shifts round-robin
     extra = m - len(rows)
@@ -229,7 +229,8 @@ def write_pattern_file(path: str | os.PathLike | io.TextIOBase, sm: SignMatrix) 
     fh = open(path, "w") if own else path
     try:
         fh.write(f"{sm.m} {sm.M} {sm.family} {_format_seed(sm.seed)}\n")
-        np.savetxt(fh, sm.entries, fmt="%d")
+        tokens = np.where(sm.entries > 0, "1", "-1")
+        fh.write("".join(" ".join(row.tolist()) + "\n" for row in tokens))
     finally:
         if own:
             fh.close()
@@ -246,10 +247,13 @@ def read_pattern_file(path: str | os.PathLike | io.TextIOBase) -> SignMatrix:
         m, M, family, seed = int(header[0]), int(header[1]), header[2], _parse_seed(header[3])
         entries = np.empty((m, M), dtype=np.int8)
         for i in range(m):
-            row = fh.readline().split()
+            # int64, not int8: a narrow parse would wrap 255 to -1
+            row = np.fromstring(fh.readline(), dtype=np.int64, sep=" ")
             if len(row) != M:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {M}")
-            entries[i] = [int(v) for v in row]
+            if np.any(np.abs(row) != 1):
+                raise ValueError(f"row {i} has an entry other than -1 or 1")
+            entries[i] = row
         return SignMatrix(entries, family, seed)
     finally:
         if own:

@@ -305,8 +305,11 @@ def test_criterion_11_byte_determinism(tmp_path):
     jobs = (
         ("gen", ["gen", "--family", "random", "--M", "127", "--m", "12", "--seed", "9"]),
         ("measures", ["measures", "--family", "gold", "--n", "5", "--m", "8"]),
-        # a wide pattern scored from complex Phi^H Phi blocks
+        # wide patterns scored from complex Phi^H Phi blocks; kasami's mu
+        # clips to 1.0 (duplicate columns), maximal 32 x 4095 spans four
+        # column blocks with mu 0.6843358335241397, so its last digits count
         ("measures_kasami", ["measures", "--family", "kasami", "--n", "12", "--m", "64"]),
+        ("measures_maximal", ["measures", "--family", "maximal", "--n", "12", "--m", "32"]),
         ("verify", ["verify", "--preset", "table2_kasami", "--trials", "2000"]),
         ("exrip", ["exrip", "--preset", "table2_kasami", "--dist", "complex-uniform"]),
         ("sweep", ["sweep"]),

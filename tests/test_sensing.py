@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mwclab.guarantees import _stream_gram
 from mwclab.sensing import (
     _POWER_REL_TOL,
+    _ZERO_COLUMN_TOL,
     QualityReport,
     _blocked_coherence,
     _column_gram,
@@ -355,6 +356,72 @@ def test_quality_measures_coherence_is_the_public_one(m, M, seed):
     S = _signs(m, M, seed)
     q = quality_measures(_sm(S))
     assert (q.mu, q.zero_columns) == coherence(S), S.shape
+
+
+def _full_square_coherence(S):
+    """Reference for the blocked Phi^H Phi route over the full square:
+    every block runs over all nonzero rows, both triangles."""
+    F, P = _row_spectrum(S)
+    m, M = S.shape
+    Phi = F / np.sqrt(m * M)
+    norms = np.sqrt(P / (m * M))
+    cols = np.flatnonzero(P > _ZERO_COLUMN_TOL)
+    if len(cols) < 2:
+        return 0.0, M - len(cols)
+    PhiH = Phi[:, cols].conj().T
+    d = norms[cols]
+    best = 0.0
+    block = max(1, (1 << 22) // len(cols))
+    for start in range(0, len(cols), block):
+        sel = cols[start : start + block]
+        A = np.abs(PhiH @ Phi[:, sel])
+        A /= d[:, None]
+        A /= norms[sel][None, :]
+        A[start + np.arange(len(sel)), np.arange(len(sel))] = 0.0
+        best = max(best, float(A.max()))
+    return min(best, 1.0), M - len(cols)
+
+
+FAMILY_SCAN_SPECS = [
+    FamilySpec("gold", m=80, n=9),
+    FamilySpec("gold", m=160, n=11),
+    FamilySpec("kasami", m=32, n=10),
+    FamilySpec("kasami", m=64, n=12),
+    FamilySpec("maximal", m=160, n=11),
+    FamilySpec("maximal", m=160, n=13),
+    FamilySpec("hadamard", m=160, M=4096),
+    FamilySpec("hadamard", m=160, M=8192),
+    FamilySpec("random", m=128, M=2047, seed=0),
+]
+
+
+@pytest.mark.parametrize("spec", FAMILY_SCAN_SPECS, ids=lambda s: f"{s.family}{s.m}x{s.length}")
+def test_one_triangle_equals_full_square_on_family_scan(spec):
+    S = build_sign_matrix(spec).entries
+    assert _blocked_coherence(*_row_spectrum(S)) == _full_square_coherence(S)
+
+
+@st.composite
+def wide_sign_matrices(draw):
+    """Random wide matrices up to M = 4500 (several column blocks past
+    M = 2048), or hadamard rows, whose spectra have zero columns."""
+    if draw(st.booleans()):
+        M = draw(st.integers(2, 4500))
+        return _signs(draw(st.integers(1, min(M, 24))), M, draw(st.integers(0, 10_000)))
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(1, min((1 << n) - 1, 48)))
+    return build_sign_matrix(FamilySpec("hadamard", m=m, n=n)).entries
+
+
+@settings(max_examples=20, deadline=None)
+@given(wide_sign_matrices())
+@example(_signs(24, 4500, 1))
+@example(build_sign_matrix(FamilySpec("hadamard", m=48, M=4096)).entries)
+def test_one_triangle_within_two_ulp_of_full_square(S):
+    mu, zeros = _blocked_coherence(*_row_spectrum(S))
+    mu_ref, zeros_ref = _full_square_coherence(S)
+    assert zeros == zeros_ref
+    assert abs(mu - mu_ref) <= 2 * np.spacing(mu_ref), (S.shape, mu, mu_ref)
 
 
 def _welch_mu(m, n):

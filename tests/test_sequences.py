@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import direct_cyclic_convolution, direct_cyclic_crosscorrelation
 from mwclab import sequences as sq
+from mwclab.signmatrix import FamilySpec, build_sign_matrix
 from mwclab.tables import GOLD_PREFERRED_PAIRS, PRIMITIVE_POLYS
 
 
@@ -42,6 +43,47 @@ def test_msequence_rejects_non_primitive_poly():
         sq.lfsr_msequence(0b1111)  # x^3+x^2+x+1 is reducible
     with pytest.raises(ValueError):
         sq.lfsr_msequence(0b11)  # degree below the table range
+
+
+def _scalar_msequence(poly):
+    # one Fibonacci register stepped bit by bit from the all-ones state
+    n = poly.bit_length() - 1
+    M = (1 << n) - 1
+    state, out = M, []
+    for _ in range(M):
+        out.append(1 - 2 * (state & 1))
+        fb = bin(state & poly & M).count("1") & 1
+        state = (state >> 1) | (fb << (n - 1))
+    assert state == M
+    return np.array(out, dtype=np.int8)
+
+
+@pytest.mark.parametrize("n", sorted(PRIMITIVE_POLYS))
+def test_vector_lfsr_equals_scalar_register(n):
+    polys = PRIMITIVE_POLYS[n]
+    rows = sq._lfsr_msequences(polys)
+    assert rows.dtype == np.int8 and rows.shape == (len(polys), 2**n - 1)
+    for poly, row in zip(polys, rows):
+        assert np.array_equal(row, _scalar_msequence(poly)), hex(poly)
+    assert np.array_equal(sq.lfsr_msequence(polys[-1]), rows[-1])
+
+
+def test_vector_lfsr_rejects_mixed_degrees():
+    with pytest.raises(ValueError):
+        sq._lfsr_msequences([PRIMITIVE_POLYS[3][0], PRIMITIVE_POLYS[5][0]])
+
+
+def test_corrupted_table_fails_the_period_check(monkeypatch):
+    # x^3+x^2+x+1 = (x+1)^3 slipped into the table: the all-ones state
+    # is a fixed point, so the register has period 1, not 7
+    monkeypatch.setitem(sq.PRIMITIVE_POLYS, 3, [*PRIMITIVE_POLYS[3], 0b1111])
+    with pytest.raises(ValueError, match="0xf has period 1, expected 7"):
+        sq.lfsr_msequence(0b1111)
+    with pytest.raises(ValueError, match="0xf has period 1, expected 7"):
+        sq._lfsr_msequences(sq.PRIMITIVE_POLYS[3])
+    # the maximal rows run every polynomial through the one vector call
+    with pytest.raises(ValueError, match="0xf has period 1, expected 7"):
+        build_sign_matrix(FamilySpec("maximal", m=3, n=3))
 
 
 @pytest.mark.parametrize("n", [5, 7])

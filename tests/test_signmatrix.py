@@ -148,6 +148,25 @@ def test_pattern_file_bad_entries():
         read_pattern_file(buf)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("1 255 1\n", "row 1 has an entry other than -1 or 1"),  # wraps to -1 in int8
+        ("1 -255 1\n", "row 1 has an entry other than -1 or 1"),  # wraps to 1 in int8
+        ("1 x 1\n", None),
+        ("1 1.5 1\n", None),
+        ("1 1\n", "row 1 has 2 entries, expected 3"),
+        ("1 1 1 1\n", "row 1 has 4 entries, expected 3"),
+        ("", "row 1 has 0 entries, expected 3"),
+    ],
+    ids=["255", "-255", "token", "fraction", "short", "long", "missing"],
+)
+def test_pattern_file_rejects_corrupt_rows(body, message):
+    buf = io.StringIO("2 3 random none\n-1 1 -1\n" + body)
+    with pytest.raises(ValueError, match=message):
+        read_pattern_file(buf)
+
+
 # m x M shapes around the stream's block size: one row, part of a block,
 # exactly one block, a block and a part, more than two blocks; an odd
 # m M leaves half of a 64-bit draw buffered in the Generator
@@ -205,4 +224,26 @@ def test_gen_random_pattern_bytes_are_pinned(M, m, seed, digest, tmp_path):
     out = tmp_path / "random.pat"
     argv = ["gen", "--family", "random", "--M", str(M), "--m", str(m), "--seed", str(seed)]
     assert cli.main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--family", "hadamard", "--M", "8192", "--m", "160"],
+            "b89695f2022a765c6ce7cd221937cf3800134d6e9c11ae4c7b3ccb870f781cb5",
+        ),
+        (
+            ["--family", "maximal", "--n", "13", "--m", "160"],
+            "2b9edbe0bd88ba692aef994ad08c1fac19ebe069256c136ecf99fe2c9793aa20",
+        ),
+    ],
+    ids=["hadamard160x8192", "maximal160x8191"],
+)
+def test_gen_structured_pattern_bytes_are_pinned(argv, digest, tmp_path):
+    # digests of the pattern files written by np.savetxt rows and the
+    # scalar LFSR, before the body was joined from tokens
+    out = tmp_path / "p.pat"
+    assert cli.main(["gen", *argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
