@@ -3,34 +3,106 @@
 A sequence here is a 1-d numpy int8 array with entries in {-1, +1},
 viewed cyclically.  LFSR-derived families use a Fibonacci register
 whose characteristic polynomial is encoded as an integer (bit i is the
-coefficient of x**i); the register starts from the all-ones state and
-bit b maps to the sign 1 - 2b, so 0 -> +1 and 1 -> -1.  Both are
-conventions fixed for reproducibility: sign flips and phase shifts do
-not change any correlation magnitude.
+coefficient of x**i, so x**3 + x + 1 is 0b1011 = 0xb); the register
+starts from the all-ones state and bit b maps to the sign 1 - 2b, so
+0 -> +1 and 1 -> -1.  Both are conventions fixed for reproducibility:
+sign flips and phase shifts do not change any correlation magnitude.
+
+No polynomial table ships.  A degree-n polynomial is primitive iff its
+register, started from a nonzero state, first returns after exactly
+2**n - 1 steps.  The register loop that generates the sequences reports
+that period for every polynomial it runs: lfsr_msequence rejects a
+polynomial that fails it, and primitive_polys(n) keeps the degree-n
+candidates that pass it, scanned on first use.
 """
 
 import numpy as np
 
-from .tables import GOLD_PREFERRED_PAIRS, MERSENNE_FACTORS, PRIMITIVE_POLYS
+# register degrees accepted anywhere; the cap bounds one run at 2**13 - 1 steps
+_DEGREES = range(3, 14)
+
+# (base, partner) per odd degree: the base is primitive_polys(n)[0] and
+# the partner generates the decimation-by-3 orbit of its m-sequence,
+# which makes the pair preferred (3-valued cross-correlation);
+# gold_family checks that spectrum on every call
+GOLD_PREFERRED_PAIRS = {
+    5: (0x25, 0x3d),
+    7: (0x83, 0xab),
+    9: (0x211, 0x259),
+    11: (0x805, 0x925),
+}
+
+
+def _check_degree(n: int) -> int:
+    if n not in _DEGREES:
+        raise ValueError(f"register degree {n} outside {_DEGREES[0]}..{_DEGREES[-1]}")
+    return n
 
 
 def _degree(poly: int) -> int:
     if poly <= 1:
         raise ValueError(f"not a polynomial of positive degree: {poly}")
-    return poly.bit_length() - 1
+    return _check_degree(poly.bit_length() - 1)
 
 
-def _check_primitive(poly: int) -> int:
-    """Validate poly against the shipped table and return its degree."""
-    n = _degree(poly)
-    if n not in PRIMITIVE_POLYS:
-        raise ValueError(
-            f"degree {n} outside the shipped table (degrees "
-            f"{min(PRIMITIVE_POLYS)}..{max(PRIMITIVE_POLYS)})"
-        )
-    if poly not in PRIMITIVE_POLYS[n]:
-        raise ValueError(f"0x{poly:x} is not primitive over GF(2)")
-    return n
+def _run_registers(polys, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step one degree-n register per poly together, from the all-ones
+    state, for 2**n - 1 steps.
+
+    A state holds the register's next n output bits (bit i comes out i
+    steps ahead), so the loop moves n steps at a time: it emits the
+    state's bits, and the state n steps on is the XOR of jump[i] over
+    the set bits i, where jump[i] is the unit state 1 << i after n
+    single steps.  The states in between are the n-bit windows of the
+    two states' 2n bits.
+
+    Returns (bits, period): bits[t] is every register's output bit at
+    step t, a (2**n - 1) x len(polys) int8 array, and period[i] is the
+    first step at which register i is back at all ones (0 if never).
+    """
+    M = (1 << n) - 1
+    taps = np.array(polys, dtype=np.int32) & M
+    rows = np.arange(n, dtype=np.int32)[:, None]
+    jump = (1 << rows) + np.zeros_like(taps)
+    for _ in range(n):  # one step: the feedback is the parity of the tapped bits
+        fb = (np.bitwise_count(jump & taps) & 1).astype(np.int32)
+        jump = (jump >> 1) | (fb << (n - 1))
+    bits = np.empty((-(-M // n) * n, len(taps)), dtype=np.int8)
+    period = np.zeros(len(taps), dtype=np.int32)
+    state = np.full(len(taps), M, dtype=np.int32)
+    for t in range(0, M, n):
+        b = (state >> rows) & 1
+        bits[t : t + n] = b
+        after = np.bitwise_xor.reduce(jump * b, axis=0)
+        back = (((state | after << n) >> (rows + 1)) & M) == M  # steps t+1..t+n
+        first = back.any(axis=0) & (period == 0)
+        period[first] = t + 1 + back.argmax(axis=0)[first]
+        state = after
+    return bits[:M], period
+
+
+_primitive_memo: dict[int, tuple[int, ...]] = {}
+
+
+def primitive_polys(n: int) -> tuple[int, ...]:
+    """Every primitive polynomial over GF(2) of degree n, ascending.
+
+    The candidates are the odd-weight polynomials with x**n and 1
+    present (an even weight is divisible by x + 1); one register run
+    over all of them keeps those of period exactly 2**n - 1.  Each
+    degree is scanned on its first call and kept for the process.
+
+    Raises:
+        ValueError: n outside 3..13.
+    """
+    if n not in _primitive_memo:
+        _check_degree(n)
+        c = np.arange(1 << (n - 1))
+        cands = (1 << n) | (c << 1) | 1
+        cands = cands[np.bitwise_count(cands) & 1 == 1]
+        _, period = _run_registers(cands, n)
+        _primitive_memo[n] = tuple(int(p) for p in cands[period == (1 << n) - 1])
+    return _primitive_memo[n]
 
 
 def lfsr_msequence(poly: int) -> np.ndarray:
@@ -44,31 +116,23 @@ def lfsr_msequence(poly: int) -> np.ndarray:
         int8 array of length 2**n - 1 with entries in {-1, +1}.
 
     Raises:
-        ValueError: poly is not in the primitive table, or the generated
-            period is not exactly 2**n - 1 (a corrupted table).
+        ValueError: the degree is outside 3..13, or the register's
+            period is not exactly 2**n - 1 (poly is not primitive).
     """
     return _lfsr_msequences([poly])[0]
 
 
 def _lfsr_msequences(polys) -> np.ndarray:
     """lfsr_msequence of every poly in polys, all of one degree n, as
-    the rows of one int8 array: the registers step together as one
-    numpy vector, so a period costs 2**n - 1 vector steps, not one
-    Python loop per polynomial."""
-    (n,) = {_check_primitive(p) for p in polys}  # one degree, else ValueError
+    the rows of one int8 array: the registers step together, n steps
+    per vector operation, not one Python loop per polynomial."""
+    (n,) = {_degree(p) for p in polys}  # one degree, else ValueError
     M = (1 << n) - 1
-    taps = np.array(polys, dtype=np.int32) & M
-    # states[t] holds every register before step t
-    states = np.empty((M + 1, len(taps)), dtype=np.int32)
-    states[0] = M
-    for t in range(M):
-        fb = (np.bitwise_count(states[t] & taps) & 1).astype(np.int32)
-        states[t + 1] = (states[t] >> 1) | (fb << (n - 1))
-    for poly, hit in zip(polys, (states[1:] == M).T):
-        period = int(hit.argmax()) + 1 if hit.any() else None
-        if period != M:
-            raise ValueError(f"0x{poly:x} has period {period}, expected {M}")
-    return np.ascontiguousarray(1 - 2 * (states[:M].T & 1), dtype=np.int8)
+    bits, period = _run_registers(polys, n)
+    for poly, p in zip(polys, period.tolist()):
+        if p != M:
+            raise ValueError(f"0x{poly:x} has period {p or None}, expected {M}")
+    return np.ascontiguousarray(1 - 2 * bits.T)
 
 
 def sequence_period(seq: np.ndarray) -> int:
@@ -129,8 +193,8 @@ def gold_family(n: int) -> list[np.ndarray]:
             f"gold families ship for odd n in {sorted(GOLD_PREFERRED_PAIRS)}, got n={n}"
         )
     pa, pb = GOLD_PREFERRED_PAIRS[n]
-    if _check_primitive(pa) != n or _check_primitive(pb) != n:
-        raise ValueError(f"pair (0x{pa:x}, 0x{pb:x}) is not two degree-{n} primitives")
+    if _degree(pa) != n or _degree(pb) != n:
+        raise ValueError(f"pair (0x{pa:x}, 0x{pb:x}) is not of degree {n}")
     a, b = _lfsr_msequences([pa, pb])
     t = gold_t(n)
     cc = cyclic_crosscorrelation(a, b)
@@ -149,16 +213,14 @@ def gold_family(n: int) -> list[np.ndarray]:
 def kasami_small_family(n: int) -> list[np.ndarray]:
     """The small Kasami set: 2**(n/2) sequences of length 2**n - 1.
 
-    Built from the first shipped primitive polynomial of even degree n:
-    the base m-sequence a, then a * T^s(d) for every shift s of the
-    decimation d[j] = a[(2**(n/2) + 1) * j mod M], which has period
-    2**(n/2) - 1.
+    Built from primitive_polys(n)[0], the first primitive polynomial of
+    even degree n: the base m-sequence a, then a * T^s(d) for every
+    shift s of the decimation d[j] = a[(2**(n/2) + 1) * j mod M], which
+    has period 2**(n/2) - 1.
     """
-    if n % 2 == 1:
-        raise ValueError(f"kasami small set requires even n, got n={n}")
-    if n < 4 or n not in PRIMITIVE_POLYS:
+    if n % 2 == 1 or not 4 <= n <= 12:
         raise ValueError(f"kasami small set requires even n in 4..12, got n={n}")
-    a = lfsr_msequence(PRIMITIVE_POLYS[n][0])
+    a = lfsr_msequence(primitive_polys(n)[0])
     M = len(a)
     half = 1 << (n // 2)
     d = a[((half + 1) * np.arange(M)) % M]
@@ -167,24 +229,23 @@ def kasami_small_family(n: int) -> list[np.ndarray]:
     return [a] + [a * np.roll(d, s) for s in range(half - 1)]
 
 
-def hadamard_family(M: int) -> list[np.ndarray]:
-    """The M rows of the Sylvester Hadamard matrix, row 0 all ones.
+def hadamard_family(M: int, m: int) -> np.ndarray:
+    """Rows 0..m-1 of the M x M Sylvester Hadamard matrix, row 0 all
+    ones, as an m x M int8 array.
 
-    Row r is (-1)**popcount(r & j) over columns j, built in int8 by
-    Sylvester doubling H <- [[H, H], [H, -H]].
+    Row r is (-1)**popcount(r & j) over columns j, built directly, so
+    the M x M matrix never exists.
     """
     if M < 2 or M & (M - 1):
         raise ValueError(f"M must be a power of two >= 2, got {M}")
-    H = np.ones((1, 1), dtype=np.int8)
-    while len(H) < M:
-        H = np.block([[H, H], [H, -H]])
-    return list(H)
+    if not 1 <= m <= M:
+        raise ValueError(f"the Hadamard matrix of size {M} has {M} rows, requested {m}")
+    parity = np.bitwise_count(np.arange(m)[:, None] & np.arange(M)) & 1
+    return 1 - 2 * parity.astype(np.int8)
 
 
 __all__ = [
     "GOLD_PREFERRED_PAIRS",
-    "MERSENNE_FACTORS",
-    "PRIMITIVE_POLYS",
     "cyclic_convolution",
     "cyclic_crosscorrelation",
     "gold_family",
@@ -192,5 +253,6 @@ __all__ = [
     "hadamard_family",
     "kasami_small_family",
     "lfsr_msequence",
+    "primitive_polys",
     "sequence_period",
 ]

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sequences
-from .tables import PRIMITIVE_POLYS
 
 FAMILIES = ("maximal", "gold", "kasami", "hadamard", "random")
 
@@ -92,7 +91,7 @@ class SignMatrix:
 
 
 def _maximal_rows(n: int, m: int) -> list[np.ndarray]:
-    polys = PRIMITIVE_POLYS[n]
+    polys = sequences.primitive_polys(n)
     M = (1 << n) - 1
     population = len(polys) * M
     if m > population:
@@ -169,7 +168,7 @@ def build_sign_matrix(spec: FamilySpec) -> SignMatrix:
 
     Selection policies, all deterministic:
       maximal      one m-sequence per primitive polynomial of degree n in
-                   table order, then cyclic shifts of those sequences
+                   ascending order, then cyclic shifts of those sequences
                    round-robin (shift 1 of each, shift 2 of each, ...).
       gold         the family enumeration order: both base sequences,
                    then the shift-products in ascending shift order.
@@ -197,13 +196,12 @@ def build_sign_matrix(spec: FamilySpec) -> SignMatrix:
             )
         rows = family[: spec.m]
     else:
-        family = sequences.hadamard_family(spec.length)
-        if spec.m > len(family) - 1:
+        if spec.m > spec.length - 1:
             raise ValueError(
-                f"hadamard of size {spec.length} has {len(family) - 1} usable rows "
+                f"hadamard of size {spec.length} has {spec.length - 1} usable rows "
                 f"(all-ones row 0 is skipped), requested {spec.m}"
             )
-        rows = family[1 : spec.m + 1]
+        rows = sequences.hadamard_family(spec.length, spec.m + 1)[1:]
     return SignMatrix(np.array(rows, dtype=np.int8), fam, spec.seed)
 
 

@@ -33,8 +33,8 @@ from mwclab.montecarlo import bound_validity_report
 from mwclab.presets import TABLE2_ROW_ORDER, load_preset
 from mwclab.reports import fig2_report, table2_report
 from mwclab.sensing import quality_bounds_check, quality_measures, welch_lower_bound
+from mwclab.sequences import primitive_polys
 from mwclab.signmatrix import FamilySpec, SignMatrix, build_sign_matrix
-from mwclab.tables import PRIMITIVE_POLYS
 
 CN = NonzeroDistribution("complex_normal")
 
@@ -212,7 +212,7 @@ def test_criterion_07_quality_bound_suite(hadamard_80_512):
 def test_criterion_08_sequence_invariants():
     for n in (3, 5, 7, 9):
         M = 2**n - 1
-        for poly in PRIMITIVE_POLYS[n]:
+        for poly in primitive_polys(n):
             ac = sq.cyclic_crosscorrelation(*(sq.lfsr_msequence(poly),) * 2)
             assert ac[0] == M and (ac[1:] == -1).all()
 

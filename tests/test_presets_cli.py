@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from mwclab import cli
 from mwclab.presets import TABLE2_ROW_ORDER, list_presets, load_preset
 
 REQUIRED_PRESETS = (
@@ -241,6 +242,13 @@ def test_cli_exit_codes():
     assert run_cli("gen", "--family", "gold", "--n", "10", "--m", "4").returncode == 2
     assert run_cli("nosuchcommand").returncode == 2  # argparse
     assert run_cli("exrip", "--family", "gold", "--n", "5", "--m", "4").returncode == 2  # no k
+
+
+@pytest.mark.parametrize("n", [14, 2])
+def test_cli_maximal_degree_outside_the_range_is_a_usage_error(n, capsys):
+    argv = ["gen", "--family", "maximal", "--n", str(n), "--m", "4"]
+    assert cli.main(argv) == 2
+    assert f"error: register degree {n} outside 3..13" in capsys.readouterr().err
 
 
 def test_cli_stdout_when_no_out_flag():

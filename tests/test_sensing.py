@@ -28,8 +28,8 @@ from mwclab.sensing import (
     spectral_norm_sq,
     welch_lower_bound,
 )
+from mwclab.sequences import primitive_polys
 from mwclab.signmatrix import FamilySpec, SignMatrix, _random_signs, build_sign_matrix
-from mwclab.tables import PRIMITIVE_POLYS
 
 
 def _sm(entries):
@@ -287,7 +287,7 @@ def test_alpha_gamma_equal_integer_pair_sums(S):
 def maximal_shapes(draw):
     """(degree, rows) of a shipped maximal family, rows capped at 128."""
     n = draw(st.integers(3, 13))
-    population = len(PRIMITIVE_POLYS[n]) * ((1 << n) - 1)
+    population = len(primitive_polys(n)) * ((1 << n) - 1)
     return n, draw(st.integers(1, min(population, 128)))
 
 
@@ -435,7 +435,7 @@ def wide_family_specs(draw):
     fam = draw(st.sampled_from(["maximal", "gold", "kasami", "hadamard"]))
     if fam == "maximal":
         n = draw(st.integers(3, 11))
-        cap = len(PRIMITIVE_POLYS[n]) * ((1 << n) - 1)
+        cap = len(primitive_polys(n)) * ((1 << n) - 1)
     elif fam == "gold":
         n = draw(st.sampled_from([5, 7, 9, 11]))
         cap = (1 << n) + 1

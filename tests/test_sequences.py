@@ -2,6 +2,10 @@
 cyclic correlation helpers, checked against direct O(M^2) oracles and
 the classical correlation value sets."""
 
+import hashlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,17 +14,72 @@ from hypothesis import strategies as st
 from conftest import direct_cyclic_convolution, direct_cyclic_crosscorrelation
 from mwclab import sequences as sq
 from mwclab.signmatrix import FamilySpec, build_sign_matrix
-from mwclab.tables import GOLD_PREFERRED_PAIRS, PRIMITIVE_POLYS
+
+DEGREES = range(3, 14)
 
 
-def all_polys(n):
-    return PRIMITIVE_POLYS[n]
+def test_primitive_table_equals_the_recorded_one():
+    # sha256 of the table that shipped as a generated module before it
+    # was derived from the register's period test
+    table = {n: sq.primitive_polys(n) for n in DEGREES}
+    assert all(type(p) is int for polys in table.values() for p in polys)
+    digest = hashlib.sha256(repr(table).encode()).hexdigest()
+    assert digest == "a65fbc3d9bfb15633a545a85d88ea266aa64cfc186e5090865179354e8ee4a2d"
+
+
+def _totient(x):
+    out, p = x, 2
+    while p * p <= x:
+        if x % p == 0:
+            while x % p == 0:
+                x //= p
+            out -= out // p
+        p += 1
+    if x > 1:
+        out -= out // x
+    return out
+
+
+@pytest.mark.parametrize("n", DEGREES)
+def test_primitive_count_is_totient_over_degree(n):
+    # the primitive elements of GF(2**n) fall into classes of n conjugates
+    polys = sq.primitive_polys(n)
+    assert len(polys) == _totient(2**n - 1) // n
+    assert list(polys) == sorted(set(polys))
+    assert all(p.bit_length() == n + 1 and p & 1 for p in polys)
+
+
+@pytest.mark.parametrize("n", [2, 14, 0, -1])
+def test_primitive_polys_rejects_degrees_outside_the_range(n):
+    with pytest.raises(ValueError, match=f"register degree {n} outside 3..13"):
+        sq.primitive_polys(n)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
+def test_gold_pairs_are_the_base_and_its_decimation_by_3(n):
+    # the partner is the one primitive polynomial whose m-sequence is a
+    # cyclic shift of the base m-sequence decimated by 3
+    polys = sq.primitive_polys(n)
+    M = 2**n - 1
+    a = sq.lfsr_msequence(polys[0])
+    dec = a[(3 * np.arange(M)) % M]
+    rows = sq._lfsr_msequences(polys)
+    partners = [p for p, b in zip(polys, rows) if sq.cyclic_crosscorrelation(b, dec).max() == M]
+    assert sq.GOLD_PREFERRED_PAIRS[n] == (polys[0], *partners)
+
+
+def test_import_runs_no_scan():
+    code = (
+        "import mwclab.signmatrix, mwclab.sequences as sq; "
+        "assert sq._primitive_memo == {}, sq._primitive_memo"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_msequence_balance_and_period(n):
     M = 2**n - 1
-    for poly in all_polys(n):
+    for poly in sq.primitive_polys(n):
         s = sq.lfsr_msequence(poly)
         assert s.shape == (M,)
         assert set(np.unique(s)) <= {-1, 1}
@@ -31,7 +90,7 @@ def test_msequence_balance_and_period(n):
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_msequence_offpeak_autocorrelation_is_minus_one(n):
     M = 2**n - 1
-    for poly in all_polys(n):
+    for poly in sq.primitive_polys(n):
         s = sq.lfsr_msequence(poly)
         ac = sq.cyclic_crosscorrelation(s, s)
         assert ac[0] == M
@@ -42,25 +101,32 @@ def test_msequence_rejects_non_primitive_poly():
     with pytest.raises(ValueError):
         sq.lfsr_msequence(0b1111)  # x^3+x^2+x+1 is reducible
     with pytest.raises(ValueError):
-        sq.lfsr_msequence(0b11)  # degree below the table range
+        sq.lfsr_msequence(0b11)  # degree below 3..13
+
+
+def _scalar_run(poly):
+    # output bits and first return to all ones of one register, step by step
+    n = poly.bit_length() - 1
+    M = (1 << n) - 1
+    state, bits, period = M, [], 0
+    for t in range(1, M + 1):
+        bits.append(state & 1)
+        fb = bin(state & poly & M).count("1") & 1
+        state = (state >> 1) | (fb << (n - 1))
+        if state == M and not period:
+            period = t
+    return bits, period
 
 
 def _scalar_msequence(poly):
-    # one Fibonacci register stepped bit by bit from the all-ones state
-    n = poly.bit_length() - 1
-    M = (1 << n) - 1
-    state, out = M, []
-    for _ in range(M):
-        out.append(1 - 2 * (state & 1))
-        fb = bin(state & poly & M).count("1") & 1
-        state = (state >> 1) | (fb << (n - 1))
-    assert state == M
-    return np.array(out, dtype=np.int8)
+    bits, period = _scalar_run(poly)
+    assert period == len(bits)
+    return 1 - 2 * np.array(bits, dtype=np.int8)
 
 
-@pytest.mark.parametrize("n", sorted(PRIMITIVE_POLYS))
+@pytest.mark.parametrize("n", DEGREES)
 def test_vector_lfsr_equals_scalar_register(n):
-    polys = PRIMITIVE_POLYS[n]
+    polys = sq.primitive_polys(n)
     rows = sq._lfsr_msequences(polys)
     assert rows.dtype == np.int8 and rows.shape == (len(polys), 2**n - 1)
     for poly, row in zip(polys, rows):
@@ -68,22 +134,32 @@ def test_vector_lfsr_equals_scalar_register(n):
     assert np.array_equal(sq.lfsr_msequence(polys[-1]), rows[-1])
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_register_run_equals_scalar_steps_for_every_polynomial(n):
+    # every degree-n polynomial, reducible and divisible by x included,
+    # so returns before 2**n - 1 steps and registers that never return
+    # both occur
+    polys = list(range(1 << n, 1 << (n + 1)))
+    bits, period = sq._run_registers(polys, n)
+    for i, poly in enumerate(polys):
+        want_bits, want_period = _scalar_run(poly)
+        assert bits[:, i].tolist() == want_bits, hex(poly)
+        assert period[i] == want_period, hex(poly)
+    assert {0, 1, 2**n - 1} <= set(period.tolist())
+
+
 def test_vector_lfsr_rejects_mixed_degrees():
     with pytest.raises(ValueError):
-        sq._lfsr_msequences([PRIMITIVE_POLYS[3][0], PRIMITIVE_POLYS[5][0]])
+        sq._lfsr_msequences([sq.primitive_polys(3)[0], sq.primitive_polys(5)[0]])
 
 
-def test_corrupted_table_fails_the_period_check(monkeypatch):
-    # x^3+x^2+x+1 = (x+1)^3 slipped into the table: the all-ones state
-    # is a fixed point, so the register has period 1, not 7
-    monkeypatch.setitem(sq.PRIMITIVE_POLYS, 3, [*PRIMITIVE_POLYS[3], 0b1111])
+def test_non_primitive_poly_fails_the_period_check():
+    # x^3+x^2+x+1 = (x+1)^3: the all-ones state is a fixed point, so the
+    # register has period 1, not 7, also beside a primitive polynomial
     with pytest.raises(ValueError, match="0xf has period 1, expected 7"):
         sq.lfsr_msequence(0b1111)
     with pytest.raises(ValueError, match="0xf has period 1, expected 7"):
-        sq._lfsr_msequences(sq.PRIMITIVE_POLYS[3])
-    # the maximal rows run every polynomial through the one vector call
-    with pytest.raises(ValueError, match="0xf has period 1, expected 7"):
-        build_sign_matrix(FamilySpec("maximal", m=3, n=3))
+        sq._lfsr_msequences([0xb, 0xf])
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -117,8 +193,8 @@ def test_gold_rejects_non_preferred_pair(monkeypatch):
     # two distinct primitive polys of degree 5 that are not a preferred
     # pair produce a 4-valued correlation, so a table holding them must
     # be refused
-    p = PRIMITIVE_POLYS[5]
-    good = GOLD_PREFERRED_PAIRS[5]
+    p = sq.primitive_polys(5)
+    good = sq.GOLD_PREFERRED_PAIRS[5]
     bad = None
     for a in p:
         for b in p:
@@ -155,7 +231,7 @@ def test_kasami_rejects_odd_degree():
 
 
 def test_hadamard_family_orthogonal():
-    H = np.array(sq.hadamard_family(16))
+    H = sq.hadamard_family(16, 16)
     assert H.shape == (16, 16)
     assert set(np.unique(H)) == {-1, 1}
     assert (H[0] == 1).all()
@@ -168,14 +244,24 @@ def test_hadamard_rows_are_walsh_functions(n):
     M = 1 << n
     idx = np.arange(M)
     want = np.where(np.bitwise_count(idx[:, None] & idx[None, :]) & 1, -1, 1)
-    H = np.array(sq.hadamard_family(M))
+    H = sq.hadamard_family(M, M)
     assert H.dtype == np.int8
     assert np.array_equal(H, want)
+    # fewer rows are the leading rows of the full matrix
+    for m in {1, M // 2 + 1, M - 1}:
+        assert np.array_equal(sq.hadamard_family(M, m), want[:m])
 
 
 def test_hadamard_rejects_non_power_of_two():
     with pytest.raises(ValueError):
-        sq.hadamard_family(12)
+        sq.hadamard_family(12, 4)
+
+
+def test_hadamard_rejects_row_count_outside_one_to_M():
+    with pytest.raises(ValueError):
+        sq.hadamard_family(8, 9)
+    with pytest.raises(ValueError):
+        sq.hadamard_family(8, 0)
 
 
 def test_cyclic_convolution_small_examples():

@@ -21,7 +21,6 @@ from mwclab.signmatrix import (
     read_pattern_file,
     write_pattern_file,
 )
-from mwclab.tables import PRIMITIVE_POLYS
 
 
 def test_spec_validation():
@@ -43,7 +42,7 @@ def test_spec_validation():
 
 def test_maximal_policy_polys_then_shifts():
     S = build_sign_matrix(FamilySpec("maximal", m=7, n=3))
-    base = [sq.lfsr_msequence(p) for p in PRIMITIVE_POLYS[3]]
+    base = [sq.lfsr_msequence(p) for p in sq.primitive_polys(3)]
     assert np.array_equal(S.entries[0], base[0])
     assert np.array_equal(S.entries[1], base[1])
     assert np.array_equal(S.entries[2], np.roll(base[0], 1))
@@ -78,7 +77,7 @@ def test_kasami_rows_follow_family_enumeration():
 
 def test_hadamard_skips_constant_row():
     S = build_sign_matrix(FamilySpec("hadamard", m=3, M=8))
-    fam = sq.hadamard_family(8)
+    fam = sq.hadamard_family(8, 8)
     for i in range(3):
         assert np.array_equal(S.entries[i], fam[i + 1])
     assert not (S.entries == 1).all(axis=1).any()
@@ -238,12 +237,25 @@ def test_gen_random_pattern_bytes_are_pinned(M, m, seed, digest, tmp_path):
             ["--family", "maximal", "--n", "13", "--m", "160"],
             "2b9edbe0bd88ba692aef994ad08c1fac19ebe069256c136ecf99fe2c9793aa20",
         ),
+        (
+            ["--family", "maximal", "--n", "11", "--m", "160"],
+            "871e1daf4e4c14e1e8a8b54f6390bfabff4c5e6af544e756e336c178ec74ff2f",
+        ),
+        (
+            ["--family", "gold", "--n", "11", "--m", "160"],
+            "909dfef2d64c634e9e88b818e53d2bb9ae85043728d07adee474731d4a19f8c6",
+        ),
+        (
+            ["--family", "kasami", "--n", "12", "--m", "64"],
+            "bf7a5bc79ebaf9f98fabd72713805c02ef4d01710b7b7e5d9e593d91e3cc79dd",
+        ),
     ],
-    ids=["hadamard160x8192", "maximal160x8191"],
+    ids=["hadamard160x8192", "maximal160x8191", "maximal160x2047", "gold160x2047", "kasami64x4095"],
 )
 def test_gen_structured_pattern_bytes_are_pinned(argv, digest, tmp_path):
-    # digests of the pattern files written by np.savetxt rows and the
-    # scalar LFSR, before the body was joined from tokens
+    # digests of the pattern files written by np.savetxt rows, the
+    # scalar LFSR, the shipped polynomial table and the full Sylvester
+    # matrix, before each was replaced
     out = tmp_path / "p.pat"
     assert cli.main(["gen", *argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
