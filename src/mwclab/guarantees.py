@@ -271,7 +271,7 @@ class SearchResult:
 def _stream_gram(key, m: int, M: int):
     """S^T S of _random_signs(key, m, M), accumulated over the row blocks
     of the sign stream: the same T, bit for bit, with no m x M matrix."""
-    return _block_gram(_sign_blocks(key, m, M), M)
+    return _block_gram(((B, B) for B in _sign_blocks(key, m, M)), M)
 
 
 def _witness_norm_sq(key, m: int, M: int) -> float:
@@ -291,8 +291,8 @@ def _best_random_instance(M: int, m: int, attempts: int, seed: int):
     a tall one is scored from its Gram S^T S alone, accumulated over the
     row blocks of the sign stream (_stream_gram), so no m x M candidate
     ever exists; a wide one is drawn in full and scored from blocks of
-    Phi^H Phi.  Either way the mu is the one coherence gives for the
-    materialized draw, bit for bit.  The
+    the conjugate-symmetric quarter of Phi^H Phi.  Either way the mu is
+    the one coherence gives for the materialized draw, bit for bit.  The
     coherence and statistical searches probe the same candidate m
     values, so results are cached per argument tuple.  The cache keeps
     no matrix or Gram; the key regenerates the witness where a bound

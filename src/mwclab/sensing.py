@@ -17,6 +17,9 @@ from .signmatrix import _BLOCK_ROWS, SignMatrix
 # DFT of every row); true nonzero norms are orders of magnitude larger
 _ZERO_COLUMN_TOL = 1e-9
 
+# columns per block of each coherence Gram (_normalized_max)
+_COLUMN_BLOCK = 256
+
 # power-iteration stopping rule for the spectral norm
 _POWER_REL_TOL = 1e-10
 _POWER_MAX_ITER = 10000
@@ -55,28 +58,33 @@ def _row_spectrum(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return F, A.sum(axis=0)
 
 
-def _block_gram(blocks, M: int) -> np.ndarray:
-    """T = S^T S (M x M, float64) accumulated over row blocks of S.
+def _block_gram(pairs, n: int) -> np.ndarray:
+    """T = sum of A^T B (n x n, float64) over pairs (A, B) of matching
+    row blocks of two +/-1 matrices (S^T S: each block of S with itself).
 
-    Each block of at most _BLOCK_ROWS rows runs as a float32 BLAS
+    Each pair of at most _BLOCK_ROWS rows runs as a float32 BLAS
     product: its partial sums are integers of magnitude at most
     _BLOCK_ROWS < 2**24, so it is exact whatever the blocking, FMA use
     or thread count, and the float64 sum of the blocks is exact too.  A
     materialized matrix and the same rows streamed by _sign_blocks give
     the same T, bit for bit.
     """
-    T = np.zeros((M, M))
-    for B in blocks:
-        Bf = B.astype(np.float32, copy=False)
-        T += Bf.T @ Bf
+    T = np.zeros((n, n))
+    for A, B in pairs:
+        Af = A.astype(np.float32, copy=False)
+        # a block paired with itself takes the symmetric (syrk) product
+        T += Af.T @ (Af if B is A else B.astype(np.float32, copy=False))
     return T
 
 
-def _column_gram(S: np.ndarray) -> np.ndarray:
-    """S^T S of a materialized +/-1 matrix (see _block_gram)."""
-    return _block_gram(
-        (S[i : i + _BLOCK_ROWS] for i in range(0, S.shape[0], _BLOCK_ROWS)), S.shape[1]
-    )
+def _column_gram(S: np.ndarray, R: np.ndarray | None = None) -> np.ndarray:
+    """S^T S, or S^T R for R of S's shape, of materialized +/-1
+    matrices (see _block_gram)."""
+    rows = range(0, S.shape[0], _BLOCK_ROWS)
+    blocks = (S[i : i + _BLOCK_ROWS] for i in rows)
+    if R is None:
+        return _block_gram(((B, B) for B in blocks), S.shape[1])
+    return _block_gram(zip(blocks, (R[i : i + _BLOCK_ROWS] for i in rows)), S.shape[1])
 
 
 def _sign_gram(S: np.ndarray) -> np.ndarray:
@@ -98,7 +106,8 @@ def coherence(S: np.ndarray) -> tuple[float, int]:
 def _coherence(m: int, M: int, column_gram, spectrum) -> tuple[float, int]:
     """coherence of an m x M +/-1 matrix by shape alone: a tall one
     (m > M) from column_gram() = S^T S, which a caller may stream or
-    already hold, a wide one from spectrum() = _row_spectrum(S); only
+    already hold, a wide one from spectrum() = _row_spectrum(S) on the
+    conjugate-symmetric quarter of Phi^H Phi (_blocked_coherence); only
     one is called."""
     if m > M:
         return _gram_coherence(column_gram(), m)
@@ -112,48 +121,58 @@ def _gram_coherence(T: np.ndarray, m: int) -> tuple[float, int]:
     M = T.shape[0]
     G = np.fft.ifft(np.fft.fft(T, axis=1), axis=0) / m
     d2 = G.diagonal().real  # ||Phi_j||^2 = P_j / (mM)
-    nz = d2 * (m * M) > _ZERO_COLUMN_TOL
-    cols = np.flatnonzero(nz)
-    return _normalized_max(lambda start, sel: G[np.ix_(cols[start:], sel)], np.sqrt(d2), nz)
+    cols = np.flatnonzero(d2 * (m * M) > _ZERO_COLUMN_TOL)
+    mu = _normalized_max(
+        lambda start, stop: G[np.ix_(cols[start:], cols[start:stop])],
+        np.sqrt(d2[cols]),
+        np.ones((1, len(cols)), bool),
+    )
+    return mu, M - len(cols)
 
 
-def _blocked_coherence(Phi: np.ndarray, P: np.ndarray) -> tuple[float, int]:
-    """coherence from the blocks of Phi^H Phi on and below its diagonal
-    (see _normalized_max), given the row spectrum (S F, P), whose S F is
-    scaled to Phi in place: no M x M array.  The complex BLAS products
-    fix the last ulp of mu per BLAS build, not per thread count."""
-    m, M = Phi.shape
+def _blocked_coherence(F: np.ndarray, P: np.ndarray) -> tuple[float, int]:
+    """coherence from the row spectrum (S F, P) of a wide +/-1 matrix,
+    on the conjugate-symmetric quarter of Phi^H Phi: S is real, so
+    Phi_{M-j} = conj Phi_j and every |<Phi_j, Phi_k>| is in one triangle
+    of X = Phi_H^H Phi_H or of Y = Phi_H^T Phi_H over the columns
+    H = 0..M//2 (Y_jk pairs j with M - k).  S F's columns H are scaled
+    to Phi in place.  The complex BLAS products fix the last ulp of mu
+    per BLAS build, not per thread count."""
+    m, M = F.shape
+    Phi = F[:, : M // 2 + 1]
     Phi /= np.sqrt(m * M)
-    nz = P > _ZERO_COLUMN_TOL
-    PhiH = Phi[:, nz].conj().T
-    return _normalized_max(lambda start, sel: PhiH[start:] @ Phi[:, sel], np.sqrt(P / (m * M)), nz)
+    cols = np.flatnonzero(P[: M // 2 + 1] > _ZERO_COLUMN_TOL)
+    PhiK = Phi[:, cols]
+    PhiH = PhiK.conj().T
+    # one product per block: X's columns start..stop, then conj Y's; X's
+    # diagonal always pairs a column with itself, Y's where 2j = 0 mod M
+    mu = _normalized_max(
+        lambda start, stop: PhiH[start:] @ np.hstack((PhiK[:, start:stop], PhiH[start:stop].T)),
+        np.sqrt(P[cols] / (m * M)),
+        np.array([cols >= 0, 2 * cols % M == 0]),
+    )
+    return mu, int(np.count_nonzero(P <= _ZERO_COLUMN_TOL))
 
 
-def _normalized_max(pairs, norms: np.ndarray, nz: np.ndarray) -> tuple[float, int]:
-    """(mu, zero_columns) given ||Phi_j|| (norms), the nonzero columns
-    (nz) and pairs(start, sel), the <Phi_j, Phi_k> block for k in sel =
-    cols[start:start + block] and j in cols[start:].  The Gram is
-    Hermitian, so these blocks on and below its diagonal hold every
-    |<Phi_j, Phi_k>|.  Blocks of at most about 4M entries are normalized,
-    their diagonal zeroed and their max taken, exact whatever the
-    blocking."""
-    cols = np.flatnonzero(nz)
-    zero_columns = int(len(nz) - len(cols))
-    if len(cols) < 2:
-        return 0.0, zero_columns
-    d = norms[cols]
+def _normalized_max(pairs, d: np.ndarray, self_pairs: np.ndarray) -> float:
+    """max |<Phi_j, Phi_k>| / (||Phi_j|| ||Phi_k||) over distinct
+    columns, given the norms d of the n kept columns and pairs(start,
+    stop), rows start..n-1 and columns start..stop-1 of q Grams side by
+    side, whose blocks on and below the diagonals hold every pair.
+    self_pairs (q x n) marks the diagonal entries that pair a column
+    with itself, which are zeroed.  Exact whatever the blocking."""
     best = 0.0
-    block = max(1, (1 << 22) // len(cols))
-    for start in range(0, len(cols), block):
-        sel = cols[start : start + block]
-        A = np.abs(pairs(start, sel))
+    for start in range(0, len(d), _COLUMN_BLOCK):
+        stop = min(len(d), start + _COLUMN_BLOCK)
+        A = np.abs(pairs(start, stop))
         A /= d[start:, None]
-        A /= norms[sel][None, :]
-        # column sel[k] is row k
-        A[np.arange(len(sel)), np.arange(len(sel))] = 0.0
+        A /= np.tile(d[start:stop], len(self_pairs))[None, :]
+        # block column c is kept column start + c mod (stop - start)
+        c = np.flatnonzero(self_pairs[:, start:stop])
+        A[c % (stop - start), c] = 0.0
         best = max(best, float(A.max()))
     # duplicate columns give exactly 1 up to rounding dust
-    return min(best, 1.0), zero_columns
+    return min(best, 1.0)
 
 
 def _top_eigenvalue(W: np.ndarray) -> float:
@@ -203,8 +222,8 @@ def _correlations(Sf: np.ndarray):
 
     beta = float((P * P).sum()) / (m * m * M**4)
 
-    rev = (-np.arange(M)) % M
-    Grev = (Sf @ Sf[:, rev].T).astype(np.int64)
+    # S R S^T = S (S R)^T, summed over blocks of S's columns
+    Grev = _column_gram(Sf.T, Sf[:, (-np.arange(M)) % M].T).astype(np.int64)
     gamma = float((Grev * Grev).sum()) / (m * M) ** 2
     return alpha, beta, gamma, W, (F, P)
 
@@ -231,12 +250,12 @@ def quality_measures(S: SignMatrix) -> QualityReport:
     with P_j the column power of S F.  alpha comes from the smaller
     Gram W (_sign_gram, ||S S^T||_F = ||S^T S||_F), which also gives
     the spectral norm; gamma from S R S^T with R the cyclic reversal
-    n -> -n mod M.  The products run in BLAS and are exact (every
-    partial sum is an integer that the float type holds exactly, see
-    _block_gram); they are cast back to int64 so the sums of squares are
-    exact integers too.  The coherence takes the route of its shape
-    (_coherence): a tall matrix is scored from W, which is S^T S there,
-    a wide one from the row spectrum that beta was taken from.
+    n -> -n mod M.  Both products run in the one float32 block kernel
+    (_block_gram) and are exact; they are cast back to int64 so the sums
+    of squares are exact integers too.  The coherence takes the route of
+    its shape (_coherence): a tall matrix is scored from W, which is
+    S^T S there, a wide one from the row spectrum that beta was taken
+    from.
     """
     alpha, beta, gamma, W, spectrum = _correlations(S.entries.astype(np.float64))
     mu, zero_columns = _coherence(S.m, S.M, lambda: W, lambda: spectrum)

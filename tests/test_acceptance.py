@@ -305,11 +305,14 @@ def test_criterion_11_byte_determinism(tmp_path):
     jobs = (
         ("gen", ["gen", "--family", "random", "--M", "127", "--m", "12", "--seed", "9"]),
         ("measures", ["measures", "--family", "gold", "--n", "5", "--m", "8"]),
-        # wide patterns scored from complex Phi^H Phi blocks; kasami's mu
-        # clips to 1.0 (duplicate columns), maximal 32 x 4095 spans four
-        # column blocks with mu 0.6843358335241397, so its last digits count
+        # wide patterns scored from complex blocks of the quarter of
+        # Phi^H Phi; kasami's mu clips to 1.0 (duplicate columns), maximal
+        # 32 x 4095 spans eight column blocks with mu 0.6843358335241397,
+        # so its last digits count
         ("measures_kasami", ["measures", "--family", "kasami", "--n", "12", "--m", "64"]),
         ("measures_maximal", ["measures", "--family", "maximal", "--n", "12", "--m", "32"]),
+        # even M: the self-conjugate column M/2 and 961 zero columns
+        ("measures_hadamard", ["measures", "--family", "hadamard", "--M", "1024", "--m", "48"]),
         ("verify", ["verify", "--preset", "table2_kasami", "--trials", "2000"]),
         ("exrip", ["exrip", "--preset", "table2_kasami", "--dist", "complex-uniform"]),
         ("sweep", ["sweep"]),

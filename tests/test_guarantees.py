@@ -3,9 +3,12 @@ coherence plug-ins and StRIP bounds, and the minimal-m search."""
 
 import math
 from dataclasses import asdict
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mwclab.distributions import MomentConstants, NonzeroDistribution, moment_constants
 from mwclab.guarantees import (
@@ -24,8 +27,8 @@ from mwclab.guarantees import (
     strip_gan,
     strip_tropp,
 )
-from mwclab.sensing import coherence, spectral_norm_sq
-from mwclab.signmatrix import _random_signs
+from mwclab.sensing import coherence, sensing_matrix, spectral_norm_sq
+from mwclab.signmatrix import SignMatrix, _random_signs
 
 UNIT = MomentConstants(B_K=1.0, C_K=1.0, K=1)
 CN = NonzeroDistribution("complex_normal")
@@ -102,6 +105,33 @@ def test_raw_value_linear_coefficients():
     db = exrip_probability(_inputs(beta=base.beta + h, constants=const)).raw_value - raw0
     want = -(-2.0 * (1.0 - const.C_K) * rho - (const.B_K - const.C_K) * rho + const.C_K * base.M) / d2
     assert np.isclose(db / h, want, rtol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 9), st.integers(1, 4), st.integers(0, 10_000))
+@example(1, 4, 3, 0)
+@example(5, 9, 4, 1)
+def test_exrip_excess_is_the_variance_of_z2(m, M, K, seed):
+    # the bound is Chebyshev's inequality with the exact variance: for
+    # every S, E[Z^2] = 1 and the excess is E[Z^4] - 1, where Z^2 =
+    # ||Phi u||^2 / ||u||^2 over a uniform K-support and i.i.d. values;
+    # under bernoulli_sign every support and sign vector is enumerated
+    K = min(K, M - 1)
+    S = SignMatrix(_random_signs(seed, m, M), "random", None)
+    delta = 0.5
+    constants = moment_constants(NonzeroDistribution("bernoulli_sign"), K)
+    result = exrip_from_sign_matrix(S, K, delta, constants)
+    excess = (1.0 - result.raw_value) * delta**2
+
+    Phi = sensing_matrix(S)
+    signs = (np.arange(1 << K)[None, :] >> np.arange(K)[:, None]) & 1
+    U = 2.0 * signs - 1.0  # K x 2^K, every sign vector
+    z2 = np.concatenate(
+        [(np.abs(Phi[:, T] @ U) ** 2).sum(axis=0) / K for T in combinations(range(M), K)]
+    )
+    assert abs(z2.mean() - 1.0) <= 1e-12
+    want = (z2 * z2).mean() - 1.0
+    assert abs(excess - want) <= 1e-12 * (1.0 + want), (m, M, K, excess, want)
 
 
 def test_rho_property():
