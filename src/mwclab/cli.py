@@ -2,10 +2,6 @@
 recovery guarantees, bound validation, support recovery and the
 reproduction tables.
 
-Thread pinning has to happen before numpy is imported anywhere in the
-process, so the module top only touches the standard library and the
-handlers import the numeric modules lazily.
-
 Exit codes: 0 on success, 2 on a validation problem (bad flags, an
 inconsistent parameter combination, or a table2 row that failed after
 the table was written), 1 on an internal error.  A run
@@ -17,28 +13,10 @@ artifact when --out is omitted.
 import argparse
 import contextlib
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
 
-
-def _pin_threads() -> None:
-    """Single-threaded numeric pools by default so artifacts never
-    depend on the host core count; MWCLAB_THREADS raises the limit and
-    explicitly exported BLAS variables win."""
-    threads = os.environ.get("MWCLAB_THREADS", "1")
-    for var in (
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "OMP_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-    ):
-        os.environ.setdefault(var, threads)
-
-
-_pin_threads()
 
 _DIST_TOKENS = (
     "real-normal",
@@ -147,7 +125,7 @@ def cmd_exrip(args, eff) -> None:
     from .reports import write_json
 
     S, k, delta, dist = _eval_inputs(args, eff)
-    res = exrip_from_sign_matrix(S, k, delta, moment_constants(dist, k))
+    res = exrip_from_sign_matrix(S, delta, moment_constants(dist, k))
     with _output(args.out) as fh:
         write_json(fh, asdict(res))
 
@@ -170,7 +148,7 @@ def cmd_bounds(args, eff) -> None:
     q = quality_measures(S)
     cg = coherence_guarantees(q.mu, S.M, q.spectral_norm_sq, k, args.candes_c)
     exrip = exrip_probability(
-        ExripInputs(q.alpha, q.beta, q.gamma, S.m, S.M, k, delta, moment_constants(dist, k))
+        ExripInputs(q.alpha, q.beta, q.gamma, S.m, S.M, delta, moment_constants(dist, k))
     )
     obj = {
         "m": S.m,
@@ -368,10 +346,7 @@ def main(argv=None) -> int:
     try:
         eff = _effective_preset(args)
         args.func(args, eff)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal

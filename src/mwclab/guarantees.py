@@ -60,7 +60,8 @@ def _infeasible(bound: str, reason: str, params: dict) -> GuaranteeResult:
 class ExripInputs:
     """Everything the exact bound consumes.
 
-    K is the sparsity the bound is evaluated at; reproductions of the
+    The bound reads the sparsity K only through the moment constants,
+    so constants.K is the K it is evaluated at; reproductions of the
     published tables pass twice the signal sparsity with delta at the
     basis-pursuit threshold.  rho is M / (M - 1).
     """
@@ -70,17 +71,17 @@ class ExripInputs:
     gamma: float
     m: int
     M: int
-    K: int
     delta: float
     constants: MomentConstants
 
     def __post_init__(self):
+        K = self.constants.K
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.K < 1:
-            raise ValueError(f"K must be positive, got {self.K}")
-        if self.M <= self.K:
-            raise ValueError(f"need M > K, got M={self.M}, K={self.K}")
+        if K < 1:
+            raise ValueError(f"K must be positive, got {K}")
+        if self.M <= K:
+            raise ValueError(f"need M > K, got M={self.M}, K={K}")
 
     @property
     def rho(self) -> float:
@@ -89,7 +90,11 @@ class ExripInputs:
 
 def exrip_probability(inputs: ExripInputs) -> GuaranteeResult:
     """Lower bound on the probability that a random-support K-sparse
-    vector with i.i.d. symmetric nonzeros sees a delta-isometry."""
+    vector with i.i.d. symmetric nonzeros sees a delta-isometry.
+
+    For every S, Z^2 = ||Phi u||^2 / ||u||^2 has mean 1 and `excess` is
+    exactly its variance E[Z^4] - 1: the bound is Chebyshev's inequality
+    with the exact variance."""
     B, C = inputs.constants.B_K, inputs.constants.C_K
     rho = inputs.rho
     excess = (
@@ -105,7 +110,7 @@ def exrip_probability(inputs: ExripInputs) -> GuaranteeResult:
         "gamma": inputs.gamma,
         "m": inputs.m,
         "M": inputs.M,
-        "K": inputs.K,
+        "K": inputs.constants.K,
         "delta": inputs.delta,
         "B_K": B,
         "C_K": C,
@@ -114,11 +119,11 @@ def exrip_probability(inputs: ExripInputs) -> GuaranteeResult:
 
 
 def exrip_from_sign_matrix(
-    S: SignMatrix, K: int, delta: float, constants: MomentConstants
+    S: SignMatrix, delta: float, constants: MomentConstants
 ) -> GuaranteeResult:
     """Convenience path: the measures the bound reads, then the bound."""
     alpha, beta, gamma = correlation_measures(S)
-    return exrip_probability(ExripInputs(alpha, beta, gamma, S.m, S.M, K, delta, constants))
+    return exrip_probability(ExripInputs(alpha, beta, gamma, S.m, S.M, delta, constants))
 
 
 def exrip_approx(m: int, delta: float = BP_DELTA) -> GuaranteeResult:
@@ -320,7 +325,6 @@ def min_channels_search(
     K: int,
     delta: float = BP_DELTA,
     dist: NonzeroDistribution | None = None,
-    target_prob: float | None = None,
     attempts: int = 100,
     seed: int = 0,
     ceiling: int = 1 << 15,
@@ -331,17 +335,17 @@ def min_channels_search(
     Coherence and statistical bounds are instance-dependent: each
     candidate m draws `attempts` random sign matrices and keeps the
     best one (lowest coherence, or highest probability for exrip).
-    Probability targets default to 0.97 except exrip variants, whose
-    conventional target is 0.85.  The witness seed replays the
-    instance that satisfied the bound at the returned m.  candes_plan
-    needs an unspecified constant and is reported as never satisfied.
+    The target probability is 0.97, or the conventional 0.85 for the
+    exrip variants; params["target_prob"] reports it.  The witness seed
+    replays the instance that satisfied the bound at the returned m.
+    candes_plan needs an unspecified constant and is reported as never
+    satisfied.
     """
     if bound not in SEARCH_BOUNDS:
         raise ValueError(f"unknown bound {bound!r}, expected one of {SEARCH_BOUNDS}")
     if attempts < 1:
         raise ValueError(f"attempts must be positive, got {attempts}")
-    if target_prob is None:
-        target_prob = 0.85 if bound.startswith("exrip") else 0.97
+    target_prob = 0.85 if bound.startswith("exrip") else 0.97
     params = {
         "bound": bound,
         "M": M,
@@ -388,7 +392,7 @@ def min_channels_search(
             for a in range(attempts):
                 key = (seed, m, a)
                 S = SignMatrix(_random_signs(key, m, M), "random", key)
-                p = exrip_from_sign_matrix(S, K, delta, constants).probability
+                p = exrip_from_sign_matrix(S, delta, constants).probability
                 if p > best:
                     best = p
                     witness[m] = key

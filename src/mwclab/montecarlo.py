@@ -134,8 +134,8 @@ class ValidityReport:
         theoretical probability (the bound claims to be a floor).
     mean_z2_is_one: empirical E[Z^2] is within 3 stderr of 1, which
         holds for any sign matrix under uniform supports.
-    moment4_predicted: 1 + delta^2 (1 - raw) -- the fourth moment the
-        bound's Chebyshev reading would imply; informational only.
+    moment4_predicted: 1 + delta^2 (1 - raw), which is E[Z^4] exactly:
+        the bound's excess is the variance of Z^2 (exrip_probability).
     """
 
     theoretical: GuaranteeResult
@@ -156,7 +156,7 @@ def bound_validity_report(
 ) -> ValidityReport:
     if dist is None:
         dist = NonzeroDistribution("complex_normal")
-    theory = exrip_from_sign_matrix(S, K, delta, moment_constants(dist, K))
+    theory = exrip_from_sign_matrix(S, delta, moment_constants(dist, K))
     Phi = sensing_matrix(S)
     est = empirical_exrip(Phi, K, delta, dist, trials, seed)
     holds = est.empirical_p + 3.0 * est.stderr >= theory.probability

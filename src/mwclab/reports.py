@@ -61,7 +61,7 @@ def table2_report() -> list[dict]:
             for kind in ("complex_normal", "complex_uniform"):
                 const = moment_constants(NonzeroDistribution(kind), k)
                 probs[kind] = exrip_probability(
-                    ExripInputs(alpha, beta, gamma, S.m, S.M, k, delta, const)
+                    ExripInputs(alpha, beta, gamma, S.m, S.M, delta, const)
                 ).probability
             rows.append(
                 {
@@ -99,7 +99,7 @@ def fig2_report(preset: Preset) -> list[dict]:
     rows = []
     for m in range(start, stop + 1, step):
         S = build_sign_matrix(FamilySpec("random", m=m, M=M, seed=(seed, m)))
-        exact = exrip_from_sign_matrix(S, k, delta, const).probability
+        exact = exrip_from_sign_matrix(S, delta, const).probability
         approx = exrip_approx(m, delta).probability
         rows.append({"m": m, "p_exact": exact, "p_approx": approx})
     return rows
@@ -108,37 +108,33 @@ def fig2_report(preset: Preset) -> list[dict]:
 def table1_report(preset: Preset) -> list[dict]:
     """Minimum channel count per recovery guarantee at one (M, k).
 
-    RIP and the expected-RIP rows use the doubled sparsity k_exrip
+    RIP and the expected-RIP rows use the doubled sparsity 2k
     (recovering a k-sparse support through basis pursuit needs the
     matrix to act on 2k-sparse differences); coherence rows state their
-    guarantee directly at k.
+    guarantee directly at k.  Each row's target probability is the
+    one the search reports.
     """
     M = preset.get_int("M")
     k = preset.get_int("k")
-    k_exrip = preset.get_int("k_exrip", 2 * k)
     delta = preset.get_float("delta")
     seed = preset.get_int("seed", 0)
-    target_exrip = preset.get_float("target_exrip", 0.85)
-    target_other = preset.get_float("target_other", 0.97)
     attempts = preset.get_int("attempts", 100)
     ceiling = preset.get_int("ceiling", 1 << 15)
     dist = NonzeroDistribution(preset.get_str("dist", "complex_normal"))
     rows = []
     for bound in SEARCH_BOUNDS:
-        doubled = bound in ("rip", "exrip", "exrip_approx")
-        K_used = k_exrip if doubled else k
-        target = target_exrip if bound.startswith("exrip") else target_other
+        K_used = 2 * k if bound in ("rip", "exrip", "exrip_approx") else k
         res = min_channels_search(
             bound,
             M,
             K_used,
             delta=delta,
             dist=dist if bound == "exrip" else None,
-            target_prob=target,
             attempts=attempts,
             seed=seed,
             ceiling=ceiling,
         )
+        target = res.params["target_prob"]
         note = res.detail
         if bound == "rip":
             note += f"; at k={k} the same bound needs m={rip_min_m(M, k, delta, target)}"

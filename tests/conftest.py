@@ -1,7 +1,7 @@
-# The CLI module pins the BLAS thread pools (one thread unless
-# MWCLAB_THREADS or an exported BLAS variable says otherwise) when it is
-# imported; that has to happen before numpy is, so it comes first.
-import mwclab.cli  # noqa: F401, I001
+# Importing the package pins the BLAS thread pools (one thread unless
+# MWCLAB_THREADS or an exported BLAS variable says otherwise); the pin
+# acts only if it runs before numpy loads, so the import comes first.
+import mwclab  # noqa: F401, I001
 
 import numpy as np
 import pytest

@@ -84,7 +84,7 @@ def test_criterion_03_random_rows(table2_rows, constants_k24):
         S = build_sign_matrix(FamilySpec("random", m=40, M=195, seed=seed))
         q = quality_measures(S)
         p = exrip_probability(
-            ExripInputs(q.alpha, q.beta, q.gamma, 40, 195, 24, BP_DELTA, constants_k24)
+            ExripInputs(q.alpha, q.beta, q.gamma, 40, 195, BP_DELTA, constants_k24)
         ).probability
         ps.append(p)
     r1 = table2_rows["random1"]["p_complex_normal"]

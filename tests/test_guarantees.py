@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mwclab.distributions import MomentConstants, NonzeroDistribution, moment_constants
+from mwclab.distributions import KINDS, MomentConstants, NonzeroDistribution, moment_constants
 from mwclab.guarantees import (
     BP_DELTA,
     ExripInputs,
@@ -34,8 +34,8 @@ UNIT = MomentConstants(B_K=1.0, C_K=1.0, K=1)
 CN = NonzeroDistribution("complex_normal")
 
 
-def _inputs(alpha=0.02, beta=0.002, gamma=0.002, m=80, M=511, K=24, delta=BP_DELTA, constants=UNIT):
-    return ExripInputs(alpha, beta, gamma, m, M, K, delta, constants)
+def _inputs(alpha=0.02, beta=0.002, gamma=0.002, m=80, M=511, delta=BP_DELTA, constants=UNIT):
+    return ExripInputs(alpha, beta, gamma, m, M, delta, constants)
 
 
 def test_delta_constant():
@@ -43,18 +43,18 @@ def test_delta_constant():
 
 
 def test_gold_probability_window(gold_80_511):
-    res = exrip_from_sign_matrix(gold_80_511, 24, BP_DELTA, moment_constants(CN, 24))
+    res = exrip_from_sign_matrix(gold_80_511, BP_DELTA, moment_constants(CN, 24))
     assert res.feasible
     assert 0.930 <= res.probability <= 0.945
 
 
 def test_kasami_probability_window(kasami_16_255):
-    res = exrip_from_sign_matrix(kasami_16_255, 12, BP_DELTA, moment_constants(CN, 12))
+    res = exrip_from_sign_matrix(kasami_16_255, BP_DELTA, moment_constants(CN, 12))
     assert 0.65 <= res.probability <= 0.72
 
 
 def test_hadamard_probability_clamps_to_zero(hadamard_80_512):
-    res = exrip_from_sign_matrix(hadamard_80_512, 24, BP_DELTA, moment_constants(CN, 24))
+    res = exrip_from_sign_matrix(hadamard_80_512, BP_DELTA, moment_constants(CN, 24))
     assert res.probability == 0.0
     assert res.raw_value is not None and res.raw_value < -1.0  # kept, not hidden
 
@@ -120,7 +120,7 @@ def test_exrip_excess_is_the_variance_of_z2(m, M, K, seed):
     S = SignMatrix(_random_signs(seed, m, M), "random", None)
     delta = 0.5
     constants = moment_constants(NonzeroDistribution("bernoulli_sign"), K)
-    result = exrip_from_sign_matrix(S, K, delta, constants)
+    result = exrip_from_sign_matrix(S, delta, constants)
     excess = (1.0 - result.raw_value) * delta**2
 
     Phi = sensing_matrix(S)
@@ -134,6 +134,45 @@ def test_exrip_excess_is_the_variance_of_z2(m, M, K, seed):
     assert abs(excess - want) <= 1e-12 * (1.0 + want), (m, M, K, excess, want)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(2, 9),
+    st.integers(1, 4),
+    st.integers(0, 10_000),
+    st.sampled_from(KINDS),
+)
+@example(5, 9, 4, 1, "real_uniform")
+@example(3, 6, 1, 2, "real_normal")
+def test_exrip_excess_matches_the_weight_moment_oracle(m, M, K, seed, kind):
+    # E[Z^4] from G = Phi^H Phi, averaged over every K-support T, with
+    # w = u / ||u|| and E|w_j|^4 = C/K, E|w_j|^2 |w_k|^2 = (1 - C)/(K(K-1))
+    # and E[w_j^2 conj(w_k)^2] = (B - C)/(K(K-1)) for j != k; every other
+    # fourth moment of w vanishes because each value law is symmetric
+    K = min(K, M - 1)
+    S = SignMatrix(_random_signs(seed, m, M), "random", None)
+    delta = 0.5
+    constants = moment_constants(NonzeroDistribution(kind), K)
+    B, C = constants.B_K, constants.C_K
+    excess = (1.0 - exrip_from_sign_matrix(S, delta, constants).raw_value) * delta**2
+
+    Phi = sensing_matrix(S)
+    G = Phi.conj().T @ Phi
+    pair = 1.0 / (K * (K - 1)) if K > 1 else 0.0
+    z4 = []
+    for T in combinations(range(M), K):
+        GT = G[np.ix_(T, T)]
+        d = GT.diagonal().real
+        off = GT - np.diag(GT.diagonal())
+        z4.append(
+            (d * d).sum() * C / K
+            + (d.sum() ** 2 - (d * d).sum() + (np.abs(off) ** 2).sum()) * (1.0 - C) * pair
+            + (off * off).sum().real * (B - C) * pair
+        )
+    want = float(np.mean(z4)) - 1.0
+    assert abs(excess - want) <= 1e-12 * (1.0 + want), (m, M, K, kind, excess, want)
+
+
 def test_rho_property():
     assert np.isclose(_inputs(M=511).rho, 511.0 / 510.0)
 
@@ -142,7 +181,7 @@ def test_inputs_validation():
     with pytest.raises(ValueError):
         _inputs(delta=0.0)
     with pytest.raises(ValueError):
-        _inputs(M=20, K=20)
+        _inputs(M=20, constants=moment_constants(CN, 20))
 
 
 def test_exrip_approx_frozen_values():
@@ -260,9 +299,10 @@ def test_search_rejects_unknown_bound():
 
 
 def test_search_rip_matches_direct_formula():
-    res = min_channels_search("rip", 195, 12, target_prob=0.97)
+    res = min_channels_search("rip", 195, 12)
     assert res.status == "found"
     assert res.m == rip_min_m(195, 12, BP_DELTA, 0.97)
+    assert res.params["target_prob"] == 0.97
 
 
 def _drawn_signs(key, m, M):

@@ -132,6 +132,37 @@ def test_cli_verify_thread_independent(tmp_path):
     assert d["mean_z2_is_one"] is True
 
 
+THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+
+@pytest.mark.parametrize(
+    "given, want",
+    [
+        ({}, ("1",) * 5),
+        # criterion 11's second side: the suite's own pin is inherited
+        ({"MWCLAB_THREADS": "2", "OPENBLAS_NUM_THREADS": "1"}, ("2",) * 5),
+        ({"OPENBLAS_NUM_THREADS": "3"}, ("3",) + ("1",) * 4),
+    ],
+)
+def test_package_import_pins_threads(given, want):
+    # a fresh interpreter importing one numeric submodule, not the CLI
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS + ("MWCLAB_THREADS",)}
+    env.update(given)
+    code = (
+        "import os, mwclab.sequences; "
+        f"print(' '.join(os.environ[v] for v in {THREAD_VARS!r}))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert tuple(r.stdout.split()) == want
+
+
 def test_cli_recover_runs(tmp_path):
     out = tmp_path / "r.json"
     r = run_cli(
