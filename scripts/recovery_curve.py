@@ -21,6 +21,7 @@ from mwclab.distributions import NonzeroDistribution
 from mwclab.mmv import recovery_experiment
 from mwclab.presets import load_preset
 from mwclab.reports import write_csv
+from mwclab.signmatrix import build_sign_matrix
 
 
 def main() -> int:
@@ -41,7 +42,7 @@ def main() -> int:
     args = ap.parse_args()
 
     preset = load_preset(args.preset)
-    family = preset.family_spec()
+    S = build_sign_matrix(preset.family_spec())
     r = args.r if args.r is not None else preset.get_int("r")
     dist = NonzeroDistribution(args.dist.replace("-", "_"))
 
@@ -52,7 +53,7 @@ def main() -> int:
         else:
             k_rows, snr_db = args.k_rows, float(token)
         rep = recovery_experiment(
-            family,
+            S,
             k_rows=k_rows,
             r=r,
             trials=args.trials,

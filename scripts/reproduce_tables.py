@@ -67,15 +67,8 @@ def main() -> int:
         )
     run(
         [
-            "recover",
-            "--preset",
-            "recover_mwc",
-            "--trials",
-            "500",
-            "--seed",
-            seed,
-            "--out",
-            str(outdir / "recover.json"),
+            "recover", "--preset", "recover_mwc", "--seed", seed,
+            "--out", str(outdir / "recover.json"),
         ]
     )
     if args.quick:

@@ -2,12 +2,21 @@
 recovery guarantees, bound validation, support recovery and the
 reproduction tables.
 
-Exit codes: 0 on success, 2 on a validation problem (bad flags, an
-inconsistent parameter combination, or a table2 row that failed after
-the table was written), 1 on an internal error.  A run
-record (command, effective preset and its seed, outputs, wall time)
-goes to stderr as one JSON line; stdout carries nothing but the
-artifact when --out is omitted.
+The commands that read one sign matrix (measures, exrip, bounds,
+verify, recover) take it from --pattern, else from --preset with the
+family flags laid over it; gen builds one the same way.  Flags that
+name a preset key win over the preset's value
+(presets.effective_preset); a key that neither supplies is a usage
+error, naming its flag where the command has one.  Policy the library fixes has no flag: bounds
+evaluates rip_min_m and strip_tropp at table1's target and t
+(guarantees._search_policy).  Each command returns the writer of its
+artifact, and main writes it to --out, or to stdout without one.
+
+Exit codes: 0 on success, 2 on a validation problem (bad flags, a
+missing or inconsistent parameter, or a table2 row that failed after
+the table was written), 1 on an internal error.  A run record (command,
+effective preset and its seed, outputs, wall time) goes to stderr as
+one JSON line; stdout carries nothing but the artifact.
 """
 
 import argparse
@@ -42,98 +51,59 @@ def _output(path: str | None):
             yield fh
 
 
-# flags whose argparse dest names a preset key; a flag that is given
-# wins over the preset's value
-_PRESET_KEYS = (
-    "family", "m", "n", "M", "family_seed", "k", "delta", "dist",
-    "trials", "seed", "k_rows", "r", "attempts", "ceiling",
-)
-
-
-def _effective_preset(args):
-    """--preset (table1 and sweep default to theirs; without one, an
-    empty preset with no name) with every preset-key flag the user
-    gave laid over it.  Values are stored as strings, as the INI file
-    gives them; str() of an int or float parses back to the same value."""
-    from .presets import Preset, load_preset
-
-    name = getattr(args, "preset", None)
-    base = load_preset(name) if name else Preset(None, {})
-    given = {
-        key: str(value)
-        for key in _PRESET_KEYS
-        if (value := getattr(args, key, None)) is not None
-    }
-    return Preset(base.name, {**base.values, **given})
-
-
-def _family_spec(eff, sources: str):
-    """The effective preset's FamilySpec; `sources` names the other
-    inputs the command would accept in the error for a missing family."""
-    if eff.get_str("family") is None:
-        raise ValueError(f"need {sources} or --family")
-    if eff.name is None and eff.get_int("m") is None:
-        raise ValueError("--family needs --m")
-    return eff.family_spec()
-
-
 def _resolve_matrix(args, eff):
     """Sign matrix from --pattern, else from the effective preset."""
     from .signmatrix import build_sign_matrix, read_pattern_file
 
     if getattr(args, "pattern", None):
         return read_pattern_file(args.pattern)
-    return build_sign_matrix(_family_spec(eff, "--pattern, --preset"))
+    if "family" not in eff.values:
+        raise ValueError("need --pattern, --preset or --family")
+    return build_sign_matrix(eff.family_spec())
 
 
 def _eval_inputs(args, eff):
     """(S, k, delta, value law) for exrip, bounds and verify."""
     from .guarantees import BP_DELTA
 
-    S = _resolve_matrix(args, eff)
-    k = eff.get_int("k")
-    if k is None:
-        raise ValueError("--k is required (no preset supplies it)")
     return (
-        S,
-        k,
+        _resolve_matrix(args, eff),
+        eff.get_int("k"),
         eff.get_float("delta", BP_DELTA),
         _dist(eff.get_str("dist", "complex_normal")),
     )
 
 
-def cmd_gen(args, eff) -> None:
+def cmd_gen(args, eff):
     from .signmatrix import write_pattern_file
 
     S = _resolve_matrix(args, eff)
-    with _output(args.out) as fh:
-        write_pattern_file(fh, S)
+    return lambda fh: write_pattern_file(fh, S)
 
 
-def cmd_measures(args, eff) -> None:
+def cmd_measures(args, eff):
     from .reports import write_json
     from .sensing import quality_measures
 
     q = quality_measures(_resolve_matrix(args, eff))
-    with _output(args.out) as fh:
-        write_json(fh, asdict(q))
+    return lambda fh: write_json(fh, asdict(q))
 
 
-def cmd_exrip(args, eff) -> None:
+def cmd_exrip(args, eff):
     from .distributions import moment_constants
     from .guarantees import exrip_from_sign_matrix
     from .reports import write_json
 
     S, k, delta, dist = _eval_inputs(args, eff)
     res = exrip_from_sign_matrix(S, delta, moment_constants(dist, k))
-    with _output(args.out) as fh:
-        write_json(fh, asdict(res))
+    return lambda fh: write_json(fh, asdict(res))
 
 
-def cmd_bounds(args, eff) -> None:
+def cmd_bounds(args, eff):
     from .distributions import moment_constants
     from .guarantees import (
         ExripInputs,
+        _search_policy,
         coherence_guarantees,
         exrip_probability,
         rip_min_m,
@@ -150,6 +120,8 @@ def cmd_bounds(args, eff) -> None:
     exrip = exrip_probability(
         ExripInputs(q.alpha, q.beta, q.gamma, S.m, S.M, delta, moment_constants(dist, k))
     )
+    # the target and t of table1's search (min_channels_search)
+    target, t = _search_policy("rip", k)
     obj = {
         "m": S.m,
         "M": S.M,
@@ -167,16 +139,15 @@ def cmd_bounds(args, eff) -> None:
         },
         "calderbank": asdict(strip_calderbank(S.m, S.M, k, delta)),
         "gan": asdict(strip_gan(q.mu, S.M, k, delta)),
-        "tropp": asdict(strip_tropp(q.mu, q.spectral_norm_sq, S.M, k, delta, args.tropp_t)),
-        "rip_min_m": rip_min_m(S.M, k, delta, args.target),
-        "rip_target_prob": args.target,
+        "tropp": asdict(strip_tropp(q.mu, q.spectral_norm_sq, S.M, k, delta, t)),
+        "rip_min_m": rip_min_m(S.M, k, delta, target),
+        "rip_target_prob": target,
         "exrip": asdict(exrip),
     }
-    with _output(args.out) as fh:
-        write_json(fh, obj)
+    return lambda fh: write_json(fh, obj)
 
 
-def cmd_verify(args, eff) -> None:
+def cmd_verify(args, eff):
     from .montecarlo import bound_validity_report
     from .reports import write_json
 
@@ -189,60 +160,52 @@ def cmd_verify(args, eff) -> None:
         trials=eff.get_int("trials", 10**5),
         seed=eff.get_int("seed", 0),
     )
-    with _output(args.out) as fh:
-        write_json(fh, asdict(report))
+    return lambda fh: write_json(fh, asdict(report))
 
 
-def cmd_recover(args, eff) -> None:
+def cmd_recover(args, eff):
     from .mmv import recovery_experiment
     from .reports import write_json
 
-    spec = _family_spec(eff, "--preset")
-    if args.noise_sigma is not None and args.snr is not None:
-        raise ValueError("give --noise-sigma or --snr, not both")
-    k_rows = eff.get_int("k_rows")
-    r = eff.get_int("r")
-    if k_rows is None or r is None:
-        raise ValueError("--k-rows and --r are required (no preset supplies them)")
     report = recovery_experiment(
-        spec,
-        k_rows=k_rows,
-        r=r,
+        _resolve_matrix(args, eff),
+        k_rows=eff.get_int("k_rows"),
+        r=eff.get_int("r"),
         trials=eff.get_int("trials", 500),
         dist=_dist(eff.get_str("dist", "complex_normal")),
-        noise_sigma=args.noise_sigma if args.noise_sigma is not None else 0.0,
         snr_db=args.snr,
         seed=eff.get_int("seed", 0),
     )
-    with _output(args.out) as fh:
-        write_json(fh, asdict(report))
+    return lambda fh: write_json(fh, asdict(report))
 
 
-def cmd_sweep(args, eff) -> None:
+def cmd_sweep(args, eff):
     from .reports import SWEEP_FIELDS, fig2_report, write_csv
 
     rows = fig2_report(eff)
-    with _output(args.out) as fh:
-        write_csv(fh, SWEEP_FIELDS, rows)
+    return lambda fh: write_csv(fh, SWEEP_FIELDS, rows)
 
 
-def cmd_table1(args, eff) -> None:
+def cmd_table1(args, eff):
     from .reports import TABLE1_FIELDS, table1_report, write_csv
 
     rows = table1_report(eff)
-    with _output(args.out) as fh:
-        write_csv(fh, TABLE1_FIELDS, rows)
+    return lambda fh: write_csv(fh, TABLE1_FIELDS, rows)
 
 
-def cmd_table2(args, eff) -> None:
+def cmd_table2(args, eff):
     from .reports import TABLE2_FIELDS, table2_report, write_csv
 
     rows = table2_report()
-    with _output(args.out) as fh:
-        write_csv(fh, TABLE2_FIELDS, rows)
     failed = [f"{r['family']} ({r['status']})" for r in rows if r["status"] != "ok"]
-    if failed:
-        raise ValueError(f"table2 rows failed: {'; '.join(failed)}")
+
+    def write(fh):
+        # every row is written before a failed one is reported
+        write_csv(fh, TABLE2_FIELDS, rows)
+        if failed:
+            raise ValueError(f"table2 rows failed: {'; '.join(failed)}")
+
+    return write
 
 
 def _add_family_flags(p: argparse.ArgumentParser, with_pattern: bool = True) -> None:
@@ -274,78 +237,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a sign pattern file")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", help="artifact path (default stdout)")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen", cmd_gen, "generate a sign pattern file")
     _add_family_flags(p, with_pattern=False)
     p.add_argument("--seed", dest="family_seed", type=int, help="alias for --family-seed here")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("measures", help="quality measures of one pattern as JSON")
+    p = command("measures", cmd_measures, "quality measures of one pattern as JSON")
     _add_family_flags(p)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_measures)
 
-    p = sub.add_parser("exrip", help="expected-isometry probability bound as JSON")
+    p = command("exrip", cmd_exrip, "expected-isometry probability bound as JSON")
     _add_family_flags(p)
     _add_eval_flags(p)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_exrip)
 
-    p = sub.add_parser("bounds", help="all recovery guarantees for one pattern as JSON")
+    p = command("bounds", cmd_bounds, "all recovery guarantees for one pattern as JSON")
     _add_family_flags(p)
     _add_eval_flags(p)
     p.add_argument("--candes-c", type=float, help="unspecified constant; omitted means not evaluable")
-    p.add_argument("--tropp-t", type=float, default=1.0)
-    p.add_argument("--target", type=float, default=0.97, help="success probability for the m lower bound")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("verify", help="Monte Carlo check of the probability bound as JSON")
+    p = command("verify", cmd_verify, "Monte Carlo check of the probability bound as JSON")
     _add_family_flags(p)
     _add_eval_flags(p)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("recover", help="greedy support recovery rate as JSON")
-    _add_family_flags(p, with_pattern=False)
+    p = command("recover", cmd_recover, "greedy support recovery rate as JSON")
+    _add_family_flags(p)
     p.add_argument("--k-rows", type=int, help="row sparsity of the unknown")
     p.add_argument("--r", type=int, help="number of measurement columns")
     p.add_argument("--trials", type=int)
     p.add_argument("--dist", choices=_DIST_TOKENS)
-    p.add_argument("--noise-sigma", type=float)
-    p.add_argument("--snr", type=float, help="target SNR in dB (overrides --noise-sigma)")
+    p.add_argument("--snr", type=float, help="target SNR in dB (default noiseless)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_recover)
 
-    p = sub.add_parser("sweep", help="exact vs approximate probability per channel count (CSV)")
+    p = command("sweep", cmd_sweep, "exact vs approximate probability per channel count (CSV)")
     p.add_argument("--preset", default="fig2_sweep", help="default %(default)s")
     p.add_argument("--seed", type=int, help="override the sweep seed")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("table1", help="minimum channels per guarantee (CSV)")
+    p = command("table1", cmd_table1, "minimum channels per guarantee (CSV)")
     p.add_argument("--preset", default="table1_mwc", help="default %(default)s")
     p.add_argument("--attempts", type=int, help="random draws per candidate m")
     p.add_argument("--ceiling", type=int, help="largest m the search will try")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_table1)
 
-    p = sub.add_parser("table2", help="family comparison table (CSV)")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_table2)
-
+    command("table2", cmd_table2, "family comparison table (CSV)")
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
+    from .presets import effective_preset
+
     try:
-        eff = _effective_preset(args)
-        args.func(args, eff)
+        eff = effective_preset(args)
+        write = args.func(args, eff)
+        with _output(args.out) as fh:
+            write(fh)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -355,7 +306,7 @@ def main(argv=None) -> int:
     record = {
         "command": args.command,
         "preset": eff.name,
-        "seed": eff.get_int("seed"),
+        "seed": eff.get_int("seed", None),
         "outputs": [args.out if args.out else "-"],
         "wall_time_s": round(time.perf_counter() - start, 3),
     }

@@ -263,6 +263,16 @@ SEARCH_BOUNDS = (
 )
 
 
+def _search_policy(bound: str, K: int) -> tuple[float, float]:
+    """(target probability, strip_tropp t) of the channel search for
+    `bound` at sparsity K: the target is the conventional 0.85 for the
+    exrip variants and 0.97 otherwise, and t puts Tropp's success
+    probability 1 - (K/2)^(-t) at the target (t >= 1)."""
+    target = 0.85 if bound.startswith("exrip") else 0.97
+    t = max(1.0, -math.log1p(-target) / math.log(K / 2.0)) if K > 2 else 1.0
+    return target, t
+
+
 @dataclass(frozen=True)
 class SearchResult:
     bound: str
@@ -335,8 +345,8 @@ def min_channels_search(
     Coherence and statistical bounds are instance-dependent: each
     candidate m draws `attempts` random sign matrices and keeps the
     best one (lowest coherence, or highest probability for exrip).
-    The target probability is 0.97, or the conventional 0.85 for the
-    exrip variants; params["target_prob"] reports it.  The witness seed
+    The target probability and Tropp's t follow _search_policy;
+    params["target_prob"] reports the target.  The witness seed
     replays the instance that satisfied the bound at the returned m.
     candes_plan needs an unspecified constant and is reported as never
     satisfied.
@@ -345,7 +355,7 @@ def min_channels_search(
         raise ValueError(f"unknown bound {bound!r}, expected one of {SEARCH_BOUNDS}")
     if attempts < 1:
         raise ValueError(f"attempts must be positive, got {attempts}")
-    target_prob = 0.85 if bound.startswith("exrip") else 0.97
+    target_prob, tropp_t = _search_policy(bound, K)
     params = {
         "bound": bound,
         "M": M,
@@ -406,14 +416,12 @@ def min_channels_search(
         if bound == "gan":
             r = strip_gan(mu, M, K, delta)
             return r.feasible and r.probability >= target_prob
-        # tropp_strip: t chosen to put the success probability at the target
-        t = max(1.0, -math.log1p(-target_prob) / math.log(K / 2.0)) if K > 2 else 1.0
-        # the norm term only adds to the condition's left side, so a
-        # probe that fails on mu alone needs no witness norm
-        if not strip_tropp(mu, 0.0, M, K, delta, t).feasible:
+        # tropp_strip: the norm term only adds to the condition's left
+        # side, so a probe that fails on mu alone needs no witness norm
+        if not strip_tropp(mu, 0.0, M, K, delta, tropp_t).feasible:
             return False
         snorm = _witness_norm_sq(key, m, M)
-        r = strip_tropp(mu, snorm, M, K, delta, t)
+        r = strip_tropp(mu, snorm, M, K, delta, tropp_t)
         return r.feasible and r.probability >= target_prob
 
     lo, hi = 0, 1

@@ -16,7 +16,7 @@ import numpy as np
 from .distributions import NonzeroDistribution, block_rng, sample_values
 from .montecarlo import sample_supports
 from .sensing import sensing_matrix
-from .signmatrix import FamilySpec, build_sign_matrix
+from .signmatrix import SignMatrix
 
 
 @dataclass(frozen=True)
@@ -134,31 +134,29 @@ def noise_sigma_for_snr(
 
 
 def recovery_experiment(
-    family: FamilySpec,
+    S: SignMatrix,
     k_rows: int,
     r: int,
     trials: int,
     dist: NonzeroDistribution | None = None,
-    noise_sigma: float = 0.0,
     snr_db: float | None = None,
     seed: int = 0,
 ) -> RecoveryReport:
     """Exact-support recovery rate over fresh supports, values, noise.
 
-    The sign matrix is built once from `family`; per-trial randomness
-    comes from counter-derived streams keyed by (seed, trial).
+    The noise, if any, is set by its SNR (noise_sigma_for_snr); without
+    one the measurements are noiseless.  Per-trial randomness comes from
+    counter-derived streams keyed by (seed, trial).
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if dist is None:
         dist = NonzeroDistribution("complex_normal")
-    S = build_sign_matrix(family)
     Phi = sensing_matrix(S)
     M = S.M
     if not 1 <= k_rows <= M:
         raise ValueError(f"need 1 <= k_rows <= M, got k_rows={k_rows}")
-    if snr_db is not None:
-        noise_sigma = noise_sigma_for_snr(snr_db, k_rows, S.m, dist)
+    noise_sigma = 0.0 if snr_db is None else noise_sigma_for_snr(snr_db, k_rows, S.m, dist)
     successes = 0
     early_stops = 0
     for t in range(trials):
@@ -183,10 +181,10 @@ def recovery_experiment(
         snr_db,
         seed,
         params={
-            "family": family.family,
+            "family": S.family,
             "m": S.m,
             "M": M,
-            "family_seed": list(family.seed) if isinstance(family.seed, tuple) else family.seed,
+            "family_seed": list(S.seed) if isinstance(S.seed, tuple) else S.seed,
             "dist": dist.kind,
         },
     )

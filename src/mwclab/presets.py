@@ -1,7 +1,8 @@
-"""Named experiment configurations, loaded from the bundled INI file."""
+"""Named experiment configurations, loaded from the bundled INI file,
+and the one place where command-line flags are laid over them."""
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .signmatrix import FamilySpec
@@ -15,36 +16,54 @@ TABLE2_ROW_ORDER = (
     "table2_random2",
 )
 
+# flags whose argparse dest names a preset key; a flag that is given
+# wins over the preset's value
+_PRESET_KEYS = (
+    "family", "m", "n", "M", "family_seed", "k", "delta", "dist",
+    "trials", "seed", "k_rows", "r", "attempts", "ceiling",
+)
+
+_REQUIRED = object()
+
 
 @dataclass(frozen=True)
 class Preset:
+    """A configuration's values as strings, as the INI file gives them.
+
+    A getter without a default treats its key as required: a missing
+    key is a ValueError that names the flag supplying it when the
+    command reading the preset has one (flags), the bare key otherwise."""
+
     name: str | None  # None for the flags-only configuration of the CLI
     values: dict
+    flags: frozenset = field(default=frozenset(), repr=False)
 
-    def get_int(self, key: str, default: int | None = None) -> int | None:
-        if key not in self.values:
+    def _get(self, key: str, default, parse):
+        if key in self.values:
+            return parse(self.values[key])
+        if default is not _REQUIRED:
             return default
-        return int(self.values[key])
+        if key in self.flags:
+            raise ValueError(f"--{key.replace('_', '-')} is required (no preset supplies it)")
+        raise ValueError(f"{key} is required (no flag or preset supplies it)")
 
-    def get_float(self, key: str, default: float | None = None) -> float | None:
-        if key not in self.values:
-            return default
-        return float(self.values[key])
+    def get_int(self, key: str, default=_REQUIRED) -> int | None:
+        return self._get(key, default, int)
 
-    def get_str(self, key: str, default: str | None = None) -> str | None:
-        return self.values.get(key, default)
+    def get_float(self, key: str, default=_REQUIRED) -> float | None:
+        return self._get(key, default, float)
+
+    def get_str(self, key: str, default=_REQUIRED) -> str | None:
+        return self._get(key, default, str)
 
     def family_spec(self) -> FamilySpec:
         """The sign-pattern spec from the family, m, n, M and family_seed keys."""
-        rows = self.get_int("m")
-        if rows is None:
-            raise ValueError(f"preset {self.name} has no row count and none was given")
         return FamilySpec(
-            family=self.values["family"],
-            m=rows,
-            n=self.get_int("n"),
-            M=self.get_int("M"),
-            seed=self.get_int("family_seed"),
+            family=self.get_str("family"),
+            m=self.get_int("m"),
+            n=self.get_int("n", None),
+            M=self.get_int("M", None),
+            seed=self.get_int("family_seed", None),
         )
 
 
@@ -68,4 +87,17 @@ def load_preset(name: str) -> Preset:
     return Preset(name, dict(cfg[name]))
 
 
-__all__ = ["Preset", "TABLE2_ROW_ORDER", "list_presets", "load_preset"]
+def effective_preset(args) -> Preset:
+    """args.preset (without one, an empty preset with no name) with
+    every preset-key flag given in the argparse namespace laid over it,
+    and the preset keys the command declares as flags as its flags.
+    Values are stored as strings; str() of an int or float parses back
+    to the same value."""
+    name = getattr(args, "preset", None)
+    base = load_preset(name) if name else Preset(None, {})
+    flags = [key for key in _PRESET_KEYS if hasattr(args, key)]
+    given = {key: str(getattr(args, key)) for key in flags if getattr(args, key) is not None}
+    return Preset(base.name, {**base.values, **given}, frozenset(flags))
+
+
+__all__ = ["Preset", "TABLE2_ROW_ORDER", "effective_preset", "list_presets", "load_preset"]

@@ -159,12 +159,10 @@ def cyclic_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def cyclic_crosscorrelation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """c[l] = sum_n a[n] * b[(n + l) mod M], exact integer result."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    fa = np.fft.fft(np.asarray(a, dtype=np.float64))
-    fb = np.fft.fft(np.asarray(b, dtype=np.float64))
-    return np.rint(np.fft.ifft(np.conj(fa) * fb).real).astype(np.int64)
+    """c[l] = sum_n a[n] * b[(n + l) mod M], exact integer result: the
+    cyclic convolution of a[-n mod M] with b."""
+    a = np.asarray(a)
+    return cyclic_convolution(a[(-np.arange(len(a))) % len(a)], b)
 
 
 def gold_t(n: int) -> int:

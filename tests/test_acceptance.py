@@ -280,9 +280,9 @@ def test_criterion_09_channel_floor_reproduction():
 
 
 def test_criterion_10_support_recovery():
-    spec = FamilySpec("random", m=40, M=195, seed=2)
-    rep = recovery_experiment(spec, k_rows=12, r=12, trials=500, seed=0)
-    one = recovery_experiment(spec, k_rows=1, r=12, trials=200, seed=0)
+    S = build_sign_matrix(FamilySpec("random", m=40, M=195, seed=2))
+    rep = recovery_experiment(S, k_rows=12, r=12, trials=500, seed=0)
+    one = recovery_experiment(S, k_rows=1, r=12, trials=200, seed=0)
     ok = rep.success_rate >= 0.90 and one.success_rate == 1.0
     _report(
         10,

@@ -14,7 +14,7 @@ from mwclab.mmv import (
     synthesize_mmv,
 )
 from mwclab.sensing import sensing_matrix
-from mwclab.signmatrix import FamilySpec, SignMatrix
+from mwclab.signmatrix import FamilySpec, SignMatrix, build_sign_matrix
 
 CN = NonzeroDistribution("complex_normal")
 
@@ -125,10 +125,10 @@ def test_noise_sigma_for_snr_round_trip():
 
 
 def test_recovery_monotone_in_row_sparsity():
-    spec = FamilySpec("random", m=40, M=195, seed=2)
+    S = build_sign_matrix(FamilySpec("random", m=40, M=195, seed=2))
     rates = []
     for k_rows in (2, 12, 20, 26):
-        rep = recovery_experiment(spec, k_rows=k_rows, r=12, trials=120, seed=0)
+        rep = recovery_experiment(S, k_rows=k_rows, r=12, trials=120, seed=0)
         rates.append(rep.success_rate)
     assert rates[0] == 1.0
     assert rates[-1] <= rates[0]
@@ -136,15 +136,15 @@ def test_recovery_monotone_in_row_sparsity():
 
 
 def test_recovery_single_row_is_perfect():
-    spec = FamilySpec("random", m=40, M=195, seed=2)
-    rep = recovery_experiment(spec, k_rows=1, r=12, trials=150, seed=0)
+    S = build_sign_matrix(FamilySpec("random", m=40, M=195, seed=2))
+    rep = recovery_experiment(S, k_rows=1, r=12, trials=150, seed=0)
     assert rep.success_rate == 1.0
 
 
 def test_recovery_experiment_deterministic_and_reported():
-    spec = FamilySpec("random", m=20, M=63, seed=5)
-    a = recovery_experiment(spec, k_rows=4, r=6, trials=60, seed=3)
-    b = recovery_experiment(spec, k_rows=4, r=6, trials=60, seed=3)
+    S = build_sign_matrix(FamilySpec("random", m=20, M=63, seed=5))
+    a = recovery_experiment(S, k_rows=4, r=6, trials=60, seed=3)
+    b = recovery_experiment(S, k_rows=4, r=6, trials=60, seed=3)
     assert a.successes == b.successes
     assert a.trials == 60
     d = asdict(a)
@@ -154,9 +154,9 @@ def test_recovery_experiment_deterministic_and_reported():
 
 
 def test_recovery_snr_controls_noise():
-    spec = FamilySpec("random", m=40, M=195, seed=2)
-    noisy = recovery_experiment(spec, k_rows=12, r=12, trials=80, snr_db=-5.0, seed=0)
-    clean = recovery_experiment(spec, k_rows=12, r=12, trials=80, seed=0)
+    S = build_sign_matrix(FamilySpec("random", m=40, M=195, seed=2))
+    noisy = recovery_experiment(S, k_rows=12, r=12, trials=80, snr_db=-5.0, seed=0)
+    clean = recovery_experiment(S, k_rows=12, r=12, trials=80, seed=0)
     assert noisy.noise_sigma > 0.0
     assert noisy.success_rate <= clean.success_rate
     assert clean.success_rate == 1.0

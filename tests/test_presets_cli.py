@@ -114,6 +114,9 @@ def test_cli_bounds_schema(tmp_path):
     assert d["candes_plan"] == {"evaluable": False, "mu_ok": None, "k_ok": None}
     for sub in ("calderbank", "gan", "tropp", "exrip"):
         assert set(d[sub]) == {"bound", "probability", "raw_value", "feasible", "params"}
+    # table1's policy: target 0.97, and Tropp's t puts 1 - (k/2)^(-t) there
+    assert d["rip_target_prob"] == 0.97
+    assert 1.0 - (4 / 2) ** -d["tropp"]["params"]["t"] == pytest.approx(0.97, abs=1e-12)
 
 
 def test_cli_verify_thread_independent(tmp_path):
@@ -214,9 +217,9 @@ def test_cli_table2_full(tmp_path):
     assert all(line.rstrip().endswith("ok") for line in lines[1:])
 
 
-def _break_preset(monkeypatch, name, exc=None):
+def _break_preset(monkeypatch, name, exc=None, drop=None):
     """Make reports load `name` with a register length gold cannot use,
-    or raise `exc` when it loads that preset."""
+    or without the key `drop`, or raise `exc` when it loads that preset."""
     from mwclab import reports
 
     real = reports.load_preset
@@ -227,7 +230,12 @@ def _break_preset(monkeypatch, name, exc=None):
             return preset
         if exc is not None:
             raise exc
-        return type(preset)(preset.name, {**preset.values, "n": "1"})
+        values = dict(preset.values)
+        if drop is None:
+            values["n"] = "1"
+        else:
+            del values[drop]
+        return type(preset)(preset.name, values)
 
     monkeypatch.setattr(reports, "load_preset", fake)
 
@@ -244,6 +252,69 @@ def test_cli_table2_broken_row_exits_nonzero_after_writing(tmp_path, monkeypatch
     assert status.pop("gold").startswith("error: ")
     assert set(status.values()) == {"ok"}
     assert "gold" in capsys.readouterr().err
+
+
+def test_cli_table2_row_without_k_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    _break_preset(monkeypatch, "table2_kasami", drop="k")
+    out = tmp_path / "t2.csv"
+    assert cli.main(["table2", "--out", str(out)]) == 2
+    with open(out, newline="") as fh:
+        status = {row["family"]: row["status"] for row in csv.DictReader(fh)}
+    # table2 has no --k flag, so the message names the bare key
+    assert status.pop("kasami") == "error: k is required (no flag or preset supplies it)"
+    assert set(status.values()) == {"ok"}
+    assert "internal error" not in capsys.readouterr().err
+
+
+# every subcommand that reads a preset, with the flags that keep it quick
+PRESET_COMMANDS = {
+    "gen": (),
+    "measures": (),
+    "exrip": (),
+    "bounds": (),
+    "verify": ("--trials", "1000"),
+    "recover": ("--trials", "1000"),
+    "sweep": (),
+    "table1": ("--attempts", "1", "--ceiling", "64"),
+}
+
+
+@pytest.mark.parametrize("preset", list_presets())
+@pytest.mark.parametrize("command", PRESET_COMMANDS)
+def test_cli_every_preset_pairing_exits_0_or_2(command, preset, tmp_path, capsys):
+    argv = [command, "--preset", preset, *PRESET_COMMANDS[command]]
+    if command == "recover" and "k_rows" in load_preset(preset).values:
+        argv += ["--k-rows", "1", "--r", "1"]  # one active row keeps 1000 trials cheap
+    code = cli.main([*argv, "--out", str(tmp_path / "artifact")])
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["recover", "--preset", "table2_gold"], "--k-rows is required (no preset supplies it)"),
+        (["measures", "--family", "gold", "--n", "5"], "--m is required (no preset supplies it)"),
+        # neither command has a flag for the key, so none is named
+        (["sweep", "--preset", "table1_mwc"], "m_start is required (no flag or preset supplies it)"),
+        (["table1", "--preset", "table2_gold"], "M is required (no flag or preset supplies it)"),
+    ],
+)
+def test_cli_missing_preset_key_names_its_flag_if_any(argv, message, capsys):
+    assert cli.main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_cli_recover_takes_a_pattern(tmp_path):
+    pat = tmp_path / "r.pat"
+    assert cli.main(["gen", "--preset", "recover_mwc", "--out", str(pat)]) == 0
+    base = ["recover", "--preset", "recover_mwc", "--trials", "50"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.main([*base, "--out", str(a)]) == 0
+    assert cli.main([*base, "--pattern", str(pat), "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert json.loads(a.read_bytes())["params"]["family_seed"] == 2
 
 
 def test_cli_table2_unexpected_error_is_not_a_row(tmp_path, monkeypatch):
