@@ -6,7 +6,9 @@ a 40 x 195 random sign matrix):
   --axis k_rows   rate vs number of jointly active rows (noiseless)
   --axis snr      rate vs per-sample SNR in dB at fixed --k-rows
 
-Writes a CSV (axis value, rate, early-stop fraction) to --out or stdout.
+--k-rows, --r, --trials, --dist and --seed default to the preset's
+values, as in `mwclab recover`. Writes a CSV (axis value, rate,
+early-stop fraction) to --out or stdout.
 
 Usage:
   python3 scripts/recovery_curve.py --axis k_rows --values 1,4,8,12,16,20,24
@@ -19,12 +21,12 @@ import sys
 
 from mwclab.distributions import NonzeroDistribution
 from mwclab.mmv import recovery_experiment
-from mwclab.presets import load_preset
+from mwclab.presets import effective_preset
 from mwclab.reports import write_csv
 from mwclab.signmatrix import build_sign_matrix
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--preset", default="recover_mwc", help="preset naming the sign matrix")
     ap.add_argument("--axis", choices=("k_rows", "snr"), default="k_rows")
@@ -33,33 +35,39 @@ def main() -> int:
         default="1,2,4,8,12,16,20,24",
         help="comma-separated sweep values (ints for k_rows, floats for snr)",
     )
-    ap.add_argument("--k-rows", type=int, default=12, help="active rows for the snr axis")
-    ap.add_argument("--r", type=int, default=None, help="snapshots (default: preset value)")
-    ap.add_argument("--trials", type=int, default=200)
-    ap.add_argument("--dist", default="complex_normal")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--k-rows", type=int, help="active rows for the snr axis (default: preset)")
+    ap.add_argument("--r", type=int, help="snapshots (default: preset)")
+    ap.add_argument("--trials", type=int, help="trials per point (default: preset, else 500)")
+    ap.add_argument("--dist", help="nonzero law (default: preset, else complex_normal)")
+    ap.add_argument("--seed", type=int, help="seed (default: preset, else 0)")
     ap.add_argument("--out", default=None, help="CSV path (default stdout)")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
-    preset = load_preset(args.preset)
-    S = build_sign_matrix(preset.family_spec())
-    r = args.r if args.r is not None else preset.get_int("r")
-    dist = NonzeroDistribution(args.dist.replace("-", "_"))
+    eff = effective_preset(args)
+    try:
+        S = build_sign_matrix(eff.family_spec())
+        r = eff.get_int("r")
+        trials = eff.get_int("trials", 500)
+        dist = NonzeroDistribution(eff.get_str("dist", "complex_normal").replace("-", "_"))
+        seed = eff.get_int("seed", 0)
+        k_rows_fixed = eff.get_int("k_rows") if args.axis == "snr" else None
+    except ValueError as exc:
+        ap.error(str(exc))
 
     rows = []
     for token in args.values.split(","):
         if args.axis == "k_rows":
             k_rows, snr_db = int(token), None
         else:
-            k_rows, snr_db = args.k_rows, float(token)
+            k_rows, snr_db = k_rows_fixed, float(token)
         rep = recovery_experiment(
             S,
             k_rows=k_rows,
             r=r,
-            trials=args.trials,
+            trials=trials,
             dist=dist,
             snr_db=snr_db,
-            seed=args.seed,
+            seed=seed,
         )
         rows.append(
             {

@@ -137,11 +137,13 @@ def test_criterion_06_bound_validity():
             trials=10**5,
             seed=0,
         )
-        holds = rep.lower_bound_holds and rep.mean_z2_is_one
+        # E[Z^4] is a theorem (moment4_predicted), so its gap is noise
+        holds = rep.lower_bound_holds and rep.mean_z2_is_one and abs(rep.moment4_z) <= 5.0
         ok = ok and holds
         details.append(
             f"{name.removeprefix('table2_')}: p_emp={rep.estimate.empirical_p:.4f} "
-            f">= {rep.theoretical.probability:.4f} ({'ok' if holds else 'VIOLATED'})"
+            f">= {rep.theoretical.probability:.4f}, moment4_z={rep.moment4_z:+.2f} "
+            f"({'ok' if holds else 'VIOLATED'})"
         )
     _report(6, "Monte Carlo bound validity", ok, "; ".join(details))
 
@@ -314,6 +316,9 @@ def test_criterion_11_byte_determinism(tmp_path):
         # even M: the self-conjugate column M/2 and 961 zero columns
         ("measures_hadamard", ["measures", "--family", "hadamard", "--M", "1024", "--m", "48"]),
         ("verify", ["verify", "--preset", "table2_kasami", "--trials", "2000"]),
+        # the shape that dominates reproduce: m = 80, K = 24, two full
+        # blocks and a 4-trial slab through the BLAS-backed matmul
+        ("verify_gold", ["verify", "--preset", "table2_gold", "--trials", "4100"]),
         ("exrip", ["exrip", "--preset", "table2_kasami", "--dist", "complex-uniform"]),
         ("sweep", ["sweep"]),
         # the channel search: tall candidates scored from block-streamed Grams

@@ -1,7 +1,9 @@
 """Greedy simultaneous support recovery: exact small cases, guard
 rails, equivariance, and the experiment driver."""
 
+import importlib.util
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,3 +162,35 @@ def test_recovery_snr_controls_noise():
     assert noisy.noise_sigma > 0.0
     assert noisy.success_rate <= clean.success_rate
     assert clean.success_rate == 1.0
+
+
+def _recovery_curve_calls(monkeypatch, capsys, *argv):
+    """Run scripts/recovery_curve.py's main() in process with a stand-in
+    recovery_experiment; return the keyword arguments of each call."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "recovery_curve.py"
+    spec = importlib.util.spec_from_file_location("recovery_curve", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls = []
+
+    def capture(S, **kw):
+        calls.append(kw)
+        return recovery_experiment(S, **{**kw, "trials": 1})
+
+    monkeypatch.setattr(script, "recovery_experiment", capture)
+    assert script.main(["--values", "1", *argv]) == 0
+    capsys.readouterr()
+    return calls
+
+
+def test_recovery_curve_reads_the_preset_and_a_flag_wins(monkeypatch, capsys):
+    # recover_mwc: trials = 500, dist = complex_normal, seed = 0, r = 12
+    (kw,) = _recovery_curve_calls(monkeypatch, capsys)
+    assert (kw["trials"], kw["dist"], kw["seed"], kw["r"]) == (500, CN, 0, 12)
+    assert kw["k_rows"] == 1
+    (kw,) = _recovery_curve_calls(
+        monkeypatch, capsys, "--trials", "7", "--dist", "bernoulli-sign", "--seed", "4"
+    )
+    assert (kw["trials"], kw["dist"], kw["seed"]) == (7, NonzeroDistribution("bernoulli_sign"), 4)
+    (kw,) = _recovery_curve_calls(monkeypatch, capsys, "--axis", "snr")
+    assert kw["k_rows"] == 12 and kw["snr_db"] == 1.0

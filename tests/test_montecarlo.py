@@ -120,6 +120,7 @@ def test_validity_report_wiring(random_40_195):
         "mean_z2_is_one",
         "moment4_predicted",
         "moment4_gap",
+        "moment4_z",
     }
     assert isinstance(rep.lower_bound_holds, bool)
     assert isinstance(rep.mean_z2_is_one, bool)
@@ -127,11 +128,32 @@ def test_validity_report_wiring(random_40_195):
     # should exceed it comfortably at these sizes
     assert rep.estimate.empirical_p + 3 * rep.estimate.stderr >= rep.theoretical.probability
     assert rep.moment4_predicted > 1.0
+    assert rep.moment4_z == rep.moment4_gap / rep.estimate.moment4_stderr
 
 
-def _whole_block_exrip(Phi, K, delta, dist, trials, seed):
-    """empirical_exrip as first written: one cols[supports] gather of
-    every trial in a block, then one einsum, over the same streams."""
+def test_moment4_z_is_zero_when_every_draw_is_exact():
+    # Phi = I at K = 1: every Z^2 is 1, so the stderr and the gap are 0
+    S = SignMatrix(np.array([[1, 1], [1, -1]], dtype=np.int8), "random", None)
+    rep = bound_validity_report(S, 1, trials=1000, seed=0)
+    assert rep.estimate.moment4_stderr == 0.0
+    assert rep.moment4_gap == 0.0
+    assert rep.moment4_z == 0.0
+
+
+def _matmul_rows(values, gathered):
+    """y[t] = values[t] @ gathered[t]: the product empirical_exrip runs."""
+    return np.matmul(values[:, None, :], gathered)[:, 0]
+
+
+def _einsum_rows(values, gathered):
+    """The same product as an einsum, which may sum the K terms in
+    another order (empirical_exrip's kernel before the stacked matmul)."""
+    return np.einsum("tkm,tk->tm", gathered, values)
+
+
+def _whole_block_exrip(Phi, K, delta, dist, trials, seed, rows=_matmul_rows):
+    """empirical_exrip without slabs: one cols[supports] gather of every
+    trial in a block, then one `rows` product, over the same streams."""
     cols = Phi.T.copy()
     M = cols.shape[0]
     hits = 0
@@ -150,7 +172,7 @@ def _whole_block_exrip(Phi, K, delta, dist, trials, seed):
             redraws += int(bad.size)
             values[bad] = sample_values(dist, (bad.size, K), rng)
             nrm2[bad] = (np.abs(values[bad]) ** 2).sum(axis=1)
-        y = np.einsum("tkm,tk->tm", cols[supports], values)
+        y = rows(values, cols[supports])
         z2 = (np.abs(y) ** 2).sum(axis=1) / nrm2
         hits += int((np.abs(z2 - 1.0) <= delta).sum())
         s2 += float(z2.sum())
@@ -175,17 +197,17 @@ def _whole_block_exrip(Phi, K, delta, dist, trials, seed):
     )
 
 
-@pytest.mark.parametrize(
-    "case, K, kind, trials",
-    [
-        ("gold", 24, "complex_normal", 10_000),
-        ("random", 24, "complex_normal", 10_000),
-        ("random", 1, "complex_normal", 3_000),
-        ("random", 195, "complex_uniform", 3_000),
-        ("gold", 12, "bernoulli_sign", 4_100),
-        ("random", 7, "real_normal", 2048 + 64 * 3 + 5),
-    ],
-)
+SLAB_CASES = [
+    ("gold", 24, "complex_normal", 10_000),
+    ("random", 24, "complex_normal", 10_000),
+    ("random", 1, "complex_normal", 3_000),
+    ("random", 195, "complex_uniform", 3_000),
+    ("gold", 12, "bernoulli_sign", 4_100),
+    ("random", 7, "real_normal", 2048 + 64 * 3 + 5),
+]
+
+
+@pytest.mark.parametrize("case, K, kind, trials", SLAB_CASES)
 def test_sliced_gather_is_bit_identical(case, K, kind, trials, gold_80_511, random_40_195):
     S = gold_80_511 if case == "gold" else random_40_195
     Phi = sensing_matrix(S)
@@ -195,3 +217,41 @@ def test_sliced_gather_is_bit_identical(case, K, kind, trials, gold_80_511, rand
     for field in ExripEstimate.__dataclass_fields__:
         a, b = getattr(got, field), getattr(want, field)
         assert type(a) is type(b) and a == b, field
+
+
+@pytest.mark.parametrize("case, K, kind, trials", SLAB_CASES)
+def test_matmul_agrees_with_the_einsum_product(case, K, kind, trials, gold_80_511, random_40_195):
+    # the two products sum the K terms in different orders, so the
+    # moments may differ in the last bits; counts and hits may not
+    S = gold_80_511 if case == "gold" else random_40_195
+    Phi = sensing_matrix(S)
+    dist = NonzeroDistribution(kind)
+    got = empirical_exrip(Phi, K, 0.41421356237309515, dist, trials, seed=3)
+    want = _whole_block_exrip(
+        Phi, K, 0.41421356237309515, dist, trials, seed=3, rows=_einsum_rows
+    )
+    for field in ("trials", "empirical_p", "stderr", "redraws"):
+        assert getattr(got, field) == getattr(want, field), field
+    for field in ("moment2", "moment2_stderr", "moment4", "moment4_stderr"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=0), field
+
+
+def _int64_fisher_yates(M, K, count, rng):
+    """Reference: the row-vectorised partial Fisher-Yates on an int64
+    index table, one integer draw in [0, M - i) per row and step."""
+    idx = np.tile(np.arange(M, dtype=np.int64), (count, 1))
+    rows = np.arange(count)
+    for i in range(K):
+        j = i + rng.integers(0, M - i, size=count)
+        idx[rows, i], idx[rows, j] = idx[rows, j], idx[rows, i]
+    return idx[:, :K]
+
+
+@pytest.mark.parametrize("M, K", [(511, 24), (195, 24), (255, 12), (7, 7)])
+def test_int32_table_draws_the_int64_supports(M, K):
+    ref_rng, rng = block_rng(0, 0), block_rng(0, 0)
+    want = _int64_fisher_yates(M, K, 2048, ref_rng)
+    got = sample_supports(M, K, 2048, rng)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, want)
+    assert rng.random() == ref_rng.random()
