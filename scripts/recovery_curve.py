@@ -19,7 +19,6 @@ import argparse
 import contextlib
 import sys
 
-from mwclab.distributions import NonzeroDistribution
 from mwclab.mmv import recovery_experiment
 from mwclab.presets import effective_preset
 from mwclab.reports import write_csv
@@ -37,19 +36,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     ap.add_argument("--k-rows", type=int, help="active rows for the snr axis (default: preset)")
     ap.add_argument("--r", type=int, help="snapshots (default: preset)")
-    ap.add_argument("--trials", type=int, help="trials per point (default: preset, else 500)")
-    ap.add_argument("--dist", help="nonzero law (default: preset, else complex_normal)")
-    ap.add_argument("--seed", type=int, help="seed (default: preset, else 0)")
+    ap.add_argument("--trials", type=int, help="trials per point (default: as in `mwclab recover`)")
+    ap.add_argument("--dist", help="nonzero law (default: as in `mwclab recover`)")
+    ap.add_argument("--seed", type=int, help="seed (default: as in `mwclab recover`)")
     ap.add_argument("--out", default=None, help="CSV path (default stdout)")
     args = ap.parse_args(argv)
 
     eff = effective_preset(args)
     try:
         S = build_sign_matrix(eff.family_spec())
-        r = eff.get_int("r")
-        trials = eff.get_int("trials", 500)
-        dist = NonzeroDistribution(eff.get_str("dist", "complex_normal").replace("-", "_"))
-        seed = eff.get_int("seed", 0)
+        settings = eff.recovery_settings()
         k_rows_fixed = eff.get_int("k_rows") if args.axis == "snr" else None
     except ValueError as exc:
         ap.error(str(exc))
@@ -60,15 +56,7 @@ def main(argv: list[str] | None = None) -> int:
             k_rows, snr_db = int(token), None
         else:
             k_rows, snr_db = k_rows_fixed, float(token)
-        rep = recovery_experiment(
-            S,
-            k_rows=k_rows,
-            r=r,
-            trials=trials,
-            dist=dist,
-            snr_db=snr_db,
-            seed=seed,
-        )
+        rep = recovery_experiment(S, k_rows=k_rows, snr_db=snr_db, **settings)
         rows.append(
             {
                 args.axis: k_rows if args.axis == "k_rows" else snr_db,

@@ -12,7 +12,7 @@ byte-identical to what `python3 -m mwclab.cli ...` writes.
 
 Usage:
   python3 scripts/reproduce_tables.py --outdir out --quick
-  python3 scripts/reproduce_tables.py --outdir out            # ~1 min
+  python3 scripts/reproduce_tables.py --outdir out            # ~15 s
 """
 
 import argparse

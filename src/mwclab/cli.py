@@ -170,11 +170,8 @@ def cmd_recover(args, eff):
     report = recovery_experiment(
         _resolve_matrix(args, eff),
         k_rows=eff.get_int("k_rows"),
-        r=eff.get_int("r"),
-        trials=eff.get_int("trials", 500),
-        dist=_dist(eff.get_str("dist", "complex_normal")),
         snr_db=args.snr,
-        seed=eff.get_int("seed", 0),
+        **eff.recovery_settings(),
     )
     return lambda fh: write_json(fh, asdict(report))
 
@@ -280,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("table1", cmd_table1, "minimum channels per guarantee (CSV)")
     p.add_argument("--preset", default="table1_mwc", help="default %(default)s")
-    p.add_argument("--attempts", type=int, help="random draws per candidate m")
+    p.add_argument(
+        "--attempts", type=int, help="random sign streams; a probe m tries their first m rows"
+    )
     p.add_argument("--ceiling", type=int, help="largest m the search will try")
 
     command("table2", cmd_table2, "family comparison table (CSV)")

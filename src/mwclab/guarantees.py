@@ -6,14 +6,16 @@ approximation, and the competing guarantees it is benchmarked against:
 coherence conditions (Donoho-Elad, Tropp, Candes-Plan), the
 sample-count bound for subgaussian RIP, and the statistical RIP bounds
 of Calderbank, Gan and Tropp.  A doubling-plus-bisection search finds
-the smallest channel count at which a chosen guarantee kicks in,
-mirroring the best-of-N instance protocol used for the published
-channel budgets.
+the smallest channel count at which a chosen guarantee kicks in for
+one of N random instances, as the published channel budgets take the
+best of N.
 """
 
 import functools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .distributions import MomentConstants, NonzeroDistribution, moment_constants
 from .sensing import (
@@ -289,44 +291,81 @@ def _stream_gram(key, m: int, M: int):
     return _block_gram(((B, B) for B in _sign_blocks(key, m, M)), M)
 
 
-def _witness_norm_sq(key, m: int, M: int) -> float:
-    """spectral_norm_sq of the witness drawn for key, from the same Gram:
-    S^T S streamed when the witness is tall, S S^T of its rows otherwise."""
-    if m > M:
-        return _top_eigenvalue(_stream_gram(key, m, M)) / m
-    return spectral_norm_sq(_random_signs(key, m, M))
+class _CandidatePool:
+    """The random candidates of the channel search for one (M, attempts,
+    seed).
 
+    Attempt a is the one sign stream default_rng((seed, a)), and its
+    candidate at m is that stream's first m rows: _sign_blocks draws a
+    prefix the same whatever the block split, including the half-word
+    PCG64 buffers after an odd number of signs.  mu is kept per (a, m),
+    so a bound that scans attempts until one passes reuses every score
+    another bound took, and scores the rest itself.
 
-@functools.lru_cache(maxsize=1024)
-def _best_random_instance(M: int, m: int, attempts: int, seed: int):
-    """Lowest-coherence random instance out of `attempts`; returns
-    (mu, witness key).
-
-    Each candidate takes the coherence route of its shape (_coherence):
-    a tall one is scored from its Gram S^T S alone, accumulated over the
-    row blocks of the sign stream (_stream_gram), so no m x M candidate
-    ever exists; a wide one is drawn in full and scored from blocks of
-    the conjugate-symmetric quarter of Phi^H Phi.  Either way the mu is
-    the one coherence gives for the materialized draw, bit for bit.  The
-    coherence and statistical searches probe the same candidate m
-    values, so results are cached per argument tuple.  The cache keeps
-    no matrix or Gram; the key regenerates the witness where a bound
-    needs more than mu.
+    A tall candidate (m > M) is scored from S^T S alone, grown from the
+    attempt's checkpoint at the largest m0 <= m by the Gram of rows
+    m0..m, drawn from the Generator state saved with it.  Each attempt
+    keeps at most two checkpoints, the one it grew from and the newest
+    (none at m = 0): along a doubling or a bisection the next probe lies
+    above the last failing one, which is kept.  T is held in float32,
+    exact while |T_ij| <= m < 2**24.  Every value is the one the materialized prefix
+    gives (coherence, spectral_norm_sq), bit for bit, so what the pool
+    holds never changes a result.
     """
-    best_mu = math.inf
-    best_key = None
-    for a in range(attempts):
-        key = (seed, m, a)
-        mu, _ = _coherence(
-            m,
-            M,
-            lambda: _stream_gram(key, m, M),
-            lambda: _row_spectrum(_random_signs(key, m, M)),
-        )
-        if mu < best_mu:
-            best_mu = mu
-            best_key = key
-    return best_mu, best_key
+
+    def __init__(self, M: int, attempts: int, seed: int):
+        self.M = M
+        self.seed = seed
+        self._mu: dict[tuple[int, int], float] = {}
+        self._checkpoints: list[list[tuple]] = [[] for _ in range(attempts)]
+
+    def _stream(self, a: int) -> np.random.Generator:
+        return np.random.default_rng((self.seed, a))
+
+    def signs(self, a: int, m: int) -> np.ndarray:
+        """The candidate itself: the first m rows of attempt a's stream."""
+        return _random_signs(self._stream(a), m, self.M)
+
+    def gram(self, a: int, m: int) -> np.ndarray:
+        """S^T S of the candidate (float64), grown from a checkpoint."""
+        kept = self._checkpoints[a]
+        base = max((c for c in kept if c[0] <= m), key=lambda c: c[0], default=None)
+        rng = self._stream(a)
+        m0 = 0
+        if base is not None:
+            m0, T0, state = base
+            if m0 == m:
+                return T0.astype(np.float64)
+            rng.bit_generator.state = state
+        T = _stream_gram(rng, m - m0, self.M)
+        if base is not None:
+            T += T0
+        exact = np.float32 if m < 1 << 24 else np.float64
+        newest = (m, T.astype(exact), rng.bit_generator.state)
+        self._checkpoints[a] = ([] if base is None else [base]) + [newest]
+        return T
+
+    def mu(self, a: int, m: int) -> float:
+        """coherence of the candidate, by the route of its shape."""
+        if (a, m) not in self._mu:
+            self._mu[a, m] = _coherence(
+                m, self.M, lambda: self.gram(a, m), lambda: _row_spectrum(self.signs(a, m))
+            )[0]
+        return self._mu[a, m]
+
+    def norm_sq(self, a: int, m: int) -> float:
+        """spectral_norm_sq of the candidate: from the pool's S^T S when
+        it is tall, from S S^T of its rows otherwise."""
+        if m > self.M:
+            return _top_eigenvalue(self.gram(a, m)) / m
+        return spectral_norm_sq(self.signs(a, m))
+
+
+@functools.lru_cache(maxsize=1)
+def _candidate_pool(M: int, attempts: int, seed: int) -> _CandidatePool:
+    """The pool the searches of one (M, attempts, seed) share, as
+    table1's nine bounds do; only the latest key's pool is kept."""
+    return _CandidatePool(M, attempts, seed)
 
 
 def min_channels_search(
@@ -342,14 +381,18 @@ def min_channels_search(
     """Smallest m at which `bound` guarantees the target, by doubling
     then bisection.
 
-    Coherence and statistical bounds are instance-dependent: each
-    candidate m draws `attempts` random sign matrices and keeps the
-    best one (lowest coherence, or highest probability for exrip).
+    Coherence and statistical bounds are instance-dependent: a probe m
+    is satisfied when one of `attempts` random sign matrices satisfies
+    the bound, the candidate of attempt a being the first m rows of the
+    sign stream default_rng((seed, a)) (_CandidatePool).  donoho_elad,
+    tropp_coherence, gan and exrip are monotone in each draw's score, so
+    the attempts are scanned in order up to the first that passes;
+    tropp_strip takes the lowest-coherence draw (ties to the lowest a)
+    and adds its spectral norm.  The witness seed (seed, a) names the
+    draw that satisfied the bound: its first m rows at the returned m.
     The target probability and Tropp's t follow _search_policy;
-    params["target_prob"] reports the target.  The witness seed
-    replays the instance that satisfied the bound at the returned m.
-    candes_plan needs an unspecified constant and is reported as never
-    satisfied.
+    params["target_prob"] reports the target.  candes_plan needs an
+    unspecified constant and is reported as never satisfied.
     """
     if bound not in SEARCH_BOUNDS:
         raise ValueError(f"unknown bound {bound!r}, expected one of {SEARCH_BOUNDS}")
@@ -384,7 +427,21 @@ def min_channels_search(
             raise ValueError("exrip search needs a distribution")
         constants = moment_constants(dist, K)
 
+    pool = _candidate_pool(M, attempts, seed)
     witness: dict[int, tuple[int, ...] | None] = {}
+
+    def passes(a: int, m: int) -> bool:
+        # the bounds monotone in one draw's score: does attempt a's pass?
+        if bound == "exrip":
+            S = SignMatrix(pool.signs(a, m), "random", (seed, a))
+            return exrip_from_sign_matrix(S, delta, constants).probability >= target_prob
+        mu = pool.mu(a, m)
+        if bound == "donoho_elad":
+            return mu > 0 and math.floor(0.5 * (1.0 + 1.0 / mu)) >= K
+        if bound == "tropp_coherence":
+            return mu > 0 and math.floor(1.0 / (3.0 * mu)) >= K
+        r = strip_gan(mu, M, K, delta)
+        return r.feasible and r.probability >= target_prob
 
     def satisfied(m: int) -> bool:
         if bound == "exrip_approx":
@@ -397,32 +454,21 @@ def min_channels_search(
             witness[m] = None
             r = strip_calderbank(m, M, K, delta)
             return r.feasible and r.probability >= target_prob
-        if bound == "exrip":
-            best = -math.inf
-            for a in range(attempts):
-                key = (seed, m, a)
-                S = SignMatrix(_random_signs(key, m, M), "random", key)
-                p = exrip_from_sign_matrix(S, delta, constants).probability
-                if p > best:
-                    best = p
-                    witness[m] = key
-            return best >= target_prob
-        mu, key = _best_random_instance(M, m, attempts, seed)
-        witness[m] = key
-        if bound == "donoho_elad":
-            return mu > 0 and math.floor(0.5 * (1.0 + 1.0 / mu)) >= K
-        if bound == "tropp_coherence":
-            return mu > 0 and math.floor(1.0 / (3.0 * mu)) >= K
-        if bound == "gan":
-            r = strip_gan(mu, M, K, delta)
+        if bound == "tropp_strip":
+            a = min(range(attempts), key=lambda a: pool.mu(a, m))
+            witness[m] = (seed, a)
+            mu = pool.mu(a, m)
+            # the norm term only adds to the condition's left side, so a
+            # probe that fails on mu alone needs no witness norm
+            if not strip_tropp(mu, 0.0, M, K, delta, tropp_t).feasible:
+                return False
+            r = strip_tropp(mu, pool.norm_sq(a, m), M, K, delta, tropp_t)
             return r.feasible and r.probability >= target_prob
-        # tropp_strip: the norm term only adds to the condition's left
-        # side, so a probe that fails on mu alone needs no witness norm
-        if not strip_tropp(mu, 0.0, M, K, delta, tropp_t).feasible:
-            return False
-        snorm = _witness_norm_sq(key, m, M)
-        r = strip_tropp(mu, snorm, M, K, delta, tropp_t)
-        return r.feasible and r.probability >= target_prob
+        for a in range(attempts):
+            if passes(a, m):
+                witness[m] = (seed, a)
+                return True
+        return False
 
     lo, hi = 0, 1
     while hi <= ceiling and not satisfied(hi):

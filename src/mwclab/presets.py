@@ -5,6 +5,7 @@ import configparser
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .distributions import NonzeroDistribution
 from .signmatrix import FamilySpec
 
 TABLE2_ROW_ORDER = (
@@ -65,6 +66,17 @@ class Preset:
             M=self.get_int("M", None),
             seed=self.get_int("family_seed", None),
         )
+
+    def recovery_settings(self) -> dict:
+        """recovery_experiment's r, trials, dist and seed keywords; the
+        trials, the nonzero law and the seed fall back to 500,
+        complex_normal and 0."""
+        return {
+            "r": self.get_int("r"),
+            "trials": self.get_int("trials", 500),
+            "dist": NonzeroDistribution(self.get_str("dist", "complex_normal").replace("-", "_")),
+            "seed": self.get_int("seed", 0),
+        }
 
 
 def _read_config() -> configparser.ConfigParser:

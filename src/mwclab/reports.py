@@ -139,7 +139,7 @@ def table1_report(preset: Preset) -> list[dict]:
         if bound == "rip":
             note += f"; at k={k} the same bound needs m={rip_min_m(M, k, delta, target)}"
         if res.witness_seed is not None:
-            note += f"; witness draw {res.witness_seed}"
+            note += f"; witness: the first {res.m} rows of draw {res.witness_seed}"
         rows.append(
             {
                 "bound": bound,

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mwclab import guarantees
 from mwclab.distributions import KINDS, MomentConstants, NonzeroDistribution, moment_constants
 from mwclab.guarantees import (
     BP_DELTA,
     ExripInputs,
     GuaranteeResult,
-    _best_random_instance,
-    _witness_norm_sq,
+    _CandidatePool,
+    _candidate_pool,
     coherence_guarantees,
     exrip_approx,
     exrip_from_sign_matrix,
@@ -28,7 +29,7 @@ from mwclab.guarantees import (
     strip_tropp,
 )
 from mwclab.sensing import coherence, sensing_matrix, spectral_norm_sq
-from mwclab.signmatrix import SignMatrix, _random_signs
+from mwclab.signmatrix import _BLOCK_ROWS, SignMatrix, _random_signs
 
 UNIT = MomentConstants(B_K=1.0, C_K=1.0, K=1)
 CN = NonzeroDistribution("complex_normal")
@@ -311,38 +312,166 @@ def _drawn_signs(key, m, M):
 
 
 @pytest.mark.parametrize("M, m, attempts, seed", [(63, 5, 4, 0), (31, 40, 3, 7), (195, 12, 2, 3)])
-def test_best_instance_cache_matches_uncached_loop(M, m, attempts, seed):
-    mus = [coherence(_drawn_signs((seed, m, a), m, M))[0] for a in range(attempts)]
+def test_best_instance_cache_matches_uncached_loop(M, m, attempts, seed, monkeypatch):
+    mus = [coherence(_drawn_signs((seed, a), m, M))[0] for a in range(attempts)]
+    pool = _CandidatePool(M, attempts, seed)
+    assert [pool.mu(a, m) for a in range(attempts)] == mus
     best = min(range(attempts), key=lambda a: (mus[a], a))
-    want = (mus[best], (seed, m, best))
-    assert _best_random_instance(M, m, attempts, seed) == want
-    hits = _best_random_instance.cache_info().hits
-    assert _best_random_instance(M, m, attempts, seed) == want  # served from the cache
-    assert _best_random_instance.cache_info().hits == hits + 1
+    assert min(range(attempts), key=lambda a: pool.mu(a, m)) == best
+    # served from the memo: no draw is scored twice
+    monkeypatch.setattr(guarantees, "_coherence", None)
+    assert [pool.mu(a, m) for a in range(attempts)] == mus
 
 
 def test_search_witness_replays_the_satisfying_mu():
     M, K, attempts, seed = 63, 2, 3, 1
     res = min_channels_search("donoho_elad", M, K, attempts=attempts, seed=seed, ceiling=4096)
     assert res.status == "found"
-    s, m, a = res.witness_seed
-    assert (s, m) == (seed, res.m) and 0 <= a < attempts
+    s, a = res.witness_seed
+    m = res.m
+    assert s == seed and 0 <= a < attempts
+
+    def passes(mu):
+        return math.floor(0.5 * (1.0 + 1.0 / mu)) >= K
+
     mu, _ = coherence(_drawn_signs(res.witness_seed, m, M))
-    assert mu == _best_random_instance(M, m, attempts, seed)[0]
-    assert math.floor(0.5 * (1.0 + 1.0 / mu)) >= K
-    # one channel fewer, the best of the same draws misses the bound
-    mu_below = _best_random_instance(M, m - 1, attempts, seed)[0]
-    assert math.floor(0.5 * (1.0 + 1.0 / mu_below)) < K
+    assert mu == _candidate_pool(M, attempts, seed).mu(a, m)
+    assert passes(mu)
+    # the witness is the first passing draw at m
+    assert not any(passes(coherence(_drawn_signs((seed, b), m, M))[0]) for b in range(a))
+    # one channel fewer, every draw's prefix misses the bound
+    assert not any(passes(coherence(_drawn_signs((seed, b), m - 1, M))[0]) for b in range(attempts))
 
 
-@pytest.mark.parametrize("key", [(0, 4353, 95), (0, 40, 0)])
+@pytest.mark.parametrize("key", [((0, 95), 4353), ((0, 0), 40)])
 def test_witness_norm_is_the_spectral_norm_of_the_draw(key):
-    # a tall witness (table1's donoho_elad one) streams its S^T S, a
-    # wide one takes S S^T of its rows: both give the spectral norm of
-    # the materialized draw, bit for bit
-    _, m, _ = key
+    # a tall witness takes the top eigenvalue of the pool's S^T S, here
+    # grown from a checkpoint, a wide one S S^T of its rows: both give
+    # the spectral norm of the materialized prefix, bit for bit
+    (seed, a), m = key
     M = 195
-    assert _witness_norm_sq(key, m, M) == spectral_norm_sq(_random_signs(key, m, M))
+    pool = _CandidatePool(M, a + 1, seed)
+    pool.mu(a, 3001)
+    assert pool.norm_sq(a, m) == spectral_norm_sq(_random_signs((seed, a), m, M))
+
+
+def _assert_pool_is_the_prefix(pool, a, m):
+    S = _drawn_signs((pool.seed, a), m, pool.M)
+    assert pool.mu(a, m) == coherence(S)[0]
+    if m > pool.M:
+        Si = S.astype(np.int64)
+        assert np.array_equal(pool.gram(a, m), Si.T @ Si)
+
+
+def test_grown_gram_named_cases():
+    M, seed = 7, 3
+    pool = _CandidatePool(M, 2, seed)
+    for a in range(2):
+        # m * M = 63 is odd: the checkpoint holds a buffered half-word
+        _assert_pool_is_the_prefix(pool, a, 9)
+        assert pool._checkpoints[a][-1][2]["has_uint32"] == 1
+        # 4192 more rows: an extension of two blocks of its own
+        _assert_pool_is_the_prefix(pool, a, 9 + _BLOCK_ROWS + 96)
+        assert [c[0] for c in pool._checkpoints[a]] == [9, 4201]
+        # bisection goes down, grown from the checkpoint below it
+        _assert_pool_is_the_prefix(pool, a, 2105)
+        assert [c[0] for c in pool._checkpoints[a]] == [9, 2105]
+        # and up again across the stream's block boundary at _BLOCK_ROWS
+        _assert_pool_is_the_prefix(pool, a, 4099)
+        assert [c[0] for c in pool._checkpoints[a]] == [2105, 4099]
+        # a probe at a checkpoint reads it back
+        _assert_pool_is_the_prefix(pool, a, 2105)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(2, 24),
+    st.lists(st.integers(1, 4400), min_size=1, max_size=6),
+    st.integers(0, 10_000),
+)
+def test_grown_gram_is_the_gram_of_the_materialized_prefix(M, probes, seed):
+    pool = _CandidatePool(M, 2, seed)
+    for m in probes:
+        for a in range(2):
+            _assert_pool_is_the_prefix(pool, a, m)
+        assert all(len(kept) <= 2 for kept in pool._checkpoints)
+
+
+_ORACLE_TARGET = {"donoho_elad": 0.97, "tropp_coherence": 0.97, "gan": 0.97, "exrip": 0.85}
+
+
+def _reference_search(bound, M, K, attempts, seed, ceiling, delta):
+    """min_channels_search spelled out: every probe scores the prefix of
+    every attempt, drawn with integers(0, 2), and takes the first pass."""
+    target = _ORACLE_TARGET[bound]
+
+    def ok(S):
+        if bound == "exrip":
+            constants = moment_constants(CN, K)
+            S = SignMatrix(S, "random")
+            return exrip_from_sign_matrix(S, delta, constants).probability >= target
+        mu = coherence(S)[0]
+        if bound == "donoho_elad":
+            return mu > 0 and math.floor(0.5 * (1.0 + 1.0 / mu)) >= K
+        if bound == "tropp_coherence":
+            return mu > 0 and math.floor(1.0 / (3.0 * mu)) >= K
+        r = strip_gan(mu, M, K, delta)
+        return r.feasible and r.probability >= target
+
+    def first_pass(m):
+        oks = [ok(_drawn_signs((seed, a), m, M)) for a in range(attempts)]
+        return oks.index(True) if True in oks else None
+
+    lo, hi = 0, 1
+    while hi <= ceiling and (first := first_pass(hi)) is None:
+        lo, hi = hi, hi * 2
+    if hi > ceiling:
+        return None, "ceiling", None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (f := first_pass(mid)) is not None:
+            hi, first = mid, f
+        else:
+            lo = mid
+    return hi, "found", (seed, first)
+
+
+# (bound, M, K, delta): searches that end on wide (m <= M) and on tall
+# candidates, below the ceiling; the one that reaches it is in the next test
+_ORACLE_CASES = [
+    ("donoho_elad", 63, 2, BP_DELTA),
+    ("tropp_coherence", 31, 1, BP_DELTA),
+    ("gan", 63, 1, 0.9),
+    ("gan", 31, 1, BP_DELTA),
+    ("exrip", 63, 4, BP_DELTA),
+]
+
+
+@pytest.mark.parametrize("bound, M, K, delta", _ORACLE_CASES)
+@pytest.mark.parametrize("attempts, seed", [(1, 0), (3, 5), (4, 11)])
+def test_search_early_exit_matches_the_full_scan(bound, M, K, delta, attempts, seed):
+    guarantees._candidate_pool.cache_clear()
+    res = min_channels_search(
+        bound, M, K, delta=delta, dist=CN, attempts=attempts, seed=seed, ceiling=4096
+    )
+    want = _reference_search(bound, M, K, attempts, seed, 4096, delta)
+    assert (res.m, res.status, res.witness_seed) == want
+
+
+@pytest.mark.parametrize(
+    "order", [("donoho_elad", "tropp_coherence", "gan"), ("gan", "tropp_coherence", "donoho_elad")]
+)
+def test_bounds_share_one_pool_without_borrowing_verdicts(order):
+    # a looser bound's first pass at m says nothing about a stricter
+    # bound at m: each scans on over the shared scores
+    M, K, attempts, seed, ceiling = 63, 2, 4, 2, 4096
+    guarantees._candidate_pool.cache_clear()
+    pool = guarantees._candidate_pool(M, attempts, seed)
+    for bound in order:
+        res = min_channels_search(bound, M, K, attempts=attempts, seed=seed, ceiling=ceiling)
+        want = _reference_search(bound, M, K, attempts, seed, ceiling, BP_DELTA)
+        assert (res.m, res.status, res.witness_seed) == want, bound
+    assert guarantees._candidate_pool(M, attempts, seed) is pool
 
 
 def test_search_rejects_nonpositive_attempts():

@@ -10,7 +10,8 @@ import sys
 import pytest
 
 from mwclab import cli
-from mwclab.presets import TABLE2_ROW_ORDER, list_presets, load_preset
+from mwclab.distributions import NonzeroDistribution
+from mwclab.presets import TABLE2_ROW_ORDER, Preset, list_presets, load_preset
 
 REQUIRED_PRESETS = (
     "table1_mwc",
@@ -315,6 +316,14 @@ def test_cli_recover_takes_a_pattern(tmp_path):
     assert cli.main([*base, "--pattern", str(pat), "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert json.loads(a.read_bytes())["params"]["family_seed"] == 2
+
+
+def test_recovery_settings_state_recovers_fallbacks():
+    # `recover` and scripts/recovery_curve.py both read these
+    got = Preset(None, {"r": "3"}).recovery_settings()
+    assert got == {"r": 3, "trials": 500, "dist": NonzeroDistribution("complex_normal"), "seed": 0}
+    got = Preset(None, {"r": "3", "dist": "real-uniform", "seed": "4"}).recovery_settings()
+    assert (got["dist"], got["seed"]) == (NonzeroDistribution("real_uniform"), 4)
 
 
 def test_cli_table2_unexpected_error_is_not_a_row(tmp_path, monkeypatch):

@@ -381,14 +381,14 @@ def test_gram_coherence_matches_blocked_path_structured(spec, zero_columns):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 600), st.integers(2, 64), st.integers(0, 10_000))
-@example(4353, 195, 0)  # the shape of table1's donoho_elad witness
+@example(4353, 195, 0)  # tall, past one row block of the sign stream
 def test_gram_coherence_matches_blocked_path_random(m, M, seed):
     _assert_one_coherence(_signs(m, M, seed))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 300), st.integers(1, 300), st.integers(0, 10_000))
-@example(4353, 195, 0)  # the shape of table1's donoho_elad witness
+@example(4353, 195, 0)  # tall, past one row block of the sign stream
 @example(64, 2047, 3)
 def test_quality_measures_coherence_is_the_public_one(m, M, seed):
     # quality_measures scores a tall S from the Gram it already holds;
@@ -571,9 +571,9 @@ def test_power_iteration_matches_eigvalsh_shipped_grams(family):
 
 
 def test_power_iteration_on_a_tall_witness_gram():
-    # the streamed 195 x 195 Gram of the full table1's donoho_elad
-    # witness at seed 0.  The stopping rule bounds the step change, not
-    # the error: with l2/l1 = 0.9965 here the error is about
+    # a streamed 195 x 195 Gram of a tall draw past one row block.  The
+    # stopping rule bounds the step change, not the error: with
+    # l2/l1 = 0.9965 here the error is about
     # _POWER_REL_TOL * r^2 / (1 - r^2), 1.4e-8 relative rather than 1e-10
     m, M, key = 4353, 195, (0, 4353, 95)
     T = _stream_gram(key, m, M)
