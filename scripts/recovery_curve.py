@@ -6,9 +6,10 @@ a 40 x 195 random sign matrix):
   --axis k_rows   rate vs number of jointly active rows (noiseless)
   --axis snr      rate vs per-sample SNR in dB at fixed --k-rows
 
---k-rows, --r, --trials, --dist and --seed default to the preset's
-values, as in `mwclab recover`. Writes a CSV (axis value, rate,
-early-stop fraction) to --out or stdout.
+--k-rows and --r default to the preset's values. --trials, --dist and
+--seed default to the preset's, else to recovery_experiment's own
+defaults, which is where `mwclab recover` takes them from too. Writes a
+CSV (axis value, rate, early-stop fraction) to --out or stdout.
 
 Usage:
   python3 scripts/recovery_curve.py --axis k_rows --values 1,4,8,12,16,20,24
@@ -19,6 +20,7 @@ import argparse
 import contextlib
 import sys
 
+from mwclab.distributions import NonzeroDistribution
 from mwclab.mmv import recovery_experiment
 from mwclab.presets import effective_preset
 from mwclab.reports import write_csv
@@ -36,16 +38,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     ap.add_argument("--k-rows", type=int, help="active rows for the snr axis (default: preset)")
     ap.add_argument("--r", type=int, help="snapshots (default: preset)")
-    ap.add_argument("--trials", type=int, help="trials per point (default: as in `mwclab recover`)")
-    ap.add_argument("--dist", help="nonzero law (default: as in `mwclab recover`)")
-    ap.add_argument("--seed", type=int, help="seed (default: as in `mwclab recover`)")
+    fallback = "(default: the preset's, else recovery_experiment's)"
+    ap.add_argument("--trials", type=int, help=f"trials per point {fallback}")
+    ap.add_argument("--dist", help=f"nonzero law {fallback}")
+    ap.add_argument("--seed", type=int, help=f"seed {fallback}")
     ap.add_argument("--out", default=None, help="CSV path (default stdout)")
     args = ap.parse_args(argv)
 
     eff = effective_preset(args)
     try:
         S = build_sign_matrix(eff.family_spec())
-        settings = eff.recovery_settings()
+        r = eff.get_int("r")
+        settings = eff.given(trials=int, dist=NonzeroDistribution, seed=int)
         k_rows_fixed = eff.get_int("k_rows") if args.axis == "snr" else None
     except ValueError as exc:
         ap.error(str(exc))
@@ -56,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
             k_rows, snr_db = int(token), None
         else:
             k_rows, snr_db = k_rows_fixed, float(token)
-        rep = recovery_experiment(S, k_rows=k_rows, snr_db=snr_db, **settings)
+        rep = recovery_experiment(S, k_rows=k_rows, r=r, snr_db=snr_db, **settings)
         rows.append(
             {
                 args.axis: k_rows if args.axis == "k_rows" else snr_db,

@@ -8,7 +8,9 @@ Produces, under --outdir (default out/):
   table1.csv       channel-budget table (slow; skipped by --quick)
 
 Everything routes through the CLI entry points, so the files here are
-byte-identical to what `python3 -m mwclab.cli ...` writes.
+byte-identical to what `python3 -m mwclab.cli ...` writes for the argv
+printed beside each.  --trials and --seed are passed on only when given;
+without them each command reads its preset's trials and seed.
 
 Usage:
   python3 scripts/reproduce_tables.py --outdir out --quick
@@ -32,45 +34,30 @@ def run(argv: list[str]) -> None:
     print(f"  {argv[0]:<8s} {' '.join(argv[1:])}  [{time.perf_counter() - t0:.1f}s]")
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--outdir", default="out", help="artifact directory (default out/)")
-    ap.add_argument("--trials", type=int, default=100_000, help="Monte-Carlo trials per verify run")
-    ap.add_argument("--seed", type=int, default=0, help="seed for verify/recover/sweep")
+    ap.add_argument("--trials", type=int, help="trials per verify run (default: the preset's)")
+    ap.add_argument("--seed", type=int, help="seed for verify/recover/sweep (default: each preset's)")
     ap.add_argument(
         "--quick",
         action="store_true",
         help="skip the channel-budget table and cut verify trials to 10k",
     )
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     trials = 10_000 if args.quick else args.trials
-    seed = str(args.seed)
+    trials_flag = [] if trials is None else ["--trials", str(trials)]
+    seed_flag = [] if args.seed is None else ["--seed", str(args.seed)]
 
     run(["table2", "--out", str(outdir / "table2.csv")])
-    run(["sweep", "--preset", "fig2_sweep", "--seed", seed, "--out", str(outdir / "sweep.csv")])
+    run(["sweep", "--preset", "fig2_sweep", *seed_flag, "--out", str(outdir / "sweep.csv")])
     for preset in TABLE2_ROW_ORDER:
-        run(
-            [
-                "verify",
-                "--preset",
-                preset,
-                "--trials",
-                str(trials),
-                "--seed",
-                seed,
-                "--out",
-                str(outdir / f"verify_{preset}.json"),
-            ]
-        )
-    run(
-        [
-            "recover", "--preset", "recover_mwc", "--seed", seed,
-            "--out", str(outdir / "recover.json"),
-        ]
-    )
+        out = str(outdir / f"verify_{preset}.json")
+        run(["verify", "--preset", preset, *trials_flag, *seed_flag, "--out", out])
+    run(["recover", "--preset", "recover_mwc", *seed_flag, "--out", str(outdir / "recover.json")])
     if args.quick:
         print("skipping table1 (--quick); run without --quick for the full channel budget")
     else:

@@ -6,8 +6,15 @@ The commands that read one sign matrix (measures, exrip, bounds,
 verify, recover) take it from --pattern, else from --preset with the
 family flags laid over it; gen builds one the same way.  Flags that
 name a preset key win over the preset's value
-(presets.effective_preset); a key that neither supplies is a usage
-error, naming its flag where the command has one.  Policy the library fixes has no flag: bounds
+(presets.effective_preset).  A key that neither supplies takes the
+default of the library call that reads it, which is the one place that
+default is written: a command passes on only the keys it was given
+(Preset.given), so verify's trials and seed are bound_validity_report's,
+recover's trials and seed are recovery_experiment's, table1's seed,
+attempts and ceiling are min_channels_search's, sweep's seed is
+fig2_report's, and every value law is NonzeroDistribution's default
+kind.  A key without a default is a usage error, naming its flag where
+the command has one.  Policy the library fixes has no flag: bounds
 evaluates rip_min_m and strip_tropp at table1's target and t
 (guarantees._search_policy).  Each command returns the writer of its
 artifact, and main writes it to --out, or to stdout without one.
@@ -26,20 +33,32 @@ import sys
 import time
 from dataclasses import asdict
 
-
-_DIST_TOKENS = (
-    "real-normal",
-    "real-uniform",
-    "complex-normal",
-    "complex-uniform",
-    "bernoulli-sign",
+from .distributions import KINDS, NonzeroDistribution, moment_constants
+from .guarantees import (
+    BP_DELTA,
+    ExripInputs,
+    _search_policy,
+    coherence_guarantees,
+    exrip_from_sign_matrix,
+    exrip_probability,
+    rip_min_m,
+    strip_calderbank,
+    strip_gan,
+    strip_tropp,
 )
-
-
-def _dist(token: str):
-    from .distributions import NonzeroDistribution
-
-    return NonzeroDistribution(token.replace("-", "_"))
+from .presets import effective_preset
+from .reports import (
+    SWEEP_FIELDS,
+    TABLE1_FIELDS,
+    TABLE2_FIELDS,
+    fig2_report,
+    table1_report,
+    table2_report,
+    write_csv,
+    write_json,
+)
+from .sensing import quality_measures
+from .signmatrix import FAMILIES, build_sign_matrix, read_pattern_file, write_pattern_file
 
 
 @contextlib.contextmanager
@@ -53,8 +72,6 @@ def _output(path: str | None):
 
 def _resolve_matrix(args, eff):
     """Sign matrix from --pattern, else from the effective preset."""
-    from .signmatrix import build_sign_matrix, read_pattern_file
-
     if getattr(args, "pattern", None):
         return read_pattern_file(args.pattern)
     if "family" not in eff.values:
@@ -63,63 +80,32 @@ def _resolve_matrix(args, eff):
 
 
 def _eval_inputs(args, eff):
-    """(S, k, delta, value law) for exrip, bounds and verify."""
-    from .guarantees import BP_DELTA
-
-    return (
-        _resolve_matrix(args, eff),
-        eff.get_int("k"),
-        eff.get_float("delta", BP_DELTA),
-        _dist(eff.get_str("dist", "complex_normal")),
-    )
+    """(S, k, delta, moment constants) for exrip and bounds."""
+    S, k = _resolve_matrix(args, eff), eff.get_int("k")
+    return S, k, eff.get_float("delta", BP_DELTA), moment_constants(eff.get_dist(), k)
 
 
 def cmd_gen(args, eff):
-    from .signmatrix import write_pattern_file
-
     S = _resolve_matrix(args, eff)
     return lambda fh: write_pattern_file(fh, S)
 
 
 def cmd_measures(args, eff):
-    from .reports import write_json
-    from .sensing import quality_measures
-
     q = quality_measures(_resolve_matrix(args, eff))
     return lambda fh: write_json(fh, asdict(q))
 
 
 def cmd_exrip(args, eff):
-    from .distributions import moment_constants
-    from .guarantees import exrip_from_sign_matrix
-    from .reports import write_json
-
-    S, k, delta, dist = _eval_inputs(args, eff)
-    res = exrip_from_sign_matrix(S, delta, moment_constants(dist, k))
+    S, k, delta, constants = _eval_inputs(args, eff)
+    res = exrip_from_sign_matrix(S, delta, constants)
     return lambda fh: write_json(fh, asdict(res))
 
 
 def cmd_bounds(args, eff):
-    from .distributions import moment_constants
-    from .guarantees import (
-        ExripInputs,
-        _search_policy,
-        coherence_guarantees,
-        exrip_probability,
-        rip_min_m,
-        strip_calderbank,
-        strip_gan,
-        strip_tropp,
-    )
-    from .reports import write_json
-    from .sensing import quality_measures
-
-    S, k, delta, dist = _eval_inputs(args, eff)
+    S, k, delta, constants = _eval_inputs(args, eff)
     q = quality_measures(S)
     cg = coherence_guarantees(q.mu, S.M, q.spectral_norm_sq, k, args.candes_c)
-    exrip = exrip_probability(
-        ExripInputs(q.alpha, q.beta, q.gamma, S.m, S.M, delta, moment_constants(dist, k))
-    )
+    exrip = exrip_probability(ExripInputs(q.alpha, q.beta, q.gamma, S.m, S.M, delta, constants))
     # the target and t of table1's search (min_channels_search)
     target, t = _search_policy("rip", k)
     obj = {
@@ -148,51 +134,41 @@ def cmd_bounds(args, eff):
 
 
 def cmd_verify(args, eff):
+    # imported on use, so the commands without Monte Carlo do not load it
     from .montecarlo import bound_validity_report
-    from .reports import write_json
 
-    S, k, delta, dist = _eval_inputs(args, eff)
     report = bound_validity_report(
-        S,
-        k,
-        delta=delta,
-        dist=dist,
-        trials=eff.get_int("trials", 10**5),
-        seed=eff.get_int("seed", 0),
+        _resolve_matrix(args, eff),
+        eff.get_int("k"),
+        **eff.given(delta=float, dist=NonzeroDistribution, trials=int, seed=int),
     )
     return lambda fh: write_json(fh, asdict(report))
 
 
 def cmd_recover(args, eff):
     from .mmv import recovery_experiment
-    from .reports import write_json
 
     report = recovery_experiment(
         _resolve_matrix(args, eff),
         k_rows=eff.get_int("k_rows"),
+        r=eff.get_int("r"),
         snr_db=args.snr,
-        **eff.recovery_settings(),
+        **eff.given(trials=int, dist=NonzeroDistribution, seed=int),
     )
     return lambda fh: write_json(fh, asdict(report))
 
 
 def cmd_sweep(args, eff):
-    from .reports import SWEEP_FIELDS, fig2_report, write_csv
-
     rows = fig2_report(eff)
     return lambda fh: write_csv(fh, SWEEP_FIELDS, rows)
 
 
 def cmd_table1(args, eff):
-    from .reports import TABLE1_FIELDS, table1_report, write_csv
-
     rows = table1_report(eff)
     return lambda fh: write_csv(fh, TABLE1_FIELDS, rows)
 
 
 def cmd_table2(args, eff):
-    from .reports import TABLE2_FIELDS, table2_report, write_csv
-
     rows = table2_report()
     failed = [f"{r['family']} ({r['status']})" for r in rows if r["status"] != "ok"]
 
@@ -206,7 +182,7 @@ def cmd_table2(args, eff):
 
 
 def _add_family_flags(p: argparse.ArgumentParser, with_pattern: bool = True) -> None:
-    p.add_argument("--family", choices=("maximal", "gold", "kasami", "hadamard", "random"))
+    p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--n", type=int, help="shift register length for LFSR families")
     p.add_argument("--M", type=int, help="pattern length (columns)")
     p.add_argument("--m", type=int, help="number of rows (channels)")
@@ -216,15 +192,20 @@ def _add_family_flags(p: argparse.ArgumentParser, with_pattern: bool = True) -> 
         p.add_argument("--pattern", help="read the sign pattern from a file instead")
 
 
+def _add_dist_flag(p: argparse.ArgumentParser) -> None:
+    default = NonzeroDistribution().kind.replace("_", "-")
+    p.add_argument(
+        "--dist",
+        choices=[kind.replace("_", "-") for kind in KINDS],
+        help=f"value law (default the preset's, else NonzeroDistribution's {default}); "
+        "every law has exact moment constants",
+    )
+
+
 def _add_eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, help="sparsity the guarantee is evaluated at")
     p.add_argument("--delta", type=float, help="isometry tolerance (default sqrt(2)-1)")
-    p.add_argument(
-        "--dist",
-        choices=_DIST_TOKENS,
-        help="value law (default the preset's, else complex-normal); every law has exact "
-        "moment constants",
-    )
+    _add_dist_flag(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-rows", type=int, help="row sparsity of the unknown")
     p.add_argument("--r", type=int, help="number of measurement columns")
     p.add_argument("--trials", type=int)
-    p.add_argument("--dist", choices=_DIST_TOKENS)
+    _add_dist_flag(p)
     p.add_argument("--snr", type=float, help="target SNR in dB (default noiseless)")
     p.add_argument("--seed", type=int)
 
@@ -289,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
-    from .presets import effective_preset
-
     try:
         eff = effective_preset(args)
         write = args.func(args, eff)

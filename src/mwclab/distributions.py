@@ -46,14 +46,18 @@ class NonzeroDistribution:
     computed here.
 
     Uniform kinds draw from [-0.5, 0.5]; complex kinds draw the real and
-    imaginary parts independently from the named base law.
+    imaginary parts independently from the named base law.  kind may be
+    spelled with hyphens, as the CLI and presets write it
+    (complex-normal); the default kind is every command's value law.
     """
 
-    kind: str
+    kind: str = "complex_normal"
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        kind = self.kind.replace("-", "_")
+        if kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
+        object.__setattr__(self, "kind", kind)
 
     @property
     def is_complex(self) -> bool:

@@ -373,7 +373,7 @@ def min_channels_search(
     M: int,
     K: int,
     delta: float = BP_DELTA,
-    dist: NonzeroDistribution | None = None,
+    dist: NonzeroDistribution = NonzeroDistribution(),
     attempts: int = 100,
     seed: int = 0,
     ceiling: int = 1 << 15,
@@ -423,8 +423,6 @@ def min_channels_search(
                 f"large-m probability limit {capstr} below target {target_prob}", params,
             )
     if bound == "exrip":
-        if dist is None:
-            raise ValueError("exrip search needs a distribution")
         constants = moment_constants(dist, K)
 
     pool = _candidate_pool(M, attempts, seed)
@@ -436,10 +434,10 @@ def min_channels_search(
             S = SignMatrix(pool.signs(a, m), "random", (seed, a))
             return exrip_from_sign_matrix(S, delta, constants).probability >= target_prob
         mu = pool.mu(a, m)
-        if bound == "donoho_elad":
-            return mu > 0 and math.floor(0.5 * (1.0 + 1.0 / mu)) >= K
-        if bound == "tropp_coherence":
-            return mu > 0 and math.floor(1.0 / (3.0 * mu)) >= K
+        if bound in ("donoho_elad", "tropp_coherence"):
+            cg = coherence_guarantees(mu, M)
+            max_k = cg.donoho_elad_max_k if bound == "donoho_elad" else cg.tropp_max_k
+            return max_k is not None and max_k >= K  # None: mu = 0, a miss
         r = strip_gan(mu, M, K, delta)
         return r.feasible and r.probability >= target_prob
 

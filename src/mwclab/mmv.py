@@ -137,8 +137,8 @@ def recovery_experiment(
     S: SignMatrix,
     k_rows: int,
     r: int,
-    trials: int,
-    dist: NonzeroDistribution | None = None,
+    trials: int = 500,
+    dist: NonzeroDistribution = NonzeroDistribution(),
     snr_db: float | None = None,
     seed: int = 0,
 ) -> RecoveryReport:
@@ -150,8 +150,6 @@ def recovery_experiment(
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    if dist is None:
-        dist = NonzeroDistribution("complex_normal")
     Phi = sensing_matrix(S)
     M = S.M
     if not 1 <= k_rows <= M:

@@ -159,12 +159,10 @@ def bound_validity_report(
     S: SignMatrix,
     K: int,
     delta: float = BP_DELTA,
-    dist: NonzeroDistribution | None = None,
+    dist: NonzeroDistribution = NonzeroDistribution(),
     trials: int = 10**5,
     seed: int = 0,
 ) -> ValidityReport:
-    if dist is None:
-        dist = NonzeroDistribution("complex_normal")
     theory = exrip_from_sign_matrix(S, delta, moment_constants(dist, K))
     Phi = sensing_matrix(S)
     est = empirical_exrip(Phi, K, delta, dist, trials, seed)

@@ -33,7 +33,9 @@ class Preset:
 
     A getter without a default treats its key as required: a missing
     key is a ValueError that names the flag supplying it when the
-    command reading the preset has one (flags), the bare key otherwise."""
+    command reading the preset has one (flags), the bare key otherwise.
+    A key whose default belongs to a library call goes to it through
+    given(), which leaves out what the preset lacks."""
 
     name: str | None  # None for the flags-only configuration of the CLI
     values: dict
@@ -67,16 +69,15 @@ class Preset:
             seed=self.get_int("family_seed", None),
         )
 
-    def recovery_settings(self) -> dict:
-        """recovery_experiment's r, trials, dist and seed keywords; the
-        trials, the nonzero law and the seed fall back to 500,
-        complex_normal and 0."""
-        return {
-            "r": self.get_int("r"),
-            "trials": self.get_int("trials", 500),
-            "dist": NonzeroDistribution(self.get_str("dist", "complex_normal").replace("-", "_")),
-            "seed": self.get_int("seed", 0),
-        }
+    def get_dist(self) -> NonzeroDistribution:
+        """The value law of the dist key, the default law without one."""
+        return self._get("dist", NonzeroDistribution(), NonzeroDistribution)
+
+    def given(self, **parsers) -> dict:
+        """{key: parse(value)} for each named key the preset has.  A key
+        it lacks is left out, so the function these keywords go to
+        applies its own default."""
+        return {k: parse(self.values[k]) for k, parse in parsers.items() if k in self.values}
 
 
 def _read_config() -> configparser.ConfigParser:

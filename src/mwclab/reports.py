@@ -14,6 +14,7 @@ from .distributions import NonzeroDistribution, moment_constants
 from .guarantees import (
     SEARCH_BOUNDS,
     ExripInputs,
+    _candidate_pool,
     exrip_approx,
     exrip_from_sign_matrix,
     exrip_probability,
@@ -91,8 +92,7 @@ def fig2_report(preset: Preset) -> list[dict]:
     k = preset.get_int("k")
     delta = preset.get_float("delta")
     seed = preset.get_int("seed", 0)
-    kind = preset.get_str("dist", "complex_normal")
-    const = moment_constants(NonzeroDistribution(kind), k)
+    const = moment_constants(preset.get_dist(), k)
     start = preset.get_int("m_start")
     stop = preset.get_int("m_stop")
     step = preset.get_int("m_step")
@@ -112,44 +112,37 @@ def table1_report(preset: Preset) -> list[dict]:
     (recovering a k-sparse support through basis pursuit needs the
     matrix to act on 2k-sparse differences); coherence rows state their
     guarantee directly at k.  Each row's target probability is the
-    one the search reports.
+    one the search reports.  The dist, seed, attempts and ceiling keys
+    the preset lacks take min_channels_search's defaults.  The nine
+    searches share one candidate pool, released when the table is done.
     """
     M = preset.get_int("M")
     k = preset.get_int("k")
     delta = preset.get_float("delta")
-    seed = preset.get_int("seed", 0)
-    attempts = preset.get_int("attempts", 100)
-    ceiling = preset.get_int("ceiling", 1 << 15)
-    dist = NonzeroDistribution(preset.get_str("dist", "complex_normal"))
+    search = preset.given(dist=NonzeroDistribution, seed=int, attempts=int, ceiling=int)
     rows = []
-    for bound in SEARCH_BOUNDS:
-        K_used = 2 * k if bound in ("rip", "exrip", "exrip_approx") else k
-        res = min_channels_search(
-            bound,
-            M,
-            K_used,
-            delta=delta,
-            dist=dist if bound == "exrip" else None,
-            attempts=attempts,
-            seed=seed,
-            ceiling=ceiling,
-        )
-        target = res.params["target_prob"]
-        note = res.detail
-        if bound == "rip":
-            note += f"; at k={k} the same bound needs m={rip_min_m(M, k, delta, target)}"
-        if res.witness_seed is not None:
-            note += f"; witness: the first {res.m} rows of draw {res.witness_seed}"
-        rows.append(
-            {
-                "bound": bound,
-                "k": K_used,
-                "target": target,
-                "m_required": res.m,
-                "status": res.status,
-                "note": note,
-            }
-        )
+    try:
+        for bound in SEARCH_BOUNDS:
+            K_used = 2 * k if bound in ("rip", "exrip", "exrip_approx") else k
+            res = min_channels_search(bound, M, K_used, delta=delta, **search)
+            target = res.params["target_prob"]
+            note = res.detail
+            if bound == "rip":
+                note += f"; at k={k} the same bound needs m={rip_min_m(M, k, delta, target)}"
+            if res.witness_seed is not None:
+                note += f"; witness: the first {res.m} rows of draw {res.witness_seed}"
+            rows.append(
+                {
+                    "bound": bound,
+                    "k": K_used,
+                    "target": target,
+                    "m_required": res.m,
+                    "status": res.status,
+                    "note": note,
+                }
+            )
+    finally:
+        _candidate_pool.cache_clear()
     return rows
 
 

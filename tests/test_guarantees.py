@@ -1,7 +1,9 @@
 """Probability bound algebra, the closed-form channel estimate, the
 coherence plug-ins and StRIP bounds, and the minimal-m search."""
 
+import gc
 import math
+import weakref
 from dataclasses import asdict
 from itertools import combinations
 
@@ -472,6 +474,29 @@ def test_bounds_share_one_pool_without_borrowing_verdicts(order):
         want = _reference_search(bound, M, K, attempts, seed, ceiling, BP_DELTA)
         assert (res.m, res.status, res.witness_seed) == want, bound
     assert guarantees._candidate_pool(M, attempts, seed) is pool
+
+
+def test_table1_shares_one_pool_and_releases_it(monkeypatch):
+    # the nine bounds share one pool while the table runs; once it has
+    # returned, neither the search's cache nor anything else holds it
+    from mwclab.presets import Preset, load_preset
+    from mwclab.reports import table1_report
+
+    made = []
+
+    class Tracked(_CandidatePool):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(guarantees, "_CandidatePool", Tracked)
+    guarantees._candidate_pool.cache_clear()
+    base = load_preset("table1_mwc")
+    rows = table1_report(Preset(base.name, {**base.values, "attempts": "2", "ceiling": "512"}))
+    assert len(rows) == 9 and len(made) == 1
+    assert guarantees._candidate_pool.cache_info().currsize == 0
+    gc.collect()
+    assert made[0]() is None
 
 
 def test_search_rejects_nonpositive_attempts():

@@ -2,16 +2,21 @@
 and byte-for-byte reproducibility of artifacts."""
 
 import csv
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from mwclab import cli
+from mwclab import cli, mmv
 from mwclab.distributions import NonzeroDistribution
+from mwclab.mmv import recovery_experiment
 from mwclab.presets import TABLE2_ROW_ORDER, Preset, list_presets, load_preset
+from mwclab.reports import fig2_report, table1_report
 
 REQUIRED_PRESETS = (
     "table1_mwc",
@@ -318,12 +323,64 @@ def test_cli_recover_takes_a_pattern(tmp_path):
     assert json.loads(a.read_bytes())["params"]["family_seed"] == 2
 
 
-def test_recovery_settings_state_recovers_fallbacks():
-    # `recover` and scripts/recovery_curve.py both read these
-    got = Preset(None, {"r": "3"}).recovery_settings()
-    assert got == {"r": 3, "trials": 500, "dist": NonzeroDistribution("complex_normal"), "seed": 0}
-    got = Preset(None, {"r": "3", "dist": "real-uniform", "seed": "4"}).recovery_settings()
-    assert (got["dist"], got["seed"]) == (NonzeroDistribution("real_uniform"), 4)
+def test_recover_fallbacks_are_recovery_experiments_defaults(monkeypatch):
+    # `recover` passes on only the keys it was given, so what it lacks
+    # takes recovery_experiment's defaults, the one place they are written
+    seen = []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(recovery_experiment).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments)
+        raise ValueError("stop")
+
+    monkeypatch.setattr(mmv, "recovery_experiment", spy)
+    argv = ["recover", "--family", "random", "--M", "15", "--m", "6", "--family-seed", "1"]
+    argv += ["--k-rows", "1", "--r", "3"]
+    assert cli.main(argv) == 2
+    assert cli.main([*argv, "--dist", "real-uniform", "--seed", "4"]) == 2
+    got = [(a["r"], a["trials"], a["dist"], a["seed"]) for a in seen]
+    assert got == [
+        (3, 500, NonzeroDistribution("complex_normal"), 0),
+        (3, 500, NonzeroDistribution("real_uniform"), 4),
+    ]
+
+
+def test_reports_read_the_hyphen_law_token():
+    # the CLI's spelling of a law works in a preset for every report;
+    # both presets say complex_normal
+    sweep = load_preset("fig2_sweep")
+    table1 = load_preset("table1_mwc")
+    small = {"attempts": "1", "ceiling": "256"}
+    hyphen = {"dist": "complex-normal"}
+    got = (
+        fig2_report(Preset(sweep.name, {**sweep.values, **hyphen})),
+        table1_report(Preset(table1.name, {**table1.values, **small, **hyphen})),
+    )
+    assert got == (
+        fig2_report(sweep),
+        table1_report(Preset(table1.name, {**table1.values, **small})),
+    )
+
+
+def test_reproduce_tables_quick_matches_the_cli(tmp_path, capsys):
+    # the script's artifacts are the bytes cli.main writes for the argv
+    # it prints beside each
+    path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_tables.py"
+    spec = importlib.util.spec_from_file_location("reproduce_tables", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "out"
+    assert script.main(["--outdir", str(out), "--quick"]) == 0
+    capsys.readouterr()
+    verify = {f"verify_{p}.json" for p in TABLE2_ROW_ORDER}
+    assert {p.name for p in out.iterdir()} == {"table2.csv", "sweep.csv", "recover.json", *verify}
+    for name, argv in (
+        ("recover.json", ["recover", "--preset", "recover_mwc"]),
+        ("verify_table2_gold.json", ["verify", "--preset", "table2_gold", "--trials", "10000"]),
+    ):
+        assert cli.main([*argv, "--out", str(tmp_path / name)]) == 0
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 def test_cli_table2_unexpected_error_is_not_a_row(tmp_path, monkeypatch):
