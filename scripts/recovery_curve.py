@@ -17,7 +17,6 @@ Usage:
 """
 
 import argparse
-import contextlib
 import sys
 
 from mwclab.distributions import NonzeroDistribution
@@ -70,10 +69,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"  {args.axis}={token:>6s}  rate={rep.success_rate:.3f}", file=sys.stderr)
 
-    fields = (args.axis, "rate", "early_stop_fraction")
-    with contextlib.ExitStack() as stack:
-        out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
-        write_csv(out, fields, rows)
+    write_csv(args.out or sys.stdout, (args.axis, "rate", "early_stop_fraction"), rows)
     return 0
 
 

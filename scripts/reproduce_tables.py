@@ -10,7 +10,8 @@ Produces, under --outdir (default out/):
 Everything routes through the CLI entry points, so the files here are
 byte-identical to what `python3 -m mwclab.cli ...` writes for the argv
 printed beside each.  --trials and --seed are passed on only when given;
-without them each command reads its preset's trials and seed.
+without them each command reads its preset's trials and seed, except
+that --quick supplies --trials 10000 when no --trials is given.
 
 Usage:
   python3 scripts/reproduce_tables.py --outdir out --quick
@@ -42,13 +43,13 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--quick",
         action="store_true",
-        help="skip the channel-budget table and cut verify trials to 10k",
+        help="skip the channel-budget table; verify at 10k trials unless --trials is given",
     )
     args = ap.parse_args(argv)
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    trials = 10_000 if args.quick else args.trials
+    trials = 10_000 if args.quick and args.trials is None else args.trials
     trials_flag = [] if trials is None else ["--trials", str(trials)]
     seed_flag = [] if args.seed is None else ["--seed", str(args.seed)]
 

@@ -17,7 +17,8 @@ kind.  A key without a default is a usage error, naming its flag where
 the command has one.  Policy the library fixes has no flag: bounds
 evaluates rip_min_m and strip_tropp at table1's target and t
 (guarantees._search_policy).  Each command returns the writer of its
-artifact, and main writes it to --out, or to stdout without one.
+artifact, and main hands it the --out path, or sys.stdout without one;
+the writer opens a path itself (signmatrix._text_file).
 
 Exit codes: 0 on success, 2 on a validation problem (bad flags, a
 missing or inconsistent parameter, or a table2 row that failed after
@@ -27,7 +28,6 @@ one JSON line; stdout carries nothing but the artifact.
 """
 
 import argparse
-import contextlib
 import json
 import sys
 import time
@@ -61,15 +61,6 @@ from .sensing import quality_measures
 from .signmatrix import FAMILIES, build_sign_matrix, read_pattern_file, write_pattern_file
 
 
-@contextlib.contextmanager
-def _output(path: str | None):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-
-
 def _resolve_matrix(args, eff):
     """Sign matrix from --pattern, else from the effective preset."""
     if getattr(args, "pattern", None):
@@ -87,18 +78,18 @@ def _eval_inputs(args, eff):
 
 def cmd_gen(args, eff):
     S = _resolve_matrix(args, eff)
-    return lambda fh: write_pattern_file(fh, S)
+    return lambda out: write_pattern_file(out, S)
 
 
 def cmd_measures(args, eff):
     q = quality_measures(_resolve_matrix(args, eff))
-    return lambda fh: write_json(fh, asdict(q))
+    return lambda out: write_json(out, asdict(q))
 
 
 def cmd_exrip(args, eff):
     S, k, delta, constants = _eval_inputs(args, eff)
     res = exrip_from_sign_matrix(S, delta, constants)
-    return lambda fh: write_json(fh, asdict(res))
+    return lambda out: write_json(out, asdict(res))
 
 
 def cmd_bounds(args, eff):
@@ -130,7 +121,7 @@ def cmd_bounds(args, eff):
         "rip_target_prob": target,
         "exrip": asdict(exrip),
     }
-    return lambda fh: write_json(fh, obj)
+    return lambda out: write_json(out, obj)
 
 
 def cmd_verify(args, eff):
@@ -142,7 +133,7 @@ def cmd_verify(args, eff):
         eff.get_int("k"),
         **eff.given(delta=float, dist=NonzeroDistribution, trials=int, seed=int),
     )
-    return lambda fh: write_json(fh, asdict(report))
+    return lambda out: write_json(out, asdict(report))
 
 
 def cmd_recover(args, eff):
@@ -155,26 +146,26 @@ def cmd_recover(args, eff):
         snr_db=args.snr,
         **eff.given(trials=int, dist=NonzeroDistribution, seed=int),
     )
-    return lambda fh: write_json(fh, asdict(report))
+    return lambda out: write_json(out, asdict(report))
 
 
 def cmd_sweep(args, eff):
     rows = fig2_report(eff)
-    return lambda fh: write_csv(fh, SWEEP_FIELDS, rows)
+    return lambda out: write_csv(out, SWEEP_FIELDS, rows)
 
 
 def cmd_table1(args, eff):
     rows = table1_report(eff)
-    return lambda fh: write_csv(fh, TABLE1_FIELDS, rows)
+    return lambda out: write_csv(out, TABLE1_FIELDS, rows)
 
 
 def cmd_table2(args, eff):
     rows = table2_report()
     failed = [f"{r['family']} ({r['status']})" for r in rows if r["status"] != "ok"]
 
-    def write(fh):
+    def write(out):
         # every row is written before a failed one is reported
-        write_csv(fh, TABLE2_FIELDS, rows)
+        write_csv(out, TABLE2_FIELDS, rows)
         if failed:
             raise ValueError(f"table2 rows failed: {'; '.join(failed)}")
 
@@ -273,8 +264,7 @@ def main(argv=None) -> int:
     try:
         eff = effective_preset(args)
         write = args.func(args, eff)
-        with _output(args.out) as fh:
-            write(fh)
+        write(args.out or sys.stdout)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -470,7 +470,8 @@ def min_channels_search(
 
     lo, hi = 0, 1
     while hi <= ceiling and not satisfied(hi):
-        lo, hi = hi, hi * 2
+        # double, but probe the ceiling itself before giving up
+        lo, hi = hi, max(min(2 * hi, ceiling), hi + 1)
     if hi > ceiling:
         return SearchResult(
             bound, None, "ceiling", None, f"not satisfied by any m <= {ceiling}", params

@@ -3,12 +3,12 @@ table and the exact-versus-approximate probability sweep.
 
 Each builder returns plain rows (lists of dicts) so tests can inspect
 values before formatting; write_csv/write_json render them with fixed
-float formatting and newline conventions so reruns are byte-identical.
+float formatting and newline conventions so reruns are byte-identical,
+to a path or to an open text handle (signmatrix._text_file).
 """
 
 import csv
 import json
-from pathlib import Path
 
 from .distributions import NonzeroDistribution, moment_constants
 from .guarantees import (
@@ -23,7 +23,7 @@ from .guarantees import (
 )
 from .presets import Preset, TABLE2_ROW_ORDER, load_preset
 from .sensing import correlation_measures
-from .signmatrix import FamilySpec, build_sign_matrix
+from .signmatrix import FamilySpec, _text_file, build_sign_matrix
 
 TABLE2_FIELDS = (
     "family",
@@ -156,26 +156,17 @@ def _format_cell(value) -> str:
 
 def write_csv(out, fieldnames, rows) -> None:
     """Rows are dicts; floats render at 6 decimals, None as empty."""
-
-    def _write(fh):
+    with _text_file(out, "w") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(fieldnames)
         for row in rows:
             w.writerow([_format_cell(row[f]) for f in fieldnames])
 
-    if isinstance(out, (str, Path)):
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            _write(fh)
-    else:
-        _write(out)
-
 
 def write_json(out, obj) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if isinstance(out, (str, Path)):
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        out.write(text)
+    with _text_file(out, "w") as fh:
+        fh.write(text)
 
 
 __all__ = [

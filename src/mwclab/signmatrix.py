@@ -1,11 +1,12 @@
 """Sign-pattern matrices: family selection policies and file format.
 
-The pattern file format used across the repo is plain text: a header
-line "m M family seed" followed by m lines of M space-separated
+The pattern file format used across the repo is UTF-8 text: a header
+line "m M family seed" followed by exactly m lines of M space-separated
 entries from {-1, 1}.  The seed token is an integer, a comma-joined
 tuple of integers, or "none"; round-trips are bit-exact.
 """
 
+import contextlib
 import io
 import os
 from dataclasses import dataclass
@@ -221,24 +222,29 @@ def _parse_seed(token: str) -> Seed:
     return int(token)
 
 
+def _text_file(target: str | os.PathLike | io.TextIOBase, mode: str = "r"):
+    """Context manager for the one way the package reaches a file.
+
+    An open text handle passes through unchanged and stays open.  A path
+    is opened as UTF-8 and closed on exit: written with no newline
+    translation, read with universal newlines.
+    """
+    if not isinstance(target, (str, os.PathLike)):
+        return contextlib.nullcontext(target)
+    return open(target, mode, encoding="utf-8", newline="" if mode == "w" else None)
+
+
 def write_pattern_file(path: str | os.PathLike | io.TextIOBase, sm: SignMatrix) -> None:
     """Write the plain-text pattern format (see module docstring)."""
-    own = not hasattr(path, "write")
-    fh = open(path, "w") if own else path
-    try:
+    with _text_file(path, "w") as fh:
         fh.write(f"{sm.m} {sm.M} {sm.family} {_format_seed(sm.seed)}\n")
         tokens = np.where(sm.entries > 0, "1", "-1")
         fh.write("".join(" ".join(row.tolist()) + "\n" for row in tokens))
-    finally:
-        if own:
-            fh.close()
 
 
 def read_pattern_file(path: str | os.PathLike | io.TextIOBase) -> SignMatrix:
     """Parse a pattern file; inverse of write_pattern_file."""
-    own = not hasattr(path, "read")
-    fh = open(path) if own else path
-    try:
+    with _text_file(path) as fh:
         header = fh.readline().split()
         if len(header) != 4:
             raise ValueError(f"bad pattern header: {header}")
@@ -252,10 +258,9 @@ def read_pattern_file(path: str | os.PathLike | io.TextIOBase) -> SignMatrix:
             if np.any(np.abs(row) != 1):
                 raise ValueError(f"row {i} has an entry other than -1 or 1")
             entries[i] = row
-        return SignMatrix(entries, family, seed)
-    finally:
-        if own:
-            fh.close()
+        if fh.read().strip():
+            raise ValueError(f"text after the {m} rows the header names")
+    return SignMatrix(entries, family, seed)
 
 
 __all__ = [

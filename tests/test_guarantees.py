@@ -296,6 +296,23 @@ def test_search_ceiling_status():
     assert res.m is None
 
 
+@pytest.mark.parametrize("bound", ["exrip_approx", "rip"])
+def test_search_probes_a_ceiling_that_is_not_a_power_of_two(bound):
+    # the answer is the smallest m <= ceiling a linear scan finds, else
+    # "ceiling": the doubling must probe the ceiling itself, not stop at
+    # the last power of two below it (exrip_approx first passes at 39)
+    M, K = 195, 24
+    target, _ = guarantees._search_policy(bound, K)
+    if bound == "exrip_approx":
+        first = next(m for m in range(1, 10**4) if exrip_approx(m).probability >= target)
+    else:
+        first = next(m for m in range(1, 10**4) if m >= rip_min_m(M, K, BP_DELTA, target))
+    for ceiling in [*range(1, 201), *range(first - 3, first + 4), 3000]:
+        res = min_channels_search(bound, M, K, ceiling=ceiling)
+        want = (first, "found") if first <= ceiling else (None, "ceiling")
+        assert (res.m, res.status) == want, ceiling
+
+
 def test_search_rejects_unknown_bound():
     with pytest.raises(ValueError):
         min_channels_search("nosuch", 195, 12)

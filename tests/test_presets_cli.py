@@ -1,11 +1,13 @@
 """Preset registry and the command line surface: schemas, exit codes,
 and byte-for-byte reproducibility of artifacts."""
 
+import ast
 import csv
 import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -370,17 +372,24 @@ def test_reproduce_tables_quick_matches_the_cli(tmp_path, capsys):
     spec = importlib.util.spec_from_file_location("reproduce_tables", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    out = tmp_path / "out"
-    assert script.main(["--outdir", str(out), "--quick"]) == 0
-    capsys.readouterr()
     verify = {f"verify_{p}.json" for p in TABLE2_ROW_ORDER}
-    assert {p.name for p in out.iterdir()} == {"table2.csv", "sweep.csv", "recover.json", *verify}
-    for name, argv in (
-        ("recover.json", ["recover", "--preset", "recover_mwc"]),
-        ("verify_table2_gold.json", ["verify", "--preset", "table2_gold", "--trials", "10000"]),
-    ):
-        assert cli.main([*argv, "--out", str(tmp_path / name)]) == 0
-        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    # --quick supplies --trials 10000 only when --trials is not given
+    for flags, trials in ((["--quick"], 10_000), (["--quick", "--trials", "1000"], 1000)):
+        out = tmp_path / "out" / str(trials)
+        assert script.main(["--outdir", str(out), *flags]) == 0
+        capsys.readouterr()
+        assert {p.name for p in out.iterdir()} == {
+            "table2.csv", "sweep.csv", "recover.json", *verify
+        }
+        gold = json.loads((out / "verify_table2_gold.json").read_text(encoding="utf-8"))
+        assert gold["estimate"]["trials"] == trials
+        verify_argv = ["verify", "--preset", "table2_gold", "--trials", str(trials)]
+        for name, argv in (
+            ("recover.json", ["recover", "--preset", "recover_mwc"]),
+            ("verify_table2_gold.json", verify_argv),
+        ):
+            assert cli.main([*argv, "--out", str(tmp_path / name)]) == 0
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), (flags, name)
 
 
 def test_cli_table2_unexpected_error_is_not_a_row(tmp_path, monkeypatch):
@@ -425,6 +434,56 @@ def test_cli_stdout_when_no_out_flag():
     assert r.stdout.splitlines()[0] == "2 7 random 3"
     record = json.loads(r.stderr.strip().splitlines()[-1])
     assert record["outputs"] == ["-"]
+
+
+GOLD = ("--family", "gold", "--n", "5", "--m", "8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", *GOLD),
+        ("measures", *GOLD),
+        ("exrip", *GOLD, "--k", "3"),
+        ("bounds", *GOLD, "--k", "3"),
+        ("verify", *GOLD, "--k", "3", "--trials", "1000"),
+        ("recover", "--preset", "recover_mwc", "--trials", "20"),
+        ("sweep",),
+        ("table1", "--attempts", "1", "--ceiling", "64"),
+        ("table2",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_stdout_is_the_out_file(argv, tmp_path, capsys):
+    # main hands the writer sys.stdout or the --out path: the same bytes
+    out = tmp_path / "artifact"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert cli.main(list(argv)) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+def test_only_the_text_file_helper_opens_files():
+    # every artifact and pattern file goes through signmatrix._text_file;
+    # the preset file is a package resource read by presets._read_config
+    allowed = {("signmatrix.py", "_text_file"), ("presets.py", "_read_config")}
+    root = Path(__file__).resolve().parents[1]
+    hits = []
+    sources = [*(root / "src" / "mwclab").glob("*.py"), *(root / "scripts").glob("*.py")]
+    for path in sorted(sources):
+        source = path.read_text(encoding="utf-8")
+        spans = [
+            (node.lineno, node.end_lineno, node.name)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for lineno, line in enumerate(source.splitlines(), 1):
+            if re.search(r"open\(|write_text|read_text|ExitStack", line):
+                # the innermost function holding the line (the last to start)
+                owner = max((s for s in spans if s[0] <= lineno <= s[1]), default=(0, 0, None))
+                if (path.name, owner[2]) not in allowed:
+                    hits.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not hits, "\n".join(hits)
 
 
 def _artifact(tmp_path, *args):

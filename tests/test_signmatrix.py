@@ -136,6 +136,11 @@ def test_pattern_file_round_trip(spec, tmp_path):
     assert header[0] == str(S.m) and header[1] == str(S.M) and header[2] == spec.family
 
 
+def test_pattern_file_allows_trailing_whitespace():
+    S = read_pattern_file(io.StringIO("2 3 random 1\n1 -1 1\r\n-1 -1 1\n\n  \n"))
+    assert S.entries.tolist() == [[1, -1, 1], [-1, -1, 1]]
+
+
 def test_pattern_file_bad_header():
     with pytest.raises(ValueError):
         read_pattern_file(io.StringIO("3 4 random\n1 1 1 1\n"))
@@ -157,8 +162,9 @@ def test_pattern_file_bad_entries():
         ("1 1\n", "row 1 has 2 entries, expected 3"),
         ("1 1 1 1\n", "row 1 has 4 entries, expected 3"),
         ("", "row 1 has 0 entries, expected 3"),
+        ("1 1 1\n-1 -1 -1\ngarbage\n", "text after the 2 rows"),
     ],
-    ids=["255", "-255", "token", "fraction", "short", "long", "missing"],
+    ids=["255", "-255", "token", "fraction", "short", "long", "missing", "extra"],
 )
 def test_pattern_file_rejects_corrupt_rows(body, message):
     buf = io.StringIO("2 3 random none\n-1 1 -1\n" + body)
