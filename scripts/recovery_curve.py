@@ -52,13 +52,21 @@ def main(argv: list[str] | None = None) -> int:
         k_rows_fixed = eff.get_int("k_rows") if args.axis == "snr" else None
     except ValueError as exc:
         ap.error(str(exc))
+    # every point is parsed before the first one runs
+    tokens = args.values.split(",")
+    try:
+        if args.axis == "k_rows":
+            points = [(int(token), None) for token in tokens]
+        else:
+            points = [(k_rows_fixed, float(token)) for token in tokens]
+    except ValueError as exc:
+        ap.error(f"--values for --axis {args.axis}: {exc}")
+    for k_rows, _ in points:
+        if not 1 <= k_rows <= min(S.m, S.M):
+            ap.error(f"k_rows must be in 1..{min(S.m, S.M)}, got {k_rows}")
 
     rows = []
-    for token in args.values.split(","):
-        if args.axis == "k_rows":
-            k_rows, snr_db = int(token), None
-        else:
-            k_rows, snr_db = k_rows_fixed, float(token)
+    for token, (k_rows, snr_db) in zip(tokens, points):
         rep = recovery_experiment(S, k_rows=k_rows, r=r, snr_db=snr_db, **settings)
         rows.append(
             {

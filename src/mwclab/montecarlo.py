@@ -37,12 +37,14 @@ def sample_supports(M: int, K: int, count: int, rng: np.random.Generator) -> np.
     The table is int32 (M < 2**31), half the bytes each swap moves.
     """
     idx = np.tile(np.arange(M, dtype=np.int32), (count, 1))
-    rows = np.arange(count)
+    flat = idx.reshape(-1)  # swaps on flat offsets: one index array, not two
+    base = np.arange(count) * M
     for i in range(K):
-        j = i + rng.integers(0, M - i, size=count)
-        tmp = idx[rows, i].copy()
-        idx[rows, i] = idx[rows, j]
-        idx[rows, j] = tmp
+        pi = base + i
+        pj = pi + rng.integers(0, M - i, size=count)
+        tmp = flat[pi]
+        flat[pi] = flat[pj]
+        flat[pj] = tmp
     return idx[:, :K]
 
 
@@ -99,7 +101,7 @@ def empirical_exrip(
         y = np.empty((take, 1, m), dtype=np.result_type(cols, values))
         for i in range(0, take, _GATHER):
             np.matmul(
-                values[i : i + _GATHER, None, :], cols[supports[i : i + _GATHER]],
+                values[i : i + _GATHER, None, :], cols.take(supports[i : i + _GATHER], axis=0),
                 out=y[i : i + _GATHER],
             )
         z2 = (np.abs(y[:, 0]) ** 2).sum(axis=1) / nrm2

@@ -323,6 +323,10 @@ def test_criterion_11_byte_determinism(tmp_path):
         ("sweep", ["sweep"]),
         # the channel search: tall candidates scored from block-streamed Grams
         ("table1", ["table1", "--attempts", "2", "--ceiling", "8192"]),
+        # SOMP scores each 64-trial slab with one GEMM per step; 150 trials
+        # end in a 22-trial slab
+        ("recover", ["recover", "--preset", "recover_mwc", "--trials", "150"]),
+        ("recover_snr0", ["recover", "--preset", "recover_mwc", "--trials", "150", "--snr", "0"]),
     )
     ok = True
     for name, argv in jobs:

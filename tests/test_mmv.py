@@ -8,13 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mwclab.distributions import NonzeroDistribution
+from mwclab.distributions import NonzeroDistribution, block_rng
 from mwclab.mmv import (
+    _somp_slab,
     noise_sigma_for_snr,
     recovery_experiment,
     somp,
     synthesize_mmv,
 )
+from mwclab.montecarlo import sample_supports
+from mwclab.presets import load_preset
 from mwclab.sensing import sensing_matrix
 from mwclab.signmatrix import FamilySpec, SignMatrix, build_sign_matrix
 
@@ -91,6 +94,111 @@ def test_column_permutation_equivariance():
     assert sorted(perm[res.support]) == sorted(base.support)
 
 
+def _reference_somp(Phi, V, k_target):
+    """SOMP one problem at a time, re-projecting V by least squares at
+    every step and stopping when lstsq reports a rank below the number
+    of picks; returns (order, early_stop, reason)."""
+    V0 = np.asarray(V, dtype=np.complex128)
+    AH = Phi.conj().T
+    R = V0
+    selected = []
+    for _ in range(k_target):
+        score = np.linalg.norm(AH @ R, axis=1)
+        if selected:
+            score[selected] = -1.0
+        best = int(np.argmax(score))
+        if score[best] <= 0.0:
+            return tuple(selected), True, "zero residual"
+        trial = selected + [best]
+        sub = Phi[:, trial]
+        X, _, rank, _ = np.linalg.lstsq(sub, V0, rcond=None)
+        if rank < len(trial):
+            return tuple(selected), True, "rank-deficient selection"
+        selected = trial
+        R = V0 - sub @ X
+    return tuple(selected), False, None
+
+
+def _outcome(res):
+    assert list(res.support) == sorted(res.order)
+    return res.order, res.early_stop, res.reason
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_slab_kernel_matches_lstsq_reference_on_recover_mwc(seed):
+    # recovery_experiment's draws for the first 64 trials, at each SNR
+    # and law; the slab and the one-problem somp must both pick what the
+    # per-trial lstsq loop picks
+    preset = load_preset("recover_mwc")
+    S = build_sign_matrix(preset.family_spec())
+    Phi = sensing_matrix(S)
+    k, r = preset.get_int("k_rows"), preset.get_int("r")
+    for snr_db in (None, 5.0, 0.0, -5.0):
+        for law in ("complex_normal", "bernoulli_sign"):
+            dist = NonzeroDistribution(law)
+            sigma = 0.0 if snr_db is None else noise_sigma_for_snr(snr_db, k, S.m, dist)
+            Vs = []
+            for t in range(64):
+                rng = block_rng(seed, t)
+                support = np.sort(sample_supports(S.M, k, 1, rng)[0])
+                Vs.append(synthesize_mmv(Phi, support, r, dist, sigma, rng).V)
+            want = [_reference_somp(Phi, V, k) for V in Vs]
+            assert [_outcome(res) for res in _somp_slab(Phi, np.stack(Vs), k)] == want
+            assert [_outcome(somp(Phi, V, k)) for V in Vs] == want
+
+
+def test_slab_kernel_trials_leave_at_different_steps():
+    # rank-3 Phi whose columns 3 and 4 repeat columns 0 and 2: a zero V
+    # stops at step 0, V along e0 at step 1 and along e1, e0 at step 2
+    # (exact zero residuals), and a generic V picks three columns and
+    # then a duplicate at step 3, so the slab shrinks at every step and
+    # the trials behind each leaver move down into lanes that held other
+    # picks
+    rng = np.random.default_rng(2)
+    m, r, k = 6, 2, 4
+    e = np.eye(m)
+    g = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    g /= 2 * np.linalg.norm(g)
+    Phi = np.column_stack([e[0], e[1], g, e[0], g])
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    V = np.stack(
+        [
+            cn(m, r),
+            np.zeros((m, r)),
+            np.outer(e[0], cn(r)),
+            cn(m, r) + np.outer(8 * g, cn(r)),
+            np.outer(e[0], cn(r)) + np.outer(e[1], 3 * cn(r)),
+        ]
+    )
+    slab = [_outcome(res) for res in _somp_slab(Phi, V, k)]
+    assert slab == [_outcome(somp(Phi, v, k)) for v in V]
+    assert [len(order) for order, _, _ in slab] == [3, 0, 1, 3, 2]
+    assert [reason for _, _, reason in slab] == [
+        "rank-deficient selection",
+        "zero residual",
+        "zero residual",
+        "rank-deficient selection",
+        "zero residual",
+    ]
+    # lstsq leaves a rounding-level residual where Gram-Schmidt on unit
+    # vectors subtracts exactly, so only its picks and flags are compared
+    assert [o[:2] for o in slab] == [_reference_somp(Phi, v, k)[:2] for v in V]
+
+
+def test_somp_leaves_the_callers_measurements_alone():
+    # a 2-D complex V is already the layout of a one-trial slab's
+    # residual, the case where a transpose-only copy would alias it
+    Phi = _phi(np.random.default_rng(9).integers(0, 2, (8, 31)) * 2 - 1)
+    V = synthesize_mmv(Phi, [4, 11, 27], r=5, dist=CN, rng=10).V
+    before = V.tobytes()
+    res = somp(Phi, V, 3)
+    assert not res.early_stop
+    assert V.tobytes() == before
+
+
 def test_somp_validation():
     Phi = _phi([[1, 1], [1, -1]])
     with pytest.raises(ValueError):
@@ -155,6 +263,14 @@ def test_recovery_experiment_deterministic_and_reported():
     assert d["params"]["family"] == "random"
 
 
+def test_recovery_experiment_rejects_more_rows_than_measurements():
+    S = build_sign_matrix(FamilySpec("random", m=40, M=195, seed=2))
+    with pytest.raises(ValueError, match="k_rows"):
+        recovery_experiment(S, k_rows=41, r=2, trials=1)
+    with pytest.raises(ValueError, match="k_rows"):
+        recovery_experiment(S, k_rows=0, r=2, trials=1)
+
+
 def test_recovery_snr_controls_noise():
     S = build_sign_matrix(FamilySpec("random", m=40, M=195, seed=2))
     noisy = recovery_experiment(S, k_rows=12, r=12, trials=80, snr_db=-5.0, seed=0)
@@ -164,13 +280,18 @@ def test_recovery_snr_controls_noise():
     assert clean.success_rate == 1.0
 
 
-def _recovery_curve_calls(monkeypatch, capsys, *argv):
-    """Run scripts/recovery_curve.py's main() in process with a stand-in
-    recovery_experiment; return the keyword arguments of each call."""
+def _recovery_curve():
     path = Path(__file__).resolve().parents[1] / "scripts" / "recovery_curve.py"
     spec = importlib.util.spec_from_file_location("recovery_curve", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def _recovery_curve_calls(monkeypatch, capsys, *argv):
+    """Run scripts/recovery_curve.py's main() in process with a stand-in
+    recovery_experiment; return the keyword arguments of each call."""
+    script = _recovery_curve()
     calls = []
 
     def capture(S, **kw):
@@ -194,3 +315,25 @@ def test_recovery_curve_reads_the_preset_and_a_flag_wins(monkeypatch, capsys):
     assert (kw["trials"], kw["dist"], kw["seed"]) == (7, NonzeroDistribution("bernoulli_sign"), 4)
     (kw,) = _recovery_curve_calls(monkeypatch, capsys, "--axis", "snr")
     assert kw["k_rows"] == 12 and kw["snr_db"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--values", "1,x"),
+        ("--values", "2,1.5"),
+        ("--values", "1,41"),
+        ("--values", "0"),
+        ("--axis", "snr", "--values", "5,loud"),
+        ("--axis", "snr", "--k-rows", "0", "--values", "5"),
+    ],
+)
+def test_recovery_curve_rejects_a_bad_value_before_any_point_runs(monkeypatch, capsys, argv):
+    script = _recovery_curve()
+    calls = []
+    monkeypatch.setattr(script, "recovery_experiment", lambda S, **kw: calls.append(kw))
+    with pytest.raises(SystemExit) as exc:
+        script.main(list(argv))
+    assert exc.value.code == 2
+    assert calls == []
+    assert "error:" in capsys.readouterr().err
