@@ -24,7 +24,9 @@ Exit codes: 0 on success, 2 on a validation problem (bad flags, a
 missing or inconsistent parameter, or a table2 row that failed after
 the table was written), 1 on an internal error.  A run record (command,
 effective preset and its seed, outputs, wall time) goes to stderr as
-one JSON line; stdout carries nothing but the artifact.
+one JSON line; verify and recover record the seed their report ran at,
+the library's default where nothing supplied one.  stdout carries
+nothing but the artifact.
 """
 
 import argparse
@@ -124,6 +126,17 @@ def cmd_bounds(args, eff):
     return lambda out: write_json(out, obj)
 
 
+def _report_writer(report, seed):
+    """write_json of a Monte Carlo report, carrying the seed it ran at
+    for the run record, which may be the library's default."""
+
+    def write(out):
+        write_json(out, asdict(report))
+
+    write.seed = seed
+    return write
+
+
 def cmd_verify(args, eff):
     # imported on use, so the commands without Monte Carlo do not load it
     from .montecarlo import bound_validity_report
@@ -133,7 +146,7 @@ def cmd_verify(args, eff):
         eff.get_int("k"),
         **eff.given(delta=float, dist=NonzeroDistribution, trials=int, seed=int),
     )
-    return lambda out: write_json(out, asdict(report))
+    return _report_writer(report, report.estimate.seed)
 
 
 def cmd_recover(args, eff):
@@ -146,7 +159,7 @@ def cmd_recover(args, eff):
         snr_db=args.snr,
         **eff.given(trials=int, dist=NonzeroDistribution, seed=int),
     )
-    return lambda out: write_json(out, asdict(report))
+    return _report_writer(report, report.seed)
 
 
 def cmd_sweep(args, eff):
@@ -274,7 +287,7 @@ def main(argv=None) -> int:
     record = {
         "command": args.command,
         "preset": eff.name,
-        "seed": eff.get_int("seed", None),
+        "seed": getattr(write, "seed", eff.get_int("seed", None)),
         "outputs": [args.out if args.out else "-"],
         "wall_time_s": round(time.perf_counter() - start, 3),
     }

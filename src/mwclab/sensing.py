@@ -104,30 +104,30 @@ def coherence(S: np.ndarray) -> tuple[float, int]:
 
 
 def _coherence(m: int, M: int, column_gram, spectrum) -> tuple[float, int]:
-    """coherence of an m x M +/-1 matrix by shape alone: a tall one
-    (m > M) from column_gram() = S^T S, which a caller may stream or
-    already hold, a wide one from spectrum() = _row_spectrum(S) on the
-    conjugate-symmetric quarter of Phi^H Phi (_blocked_coherence); only
-    one is called."""
+    """coherence of an m x M +/-1 matrix by shape alone, on the
+    conjugate-symmetric quarter of Phi^H Phi: a tall one (m > M) from
+    column_gram() = S^T S, which a caller may stream or already hold, a
+    wide one from spectrum() = _row_spectrum(S); only one is called."""
     if m > M:
         return _gram_coherence(column_gram(), m)
     return _blocked_coherence(*spectrum())
 
 
 def _gram_coherence(T: np.ndarray, m: int) -> tuple[float, int]:
-    """coherence from T = S^T S alone: G = F^H T F / (mM), column power
-    from its diagonal.  T is exact (_block_gram) and the FFTs are
-    single-threaded, so every route to the same T gives the same mu."""
+    """coherence from T = S^T S alone, on the columns H of G = F^H T F /
+    (mM) (_blocked_coherence's quarter: rows H give X, rows -H mod M Y).
+    T is exact and the FFTs single-threaded: one T, one mu, on any route."""
     M = T.shape[0]
-    G = np.fft.ifft(np.fft.fft(T, axis=1), axis=0) / m
-    d2 = G.diagonal().real  # ||Phi_j||^2 = P_j / (mM)
+    G = np.fft.ifft(np.fft.rfft(T, axis=1), axis=0) / m
+    d2 = G[: M // 2 + 1].diagonal().real  # ||Phi_j||^2 = P_j / (mM)
     cols = np.flatnonzero(d2 * (m * M) > _ZERO_COLUMN_TOL)
+    G, mirror = G[:, cols], -cols % M  # column M - j of Phi is conj Phi_j
     mu = _normalized_max(
-        lambda start, stop: G[np.ix_(cols[start:], cols[start:stop])],
+        lambda start, stop: np.hstack((G[cols[start:], start:stop], G[mirror[start:], start:stop])),
         np.sqrt(d2[cols]),
-        np.ones((1, len(cols)), bool),
+        np.array([cols >= 0, mirror == cols]),
     )
-    return mu, M - len(cols)
+    return mu, M - 2 * len(cols) + int(np.count_nonzero(mirror == cols))
 
 
 def _blocked_coherence(F: np.ndarray, P: np.ndarray) -> tuple[float, int]:

@@ -414,6 +414,24 @@ def test_cli_run_record_on_stderr(tmp_path):
     assert (record["preset"], record["seed"]) == ("fig2_sweep", 3)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--family", "random", "--M", "63", "--m", "10", "--family-seed", "1", "--k", "4"),
+        ("recover", "--family", "random", "--M", "63", "--m", "16", "--family-seed", "2",
+         "--k-rows", "3", "--r", "4", "--trials", "40"),
+    ],
+)
+def test_cli_run_record_states_the_default_seed_that_ran(argv):
+    # no preset and no --seed: the report ran at its library default
+    r = run_cli(*argv)
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout)
+    seed = report["estimate"]["seed"] if argv[0] == "verify" else report["seed"]
+    record = json.loads(r.stderr.strip().splitlines()[-1])
+    assert (record["preset"], record["seed"]) == (None, seed) == (None, 0)
+
+
 def test_cli_exit_codes():
     assert run_cli("measures").returncode == 2  # no input source
     assert run_cli("gen", "--family", "gold", "--n", "10", "--m", "4").returncode == 2

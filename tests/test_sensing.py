@@ -398,6 +398,51 @@ def test_quality_measures_coherence_is_the_public_one(m, M, seed):
     assert (q.mu, q.zero_columns) == coherence(S), S.shape
 
 
+@st.composite
+def tall_sign_matrices(draw):
+    """Tall (m > M) matrices, M = 1..40: random; with duplicated
+    columns; with rows of a period p dividing M, whose columns j off the
+    multiples of M/p are zero; or with rows +/- one row, whose nonzero
+    columns of Phi are all parallel (mu = 1)."""
+    M = draw(st.integers(1, 40))
+    S = _signs(draw(st.integers(M + 1, M + 300)), M, draw(st.integers(0, 10_000)))
+    kind = draw(st.sampled_from(["random", "duplicate", "periodic", "rank_one"]))
+    if kind == "duplicate":
+        for _ in range(draw(st.integers(1, 3))):
+            S[:, draw(st.integers(0, M - 1))] = S[:, draw(st.integers(0, M - 1))]
+    elif kind == "periodic":
+        p = draw(st.sampled_from([p for p in range(1, M + 1) if M % p == 0]))
+        S = np.tile(S[:, :p], (1, M // p))
+    elif kind == "rank_one":
+        S = S[:, :1] * S[:1]
+    return S
+
+
+def _dense_coherence(S):
+    """mu and zero-column count of the full |Phi^H Phi| of sensing_matrix."""
+    Phi = sensing_matrix(_sm(S))
+    norms = np.linalg.norm(Phi, axis=0)
+    cols = np.flatnonzero(norms**2 * S.size > _ZERO_COLUMN_TOL)
+    A = np.abs(Phi[:, cols].conj().T @ Phi[:, cols]) / np.outer(norms[cols], norms[cols])
+    np.fill_diagonal(A, 0.0)
+    return min(float(A.max(initial=0.0)), 1.0), S.shape[1] - len(cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_sign_matrices())
+@example(_signs(5, 1, 0))
+@example(_signs(7, 2, 1))
+@example(_signs(9, 3, 2))
+@example(np.tile(_signs(50, 2, 3), (1, 6)))  # period 2: only columns 0 and 6 live
+# column M/2 pairs with itself on Y's diagonal: unmarked, mu would read 1
+@example(_signs(50, 8, 4))
+def test_tall_coherence_matches_dense_gram(S):
+    mu, zeros = coherence(S)
+    mu_ref, zeros_ref = _dense_coherence(S)
+    assert zeros == zeros_ref
+    assert abs(mu - mu_ref) <= 1e-12, (S.shape, mu, mu_ref)
+
+
 def _full_square_coherence(F, P):
     """Reference for the blocked route over the full square of Phi^H
     Phi, given a row spectrum (S F, P): every block runs over all
