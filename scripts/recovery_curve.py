@@ -20,7 +20,7 @@ import argparse
 import sys
 
 from mwclab.distributions import NonzeroDistribution
-from mwclab.mmv import recovery_experiment
+from mwclab.mmv import noise_sigma_for_snr, recovery_experiment
 from mwclab.presets import effective_preset
 from mwclab.reports import write_csv
 from mwclab.signmatrix import build_sign_matrix
@@ -61,9 +61,15 @@ def main(argv: list[str] | None = None) -> int:
             points = [(k_rows_fixed, float(token)) for token in tokens]
     except ValueError as exc:
         ap.error(f"--values for --axis {args.axis}: {exc}")
-    for k_rows, _ in points:
+    for k_rows, snr_db in points:
         if not 1 <= k_rows <= min(S.m, S.M):
             ap.error(f"k_rows must be in 1..{min(S.m, S.M)}, got {k_rows}")
+        if snr_db is not None:
+            dist = settings.get("dist", NonzeroDistribution())
+            try:
+                noise_sigma_for_snr(snr_db, k_rows, S.m, dist)
+            except ValueError as exc:
+                ap.error(f"--values for --axis snr: {exc}")
 
     rows = []
     for token, (k_rows, snr_db) in zip(tokens, points):

@@ -285,12 +285,6 @@ class SearchResult:
     params: dict = field(default_factory=dict)
 
 
-def _stream_gram(key, m: int, M: int):
-    """S^T S of _random_signs(key, m, M), accumulated over the row blocks
-    of the sign stream: the same T, bit for bit, with no m x M matrix."""
-    return _block_gram(((B, B) for B in _sign_blocks(key, m, M)), M)
-
-
 class _CandidatePool:
     """The random candidates of the channel search for one (M, attempts,
     seed).
@@ -307,10 +301,10 @@ class _CandidatePool:
     m0..m, drawn from the Generator state saved with it.  Each attempt
     keeps at most two checkpoints, the one it grew from and the newest
     (none at m = 0): along a doubling or a bisection the next probe lies
-    above the last failing one, which is kept.  T is held in float32,
-    exact while |T_ij| <= m < 2**24.  Every value is the one the materialized prefix
-    gives (coherence, spectral_norm_sq), bit for bit, so what the pool
-    holds never changes a result.
+    above the last failing one, which is kept.  A checkpoint holds T as
+    int32.  Every value is the one the materialized prefix gives
+    (coherence, spectral_norm_sq), bit for bit, so what the pool holds
+    never changes a result.
     """
 
     def __init__(self, M: int, attempts: int, seed: int):
@@ -337,11 +331,10 @@ class _CandidatePool:
             if m0 == m:
                 return T0.astype(np.float64)
             rng.bit_generator.state = state
-        T = _stream_gram(rng, m - m0, self.M)
+        T = _block_gram(_sign_blocks(rng, m - m0, self.M), self.M)
         if base is not None:
             T += T0
-        exact = np.float32 if m < 1 << 24 else np.float64
-        newest = (m, T.astype(exact), rng.bit_generator.state)
+        newest = (m, T.astype(np.int32), rng.bit_generator.state)
         self._checkpoints[a] = ([] if base is None else [base]) + [newest]
         return T
 

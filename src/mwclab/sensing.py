@@ -58,38 +58,34 @@ def _row_spectrum(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return F, A.sum(axis=0)
 
 
-def _block_gram(pairs, n: int) -> np.ndarray:
-    """T = sum of A^T B (n x n, float64) over pairs (A, B) of matching
-    row blocks of two +/-1 matrices (S^T S: each block of S with itself).
+def _block_gram(blocks, n: int) -> np.ndarray:
+    """T = sum of B^T B (n x n, float64) over the row blocks B of a
+    matrix with entries in {-1, 0, 1}.
 
-    Each pair of at most _BLOCK_ROWS rows runs as a float32 BLAS
+    Each block of at most _BLOCK_ROWS rows runs as a float32 BLAS
     product: its partial sums are integers of magnitude at most
     _BLOCK_ROWS < 2**24, so it is exact whatever the blocking, FMA use
     or thread count, and the float64 sum of the blocks is exact too.  A
     materialized matrix and the same rows streamed by _sign_blocks give
-    the same T, bit for bit.
+    the same T, bit for bit.  Every Gram in the package runs here.
     """
     T = np.zeros((n, n))
-    for A, B in pairs:
-        Af = A.astype(np.float32, copy=False)
-        # a block paired with itself takes the symmetric (syrk) product
-        T += Af.T @ (Af if B is A else B.astype(np.float32, copy=False))
+    for B in blocks:
+        B = B.astype(np.float32, copy=False)
+        T += B.T @ B
     return T
 
 
-def _column_gram(S: np.ndarray, R: np.ndarray | None = None) -> np.ndarray:
-    """S^T S, or S^T R for R of S's shape, of materialized +/-1
-    matrices (see _block_gram)."""
+def _column_gram(S: np.ndarray) -> np.ndarray:
+    """S^T S of a materialized matrix with entries in {-1, 0, 1}, over
+    its row blocks (see _block_gram)."""
     rows = range(0, S.shape[0], _BLOCK_ROWS)
-    blocks = (S[i : i + _BLOCK_ROWS] for i in rows)
-    if R is None:
-        return _block_gram(((B, B) for B in blocks), S.shape[1])
-    return _block_gram(zip(blocks, (R[i : i + _BLOCK_ROWS] for i in rows)), S.shape[1])
+    return _block_gram((S[i : i + _BLOCK_ROWS] for i in rows), S.shape[1])
 
 
 def _sign_gram(S: np.ndarray) -> np.ndarray:
-    """The smaller Gram of a +/-1 matrix, S S^T if m <= M else S^T S,
-    both exact block products (_column_gram)."""
+    """The smaller Gram of an m x M matrix with entries in {-1, 0, 1},
+    S S^T if m <= M else S^T S, both exact (_column_gram)."""
     return _column_gram(S if S.shape[0] > S.shape[1] else S.T)
 
 
@@ -207,31 +203,37 @@ def spectral_norm_sq(S: np.ndarray) -> float:
     return _top_eigenvalue(_sign_gram(S)) / S.shape[0]
 
 
-def _correlations(Sf: np.ndarray):
-    """alpha, beta, gamma of a float64 +/-1 matrix, plus the smaller
-    Gram W that alpha was taken from and the row spectrum (S F, P) that
+def _correlations(S: np.ndarray):
+    """alpha, beta, gamma of a +/-1 matrix, plus the smaller Gram W that
+    alpha and gamma were taken from and the row spectrum (S F, P) that
     beta was (see quality_measures)."""
-    m, M = Sf.shape
-    F, P = _row_spectrum(Sf)
+    m, M = S.shape
+    F, P = _row_spectrum(S)
     if not np.any(P > _ZERO_COLUMN_TOL):
         raise ValueError("all sensing columns are zero")
 
-    W = _sign_gram(Sf)
+    W = _sign_gram(S)
     G = W.astype(np.int64)
     alpha = float((G * G).sum()) / (m * M) ** 2
 
     beta = float((P * P).sum()) / (m * m * M**4)
 
-    # S R S^T = S (S R)^T, summed over blocks of S's columns
-    Grev = _column_gram(Sf.T, Sf[:, (-np.arange(M)) % M].T).astype(np.int64)
-    gamma = float((Grev * Grev).sum()) / (m * M) ** 2
+    rev = -np.arange(M) % M
+    if m > M:
+        # ||S R S^T||_F^2 = tr(R W R W) for W = S^T S and R = R^T
+        rev_sq = (G * G[np.ix_(rev, rev)]).sum()
+    else:
+        # S R S^T = 2 H H^T - W for W = S S^T, H = (S + S R) / 2 in {-1, 0, 1}
+        Grev = 2 * _sign_gram((S + S[:, rev]) // 2).astype(np.int64) - G
+        rev_sq = (Grev * Grev).sum()
+    gamma = float(rev_sq) / (m * M) ** 2
     return alpha, beta, gamma, W, (F, P)
 
 
 def correlation_measures(S: SignMatrix) -> tuple[float, float, float]:
     """(alpha, beta, gamma): the three measures the exrip bound reads,
     without the coherence and spectral norm of quality_measures."""
-    return _correlations(S.entries.astype(np.float64))[:3]
+    return _correlations(S.entries)[:3]
 
 
 def quality_measures(S: SignMatrix) -> QualityReport:
@@ -239,8 +241,9 @@ def quality_measures(S: SignMatrix) -> QualityReport:
 
     All three pair sums run over ordered pairs (i, k) including i = k;
     the diagonal is what puts alpha at its 1/m floor for orthogonal
-    rows.  Intermediate sums are integers below 2**53, so the float
-    results are exact up to the final divisions.
+    rows.  alpha and gamma are exact integer sums (below 2**53) up to
+    the final division; beta is not, since its P_j come from a floating
+    FFT.
 
       alpha = (mM)^-2   sum (S_i . S_k)^2
       beta  = (m^2M^3)^-1 sum ||S_i (*) S_k||^2   ((*) cyclic convolution)
@@ -249,15 +252,17 @@ def quality_measures(S: SignMatrix) -> QualityReport:
     beta uses Parseval: sum_ik ||S_i (*) S_k||^2 = (1/M) sum_j P_j^2
     with P_j the column power of S F.  alpha comes from the smaller
     Gram W (_sign_gram, ||S S^T||_F = ||S^T S||_F), which also gives
-    the spectral norm; gamma from S R S^T with R the cyclic reversal
-    n -> -n mod M.  Both products run in the one float32 block kernel
-    (_block_gram) and are exact; they are cast back to int64 so the sums
-    of squares are exact integers too.  The coherence takes the route of
-    its shape (_coherence): a tall matrix is scored from W, which is
-    S^T S there, a wide one from the row spectrum that beta was taken
-    from.
+    the spectral norm, and so does gamma = (mM)^-2 ||S R S^T||_F^2 with
+    R the cyclic reversal n -> -n mod M: a wide matrix takes
+    S R S^T = 2 H H^T - W, H = (S + S R) / 2, a tall one
+    tr(R W R W), which never forms an m x m array.  Every Gram runs in
+    the one float32 block kernel (_block_gram) and is exact; it is cast
+    to int64 so the sums of squares are exact integers too.  The
+    coherence takes the route of its shape (_coherence): a tall matrix
+    is scored from W, which is S^T S there, a wide one from the row
+    spectrum that beta was taken from.
     """
-    alpha, beta, gamma, W, spectrum = _correlations(S.entries.astype(np.float64))
+    alpha, beta, gamma, W, spectrum = _correlations(S.entries)
     mu, zero_columns = _coherence(S.m, S.M, lambda: W, lambda: spectrum)
     snorm = _top_eigenvalue(W) / S.m
     return QualityReport(alpha, beta, gamma, mu, snorm, S.m, S.M, zero_columns)

@@ -150,15 +150,9 @@ def _random_entries(m: int, M: int, seed: Seed) -> np.ndarray:
     S = _random_signs(rng, m, M)
     # rows must be distinct; redraw clashes (astronomically rare at real sizes)
     for _ in range(100):
-        seen: dict[bytes, int] = {}
-        dup = []
-        for i in range(m):
-            key = S[i].tobytes()
-            if key in seen:
-                dup.append(i)
-            else:
-                seen[key] = i
-        if not dup:
+        # every row but the first of its kind, in row order
+        dup = np.setdiff1d(np.arange(m), np.unique(S, axis=0, return_index=True)[1])
+        if not len(dup):
             return S
         S[dup] = _random_signs(rng, len(dup), M)
     raise ValueError(f"could not draw {m} distinct rows of length {M}")

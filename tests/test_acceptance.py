@@ -315,6 +315,11 @@ def test_criterion_11_byte_determinism(tmp_path):
         ("measures_maximal", ["measures", "--family", "maximal", "--n", "12", "--m", "32"]),
         # even M: the self-conjugate column M/2 and 961 zero columns
         ("measures_hadamard", ["measures", "--family", "hadamard", "--M", "1024", "--m", "48"]),
+        # tall: gamma from tr(R W R W) and mu from the quarter of W = S^T S
+        (
+            "measures_tall",
+            ["measures", "--family", "random", "--M", "195", "--m", "4353", "--family-seed", "1"],
+        ),
         ("verify", ["verify", "--preset", "table2_kasami", "--trials", "2000"]),
         # the shape that dominates reproduce: m = 80, K = 24, two full
         # blocks and a 4-trial slab through the BLAS-backed matmul

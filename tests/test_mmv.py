@@ -234,6 +234,12 @@ def test_noise_sigma_for_snr_round_trip():
     assert np.isclose(10.0 * np.log10(signal / noise), snr, atol=1e-12)
 
 
+@pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf")])
+def test_noise_sigma_for_snr_rejects_a_non_finite_snr(snr_db):
+    with pytest.raises(ValueError, match="finite"):
+        noise_sigma_for_snr(snr_db, 12, 40, CN)
+
+
 def test_recovery_monotone_in_row_sparsity():
     S = build_sign_matrix(FamilySpec("random", m=40, M=195, seed=2))
     rates = []
@@ -326,6 +332,9 @@ def test_recovery_curve_reads_the_preset_and_a_flag_wins(monkeypatch, capsys):
         ("--values", "0"),
         ("--axis", "snr", "--values", "5,loud"),
         ("--axis", "snr", "--k-rows", "0", "--values", "5"),
+        ("--axis", "snr", "--values", "5,nan"),
+        ("--axis", "snr", "--values", "inf,5"),
+        ("--axis", "snr", "--values", "5,-inf"),
     ],
 )
 def test_recovery_curve_rejects_a_bad_value_before_any_point_runs(monkeypatch, capsys, argv):

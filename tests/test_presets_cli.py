@@ -439,6 +439,15 @@ def test_cli_exit_codes():
     assert run_cli("exrip", "--family", "gold", "--n", "5", "--m", "4").returncode == 2  # no k
 
 
+@pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
+def test_cli_recover_non_finite_snr_is_a_usage_error(snr, tmp_path, capsys):
+    out = tmp_path / "recover.json"
+    argv = ["recover", "--preset", "recover_mwc", f"--snr={snr}", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "snr_db must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", [14, 2])
 def test_cli_maximal_degree_outside_the_range_is_a_usage_error(n, capsys):
     argv = ["gen", "--family", "maximal", "--n", str(n), "--m", "4"]

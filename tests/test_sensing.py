@@ -2,6 +2,7 @@
 measures, checked against direct-sum oracles, closed forms and
 metamorphic invariances."""
 
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -9,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mwclab.guarantees import _stream_gram
 from mwclab.sensing import (
     _POWER_REL_TOL,
     _ZERO_COLUMN_TOL,
     QualityReport,
+    _block_gram,
     _blocked_coherence,
     _column_gram,
     _gram_coherence,
@@ -29,7 +30,13 @@ from mwclab.sensing import (
     welch_lower_bound,
 )
 from mwclab.sequences import gold_t, primitive_polys
-from mwclab.signmatrix import FamilySpec, SignMatrix, _random_signs, build_sign_matrix
+from mwclab.signmatrix import (
+    FamilySpec,
+    SignMatrix,
+    _random_signs,
+    _sign_blocks,
+    build_sign_matrix,
+)
 
 
 def _sm(entries):
@@ -269,18 +276,41 @@ def test_blas_gram_equals_integer_gram(S):
     assert np.array_equal(W, want.astype(np.float64))
 
 
+def _pair_square_sum(A, B):
+    """sum over rows i of A and k of B of (A_i . B_k)^2, an exact
+    integer: each dot product of +/-1 rows is a float64 sum of at most
+    M unit terms, and 512 rows of A are paired at a time."""
+    blocks = (A[i : i + 512] @ B.T for i in range(0, len(A), 512))
+    return sum(int((P.astype(np.int64) ** 2).sum()) for P in blocks)
+
+
 @settings(max_examples=60, deadline=None)
 @given(any_shape_sign_matrices)
+@example(_signs(9, 1, 4))  # tall, M = 1: the reversal is the identity
+@example(_signs(11, 2, 5))  # tall, M = 2: it still fixes every column
+@example(build_sign_matrix(FamilySpec("hadamard", m=5, M=32)).entries)  # 25 zero columns
+@example(_random_signs((0, 4353, 95), 4353, 195))  # a streamed channel-search shape
 def test_alpha_gamma_equal_integer_pair_sums(S):
+    # tall S takes gamma from tr(R W R W), wide S from S R S^T = 2 H H^T - W
     m, M = S.shape
-    Si = S.astype(np.int64)
-    G = Si @ Si.T
-    Grev = Si @ Si[:, (-np.arange(M)) % M].T
+    Sf = S.astype(np.float64)
     q = quality_measures(_sm(S))
-    assert q.alpha == float((G * G).sum()) / (m * M) ** 2
-    assert q.gamma == float((Grev * Grev).sum()) / (m * M) ** 2
+    assert q.alpha == _pair_square_sum(Sf, Sf) / (m * M) ** 2
+    assert q.gamma == _pair_square_sum(Sf, Sf[:, (-np.arange(M)) % M]) / (m * M) ** 2
     # the exrip-only path runs the same formulas
     assert correlation_measures(_sm(S)) == (q.alpha, q.beta, q.gamma)
+
+
+def test_tall_correlation_measures_hold_no_m_by_m_array():
+    # one 6000 x 6000 int64 or float64 array alone is 288 MB
+    S = _sm(_random_signs(7, 6000, 195))
+    tracemalloc.start()
+    try:
+        correlation_measures(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20, peak
 
 
 @st.composite
@@ -621,7 +651,7 @@ def test_power_iteration_on_a_tall_witness_gram():
     # l2/l1 = 0.9965 here the error is about
     # _POWER_REL_TOL * r^2 / (1 - r^2), 1.4e-8 relative rather than 1e-10
     m, M, key = 4353, 195, (0, 4353, 95)
-    T = _stream_gram(key, m, M)
+    T = _block_gram(_sign_blocks(key, m, M), M)
     Si = _random_signs(key, m, M).astype(np.float64)
     assert np.array_equal(T, Si.T @ Si)
     lam = _top_eigenvalue(T)

@@ -9,8 +9,7 @@ import pytest
 
 from mwclab import cli
 from mwclab import sequences as sq
-from mwclab.guarantees import _stream_gram
-from mwclab.sensing import _column_gram
+from mwclab.sensing import _block_gram, _column_gram
 from mwclab.signmatrix import (
     _BLOCK_ROWS,
     FamilySpec,
@@ -209,7 +208,7 @@ def test_streamed_gram_equals_integer_gram(m, M):
     key = (3, m, 0)
     Si = _random_signs(key, m, M).astype(np.int64)
     want = (Si.T @ Si).astype(np.float64)
-    T = _stream_gram(key, m, M)
+    T = _block_gram(_sign_blocks(key, m, M), M)
     assert T.dtype == np.float64
     assert np.array_equal(T, want)
     # the materialized matrix runs the same row blocks
