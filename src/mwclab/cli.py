@@ -30,6 +30,7 @@ nothing but the artifact.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -212,7 +213,9 @@ def _add_eval_flags(p: argparse.ArgumentParser) -> None:
     _add_dist_flag(p)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: main only reads it."""
     ap = argparse.ArgumentParser(
         prog="mwclab",
         description="Sign-pattern conditioning laboratory for the modulated wideband converter.",

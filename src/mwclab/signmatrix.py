@@ -1,9 +1,12 @@
 """Sign-pattern matrices: family selection policies and file format.
 
 The pattern file format used across the repo is UTF-8 text: a header
-line "m M family seed" followed by exactly m lines of M space-separated
-entries from {-1, 1}.  The seed token is an integer, a comma-joined
-tuple of integers, or "none"; round-trips are bit-exact.
+line "m M family seed" followed by exactly m lines of M entries from
+{-1, 1}, then nothing but whitespace.  An entry is the token 1, +1 or
+-1, and the tokens of a row are separated by spaces, tabs, CRs, VTs or
+FFs; the writer spells +1 as 1 and puts one space between tokens.  The
+seed token is an integer, a comma-joined tuple of integers, or "none";
+round-trips are bit-exact.
 """
 
 import contextlib
@@ -228,12 +231,60 @@ def _text_file(target: str | os.PathLike | io.TextIOBase, mode: str = "r"):
     return open(target, mode, encoding="utf-8", newline="" if mode == "w" else None)
 
 
+# entries per block of rows the pattern codec formats or parses at once
+_CODEC_ENTRIES = 1 << 16
+
+
+def _format_rows(E: np.ndarray) -> str:
+    """The lines of the sign rows E, as " ".join spells them."""
+    # "-1 " per entry with the sign byte zeroed for +1 and a newline for
+    # the last separator of each row; the zero bytes are then deleted
+    t = np.empty((*E.shape, 3), np.uint8)
+    np.multiply(E < 0, np.uint8(ord("-")), out=t[..., 0])
+    t[..., 1] = ord("1")
+    t[..., 2] = ord(" ")
+    t[:, -1, 2] = ord("\n")
+    return t.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def write_pattern_file(path: str | os.PathLike | io.TextIOBase, sm: SignMatrix) -> None:
     """Write the plain-text pattern format (see module docstring)."""
     with _text_file(path, "w") as fh:
         fh.write(f"{sm.m} {sm.M} {sm.family} {_format_seed(sm.seed)}\n")
-        tokens = np.where(sm.entries > 0, "1", "-1")
-        fh.write("".join(" ".join(row.tolist()) + "\n" for row in tokens))
+        rows = max(1, _CODEC_ENTRIES // sm.M)
+        for start in range(0, sm.m, rows):
+            fh.write(_format_rows(sm.entries[start : start + rows]))
+
+
+def _parse_rows(data: bytes, M: int, first: int) -> np.ndarray:
+    """The lines of `data`, each ending in a newline, as an int8 array
+    of shape (lines, M); errors number the lines from `first`.
+
+    A 1 ends every token, so the text is well formed when every 1 is
+    followed by a separator or a newline, every sign by a 1, and no other
+    byte occurs.  A row's count is its runs of non-separator bytes, so a
+    bad token counts as one entry.
+    """
+    b = np.frombuffer(data, np.uint8)
+    newline = b == ord("\n")
+    ink = (b != ord(" ")) & (b - np.uint8(ord("\t")) > 4)  # not space, \t, \n, \v, \f, \r
+    one = b == ord("1")
+    sign = (b == ord("-")) | (b == ord("+"))
+    bad = ink & ~one & ~sign
+    bad[1:] |= (one[:-1] & ink[1:]) | (sign[:-1] & ~one[1:])
+    start = ink.copy()  # the first byte of each token
+    start[1:] &= ~ink[:-1]
+    # per row, the first byte of each of its tokens, then its newline
+    marks = b.take(np.flatnonzero(start | newline))
+    counts = np.diff(np.flatnonzero(marks == ord("\n")), prepend=-1) - 1
+    if bad.any() or (counts != M).any():
+        bad_row = counts != M
+        bad_row[np.searchsorted(np.flatnonzero(newline), np.flatnonzero(bad))] = True
+        i = int(np.argmax(bad_row))
+        if counts[i] != M:
+            raise ValueError(f"row {first + i} has {counts[i]} entries, expected {M}")
+        raise ValueError(f"row {first + i} has an entry other than -1 or 1")
+    return 1 - 2 * (marks.reshape(-1, M + 1)[:, :M] == ord("-")).view(np.int8)
 
 
 def read_pattern_file(path: str | os.PathLike | io.TextIOBase) -> SignMatrix:
@@ -244,15 +295,19 @@ def read_pattern_file(path: str | os.PathLike | io.TextIOBase) -> SignMatrix:
             raise ValueError(f"bad pattern header: {header}")
         m, M, family, seed = int(header[0]), int(header[1]), header[2], _parse_seed(header[3])
         entries = np.empty((m, M), dtype=np.int8)
-        for i in range(m):
-            # int64, not int8: a narrow parse would wrap 255 to -1
-            row = np.fromstring(fh.readline(), dtype=np.int64, sep=" ")
-            if len(row) != M:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {M}")
-            if np.any(np.abs(row) != 1):
-                raise ValueError(f"row {i} has an entry other than -1 or 1")
-            entries[i] = row
-        if fh.read().strip():
+        row, rest = 0, b""
+        while row < m:
+            # whole lines, at most _CODEC_ENTRIES entries before the last
+            # (each takes two characters or more); a file that ends early
+            # reads as empty rows
+            data = (fh.read(2 * _CODEC_ENTRIES) + fh.readline()).encode() or b"\n" * (m - row)
+            if not data.endswith(b"\n"):
+                data += b"\n"
+            lines = min(data.count(b"\n"), m - row)
+            rest = data.split(b"\n", lines)[-1]
+            entries[row : row + lines] = _parse_rows(data[: len(data) - len(rest)], M, row)
+            row += lines
+        if (rest.decode() + fh.read()).strip():
             raise ValueError(f"text after the {m} rows the header names")
     return SignMatrix(entries, family, seed)
 

@@ -1,14 +1,17 @@
 """Monte Carlo estimator for the isometry event probability: support
-sampling statistics, exact degenerate cases, reproducibility, and the
-validity report wiring."""
+sampling statistics, exact degenerate cases, an exact enumeration
+oracle for the sign law, reproducibility, and the validity report
+wiring."""
 
+import itertools
 import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from mwclab.distributions import NonzeroDistribution, block_rng, sample_values
+from mwclab.distributions import NonzeroDistribution, block_rng, moment_constants, sample_values
+from mwclab.guarantees import BP_DELTA, exrip_from_sign_matrix
 from mwclab.montecarlo import (
     _BLOCK,
     ExripEstimate,
@@ -17,7 +20,7 @@ from mwclab.montecarlo import (
     sample_supports,
 )
 from mwclab.sensing import sensing_matrix
-from mwclab.signmatrix import SignMatrix
+from mwclab.signmatrix import FamilySpec, SignMatrix, build_sign_matrix
 
 CN = NonzeroDistribution("complex_normal")
 
@@ -255,3 +258,43 @@ def test_int32_table_draws_the_int64_supports(M, K):
     assert got.dtype == np.int32
     assert np.array_equal(got, want)
     assert rng.random() == ref_rng.random()
+
+
+BS = NonzeroDistribution("bernoulli_sign")
+
+
+def _exact_sign_exrip(Phi, K, delta):
+    """P(|Z^2 - 1| <= delta) under uniform K-supports and i.i.d. +/-1
+    values, by enumerating every support and sign vector, with the
+    smallest distance of any Z^2 from the band's edges."""
+    M = Phi.shape[1]
+    supports = np.array(list(itertools.combinations(range(M), K)))
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=K)))
+    y = np.einsum("vk,itk->tvi", signs, Phi[:, supports])
+    z2 = (np.abs(y) ** 2).sum(axis=2) / K  # ||u||^2 = K
+    return float((np.abs(z2 - 1.0) <= delta).mean()), float(np.abs(np.abs(z2 - 1.0) - delta).min())
+
+
+@pytest.mark.parametrize(
+    "m, M, K, seed, delta",
+    [
+        (2, 5, 2, 1, 0.9),
+        (3, 7, 3, 2, 0.6),
+        (4, 8, 2, 3, BP_DELTA),
+        (5, 9, 4, 4, 0.6),
+        (5, 9, 3, 5, BP_DELTA),
+        (3, 6, 4, 6, 0.8),
+        (4, 9, 1, 7, 0.5),
+        (5, 7, 4, 8, 0.9),
+    ],
+)
+def test_empirical_and_bound_against_exact_sign_enumeration(m, M, K, seed, delta):
+    S = build_sign_matrix(FamilySpec("random", m=m, M=M, seed=seed))
+    Phi = sensing_matrix(S)
+    p, edge = _exact_sign_exrip(Phi, K, delta)
+    assert edge > 1e-9  # no Z^2 on the band's edge, where rounding could flip a hit
+    trials = 20_000
+    est = empirical_exrip(Phi, K, delta, BS, trials, seed=seed)
+    assert abs(est.empirical_p - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials)
+    bound = exrip_from_sign_matrix(S, delta, moment_constants(BS, K))
+    assert bound.probability <= p

@@ -1,6 +1,7 @@
 """Preset registry and the command line surface: schemas, exit codes,
 and byte-for-byte reproducibility of artifacts."""
 
+import argparse
 import ast
 import csv
 import importlib.util
@@ -430,6 +431,28 @@ def test_cli_run_record_states_the_default_seed_that_ran(argv):
     seed = report["estimate"]["seed"] if argv[0] == "verify" else report["seed"]
     record = json.loads(r.stderr.strip().splitlines()[-1])
     assert (record["preset"], record["seed"]) == (None, seed) == (None, 0)
+
+
+def _parser_state(parser):
+    # every parser's defaults and every action's default and choices
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parsers = [parser, *(p for a in subs for p in a.choices.values())]
+    return [
+        (p._defaults.copy(), [(a.dest, a.default, a.choices) for a in p._actions if a.dest != "command"])
+        for p in parsers
+    ]
+
+
+def test_cli_parser_is_built_once_and_main_leaves_it_alone(tmp_path, capsys):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    before = repr(_parser_state(parser))
+    pat = tmp_path / "g.pat"
+    assert cli.main(["gen", "--family", "gold", "--n", "5", "--m", "4", "--out", str(pat)]) == 0
+    assert cli.main(["measures", "--pattern", str(pat), "--out", str(tmp_path / "q.json")]) == 0
+    assert cli.main(["exrip", "--pattern", str(pat)]) == 2  # no k
+    assert cli.build_parser() is parser
+    assert repr(_parser_state(parser)) == before
 
 
 def test_cli_exit_codes():

@@ -6,12 +6,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mwclab import cli
 from mwclab import sequences as sq
 from mwclab.sensing import _block_gram, _column_gram
 from mwclab.signmatrix import (
     _BLOCK_ROWS,
+    _CODEC_ENTRIES,
     FamilySpec,
     SignMatrix,
     _random_signs,
@@ -162,13 +165,67 @@ def test_pattern_file_bad_entries():
         ("1 1 1 1\n", "row 1 has 4 entries, expected 3"),
         ("", "row 1 has 0 entries, expected 3"),
         ("1 1 1\n-1 -1 -1\ngarbage\n", "text after the 2 rows"),
+        ("1 - 1 -1\n", "row 1 has 4 entries, expected 3"),  # a sign apart from its 1
+        ("01 1 1\n", "row 1 has an entry other than -1 or 1"),
+        ("1e0 1 1\n", None),
+        ("\u0661 1 1\n", None),  # ARABIC-INDIC DIGIT ONE
     ],
-    ids=["255", "-255", "token", "fraction", "short", "long", "missing", "extra"],
+    ids=[
+        "255", "-255", "token", "fraction", "short", "long", "missing", "extra",
+        "- 1", "01", "1e0", "non-ascii-digit",
+    ],
 )
 def test_pattern_file_rejects_corrupt_rows(body, message):
     buf = io.StringIO("2 3 random none\n-1 1 -1\n" + body)
     with pytest.raises(ValueError, match=message):
         read_pattern_file(buf)
+
+
+def test_pattern_file_accepts_plus_one():
+    S = read_pattern_file(io.StringIO("2 3 random none\n+1 -1 1\n1 +1 +1\n"))
+    assert S.entries.tolist() == [[1, -1, 1], [1, 1, 1]]
+
+
+def _spelled_out_file(S):
+    # the format as written out by hand: one " ".join per row
+    rows = np.where(S.entries > 0, "1", "-1")
+    body = "".join(" ".join(row.tolist()) + "\n" for row in rows)
+    return f"{S.m} {S.M} {S.family} none\n" + body
+
+
+@st.composite
+def _codec_matrices(draw):
+    M = draw(st.one_of(st.integers(1, 9), st.integers(10, 5000), st.just(_CODEC_ENTRIES + 1)))
+    block = max(1, _CODEC_ENTRIES // M)  # rows the writer formats at once
+    m = draw(
+        st.one_of(
+            st.integers(1, 4),
+            st.sampled_from([block - 1, block, block + 1, 2 * block + 1]).filter(bool),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SignMatrix(rng.choice(np.array([-1, 1], np.int8), size=(m, M)), "random", None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_codec_matrices())
+@example(SignMatrix(np.array([[-1]], np.int8), "random", None))
+@example(SignMatrix(np.ones((_CODEC_ENTRIES + 1, 1), np.int8), "random", None))
+def test_pattern_codec_round_trip_and_bytes(S):
+    buf = io.StringIO()
+    write_pattern_file(buf, S)
+    assert buf.getvalue() == _spelled_out_file(S)
+    buf.seek(0)
+    assert np.array_equal(read_pattern_file(buf).entries, S.entries)
+
+
+def test_pattern_file_path_with_crlf_tabs_and_blank_lines(tmp_path):
+    path = tmp_path / "p.pat"
+    text = "3 4 gold none\r\n1\t-1  1 -1\r\n \t-1 +1\t\t1   1 \r\n1 1 -1 -1\r\n\r\n\n \r\n"
+    path.write_bytes(text.encode())
+    S = read_pattern_file(path)
+    assert S.entries.tolist() == [[1, -1, 1, -1], [-1, 1, 1, 1], [1, 1, -1, -1]]
+    assert (S.family, S.seed) == ("gold", None)
 
 
 # m x M shapes around the stream's block size: one row, part of a block,
