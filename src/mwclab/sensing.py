@@ -7,6 +7,7 @@ The 1/sqrt(mM) scaling makes sum_j ||Phi_j||^2 = M, i.e. columns are
 unit-norm on average.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +18,11 @@ from .signmatrix import _BLOCK_ROWS, SignMatrix
 # DFT of every row); true nonzero norms are orders of magnitude larger
 _ZERO_COLUMN_TOL = 1e-9
 
-# columns per block of each coherence Gram (_normalized_max)
+# columns per block of each coherence screen (_quarter_max)
 _COLUMN_BLOCK = 256
+
+# complex entries per slice of the float64 re-score (_pair_magnitudes)
+_RESCORE_ENTRIES = 1 << 14
 
 # power-iteration stopping rule for the spectral norm
 _POWER_REL_TOL = 1e-10
@@ -50,12 +54,14 @@ def sensing_matrix(S: SignMatrix) -> np.ndarray:
 
 
 def _row_spectrum(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S F, P) of a +/-1 matrix: the unscaled row DFT and its column
-    power P[j] = sum_i |(S F)[i, j]|^2."""
-    F = np.fft.fft(S.astype(np.float64, copy=False), axis=1)
-    A = np.abs(F)
-    A **= 2
-    return F, A.sum(axis=0)
+    """(H, P) of a +/-1 matrix: H the columns 0..M//2 of its unscaled row
+    DFT S F (rfft), P the full-length column power
+    P[j] = sum_i |(S F)[i, j]|^2, completed by P[M - j] = P[j] (S is
+    real, so column M - j of S F is the conjugate of column j)."""
+    M = S.shape[1]
+    H = np.fft.rfft(S.astype(np.float64, copy=False), axis=1)
+    half = _squared_magnitude(H.copy()).sum(axis=0)
+    return H, np.concatenate((half, half[1 : (M + 1) // 2][::-1]))
 
 
 def _block_gram(blocks, n: int) -> np.ndarray:
@@ -105,69 +111,156 @@ def _coherence(m: int, M: int, column_gram, spectrum) -> tuple[float, int]:
     column_gram() = S^T S, which a caller may stream or already hold, a
     wide one from spectrum() = _row_spectrum(S); only one is called."""
     if m > M:
-        return _gram_coherence(column_gram(), m)
+        return _gram_coherence(column_gram())
     return _blocked_coherence(*spectrum())
 
 
-def _gram_coherence(T: np.ndarray, m: int) -> tuple[float, int]:
-    """coherence from T = S^T S alone, on the columns H of G = F^H T F /
-    (mM) (_blocked_coherence's quarter: rows H give X, rows -H mod M Y).
-    T is exact and the FFTs single-threaded: one T, one mu, on any route."""
+def _gram_coherence(T: np.ndarray) -> tuple[float, int]:
+    """coherence from T = S^T S alone, on the columns H of
+    G = F^H T F / M = m Phi^H Phi (_blocked_coherence's quarter: rows H
+    give X, rows -H mod M Y), scored as |G_jk|^2 / (G_jj G_kk).  T is
+    exact and the FFTs single-threaded: one T, one mu, on any route."""
     M = T.shape[0]
-    G = np.fft.ifft(np.fft.rfft(T, axis=1), axis=0) / m
-    d2 = G[: M // 2 + 1].diagonal().real  # ||Phi_j||^2 = P_j / (mM)
-    cols = np.flatnonzero(d2 * (m * M) > _ZERO_COLUMN_TOL)
+    G = np.fft.ifft(np.fft.rfft(T, axis=1), axis=0)
+    d2 = G[: M // 2 + 1].diagonal().real  # P_j / M
+    cols = np.flatnonzero(d2 * M > _ZERO_COLUMN_TOL)
     G, mirror = G[:, cols], -cols % M  # column M - j of Phi is conj Phi_j
-    mu = _normalized_max(
-        lambda start, stop: np.hstack((G[cols[start:], start:stop], G[mirror[start:], start:stop])),
-        np.sqrt(d2[cols]),
-        np.array([cols >= 0, mirror == cols]),
-    )
+    w = 1.0 / d2[cols]
+
+    def scores(start, stop):
+        block = np.hstack((G[cols[start:], start:stop], G[mirror[start:], start:stop]))
+        Q = _squared_magnitude(block)
+        Q *= w[start:, None]
+        Q *= np.tile(w[start:stop], 2)
+        return Q
+
+    # the scores are final: tau = 0 keeps the block maxima, whose root is mu
+    mu = _quarter_max(scores, mirror == cols, 0.0, lambda j, k, conj, q: np.sqrt(q))
     return mu, M - 2 * len(cols) + int(np.count_nonzero(mirror == cols))
 
 
-def _blocked_coherence(F: np.ndarray, P: np.ndarray) -> tuple[float, int]:
-    """coherence from the row spectrum (S F, P) of a wide +/-1 matrix,
-    on the conjugate-symmetric quarter of Phi^H Phi: S is real, so
-    Phi_{M-j} = conj Phi_j and every |<Phi_j, Phi_k>| is in one triangle
-    of X = Phi_H^H Phi_H or of Y = Phi_H^T Phi_H over the columns
-    H = 0..M//2 (Y_jk pairs j with M - k).  S F's columns H are scaled
-    to Phi in place.  The complex BLAS products fix the last ulp of mu
-    per BLAS build, not per thread count."""
-    m, M = F.shape
-    Phi = F[:, : M // 2 + 1]
-    Phi /= np.sqrt(m * M)
-    cols = np.flatnonzero(P[: M // 2 + 1] > _ZERO_COLUMN_TOL)
-    PhiK = Phi[:, cols]
-    PhiH = PhiK.conj().T
-    # one product per block: X's columns start..stop, then conj Y's; X's
-    # diagonal always pairs a column with itself, Y's where 2j = 0 mod M
-    mu = _normalized_max(
-        lambda start, stop: PhiH[start:] @ np.hstack((PhiK[:, start:stop], PhiH[start:stop].T)),
-        np.sqrt(P[cols] / (m * M)),
-        np.array([cols >= 0, 2 * cols % M == 0]),
-    )
+def _blocked_coherence(H: np.ndarray, P: np.ndarray) -> tuple[float, int]:
+    """coherence from the row spectrum (H, P) of a wide +/-1 matrix
+    (_row_spectrum), on the conjugate-symmetric quarter of Phi^H Phi: S
+    is real, so Phi_{M-j} = conj Phi_j and every |<Phi_j, Phi_k>| is in
+    one triangle of X = Phi_H^H Phi_H or of Y = Phi_H^T Phi_H over the
+    columns H = 0..M//2 (Y_jk pairs j with M - k).
+
+    The kept columns are scaled to unit norm once, u_j = H_j / sqrt(P_j)
+    (_unit_columns).
+    A complex64 BLAS product screens each block, and only the pairs
+    within 2 tau of the running maximum are re-scored in float64 by
+    _pair_magnitudes, whose fixed order numpy defines: mu depends on S
+    and numpy, not on the BLAS build or the thread count.
+
+    tau certifies the screen.  The real and imaginary parts of a
+    complex64 inner product of length m are float32 dot products of
+    length 2m, each off by at most gamma_2m ||x|| ||y|| in any summation
+    order, gamma_k = k u / (1 - k u), u = 2^-24 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., eq. 3.4 and section
+    3.6); rounding the unit columns to complex64 moves the product by
+    at most 2u, and the float32 re^2 + im^2 its root by 2u more.  So a
+    screened magnitude is within (2 sqrt(2) m + 4) u of the float64 one,
+    to first order, and tau = 4 (m + 4) eps32 = 8 (m + 4) u is over
+    twice that, which also covers the re-score's own error and the
+    float32 rounding of the floor the screen compares against."""
+    M = len(P)
+    m = H.shape[0]
+    U, cols = _unit_columns(H, P)
+    U32 = U.astype(np.complex64)
+    U32c = U32.conj()
+    tau = 4 * (m + 4) * float(np.finfo(np.float32).eps)
+
+    def scores(start, stop):
+        # rows start..n-1 against the block: X's columns, then conj Y's
+        block = np.concatenate((U32[start:stop], U32c[start:stop]))
+        return _squared_magnitude(U32c[start:] @ block.T)
+
+    def rescore(j, k, conj, q):
+        return _pair_magnitudes(U, j, k, conj)
+
+    mu = _quarter_max(scores, 2 * cols % M == 0, tau, rescore)
     return mu, int(np.count_nonzero(P <= _ZERO_COLUMN_TOL))
 
 
-def _normalized_max(pairs, d: np.ndarray, self_pairs: np.ndarray) -> float:
+def _unit_columns(F: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U, cols): the columns cols of a row spectrum F whose power P is
+    not a structural zero, scaled to unit norm, as the rows of U."""
+    cols = np.flatnonzero(P[: F.shape[1]] > _ZERO_COLUMN_TOL)
+    U = F.T[cols]
+    U /= np.sqrt(P[cols])[:, None]
+    return U, cols
+
+
+def _squared_magnitude(C: np.ndarray) -> np.ndarray:
+    """re^2 + im^2 of a complex array, on its real view (C is consumed)."""
+    V = C.view(C.real.dtype)
+    np.square(V, out=V)
+    return V[:, 0::2] + V[:, 1::2]
+
+
+def _pair_magnitudes(U: np.ndarray, j: np.ndarray, k: np.ndarray, conj: np.ndarray) -> np.ndarray:
+    """|<u_j, u_k>|, or |<u_j, conj u_k>| where conj, for rows u of U,
+    in float64 in an order numpy defines: re is numpy's pairwise sum of
+    the 2m products of the interleaved real views, im the difference
+    of the sums of Re u_j Im u_k and of Im u_j Re u_k, and real ufuncs
+    round each operation on their own, whatever the CPU (numpy's
+    complex multiply may fuse it).  A pair's value does not depend on
+    the pairs scored with it, and swapping j and k or conjugating both
+    columns changes no bit of it.
+
+    For unit columns taken from a float64 spectrum the value is within
+    5 (m + 2) 2^-53 of |<Phi_j, Phi_k>| / (||Phi_j|| ||Phi_k||) computed
+    exactly from that spectrum, to first order: each part is a dot
+    product of length 2m, off by at most gamma_2m (Higham eq. 3.4), the
+    unit scaling and sqrt(re^2 + im^2) add (2m + 6) 2^-53."""
+    out = np.empty(len(j))
+    step = max(1, _RESCORE_ENTRIES // U.shape[1])
+    for i in range(0, len(j), step):
+        s = slice(i, i + step)
+        a, b = U[j[s]], U[k[s]]
+        np.conjugate(b, out=b, where=conj[s, None])
+        re = (a.view(np.float64) * b.view(np.float64)).sum(axis=1)
+        im = (a.real * b.imag).sum(axis=1) - (a.imag * b.real).sum(axis=1)
+        out[s] = np.sqrt(re * re + im * im)
+    return out
+
+
+def _quarter_max(scores, self_conj: np.ndarray, tau: float, rescore) -> float:
     """max |<Phi_j, Phi_k>| / (||Phi_j|| ||Phi_k||) over distinct
-    columns, given the norms d of the n kept columns and pairs(start,
-    stop), rows start..n-1 and columns start..stop-1 of q Grams side by
-    side, whose blocks on and below the diagonals hold every pair.
-    self_pairs (q x n) marks the diagonal entries that pair a column
-    with itself, which are zeroed.  Exact whatever the blocking."""
-    best = 0.0
-    for start in range(0, len(d), _COLUMN_BLOCK):
-        stop = min(len(d), start + _COLUMN_BLOCK)
-        A = np.abs(pairs(start, stop))
-        A /= d[start:, None]
-        A /= np.tile(d[start:stop], len(self_pairs))[None, :]
-        # block column c is kept column start + c mod (stop - start)
-        c = np.flatnonzero(self_pairs[:, start:stop])
-        A[c % (stop - start), c] = 0.0
-        best = max(best, float(A.max()))
-    # duplicate columns give exactly 1 up to rounding dust
+    columns, the one max rule of both coherence routes.
+
+    scores(start, stop) gives the squared screened magnitudes of rows
+    start..n-1 of X and of Y against their columns start..stop-1, side
+    by side, for the n kept columns; the root of each is within tau of
+    the pair's magnitude as rescore(j, k, conj, q) gives it (conj marks
+    the Y pairs, q is the screened score).  Only the quarter counts: X's
+    strict lower triangle and Y's lower one, less the self pairs
+    self_conj marks on Y's diagonal (2j = 0 mod M); the rest is set to
+    -1 and never kept.  The pairs within 2 tau of the running maximum
+    are re-scored, so the pair with the largest re-score is always
+    among them, and mu is the same whatever _COLUMN_BLOCK is.
+
+    Each pair is re-scored at most once, one block at a time: where the
+    screen separates no pair (orthogonal columns, mu at rounding dust)
+    every pair of the quarter is, which costs one float64 pass over it
+    and holds one block's indices at a time."""
+    n = len(self_conj)
+    best, top = 0.0, 0.0
+    for start in range(0, n, _COLUMN_BLOCK):
+        stop = min(n, start + _COLUMN_BLOCK)
+        w = stop - start
+        Q = scores(start, stop)
+        Q[:w, :w][~np.tri(w, k=-1, dtype=bool)] = -1
+        Q[:w, w:][~np.tri(w, dtype=bool)] = -1
+        d = np.flatnonzero(self_conj[start:stop])
+        Q[d, w + d] = -1
+        top = max(top, float(Q.max()))
+        floor = min(top, max(math.sqrt(top) - 2 * tau, 0.0) ** 2)
+        r, c = np.divmod(np.flatnonzero(Q >= floor), 2 * w)
+        best = float(rescore(start + r, start + c % w, c >= w, Q[r, c]).max(initial=best))
+        if best >= 1.0:
+            break  # duplicate columns: nothing is above 1
     return min(best, 1.0)
 
 
@@ -205,10 +298,17 @@ def spectral_norm_sq(S: np.ndarray) -> float:
 
 def _correlations(S: np.ndarray):
     """alpha, beta, gamma of a +/-1 matrix, plus the smaller Gram W that
-    alpha and gamma were taken from and the row spectrum (S F, P) that
-    beta was (see quality_measures)."""
+    alpha and gamma were taken from and, for a wide matrix, the row
+    spectrum (H, P) that beta was (see quality_measures); a tall one's P
+    is summed over the row blocks of the Gram, and its spectrum is None."""
     m, M = S.shape
-    F, P = _row_spectrum(S)
+    if m > M:
+        # a tall matrix's coherence reads S^T S: only P is summed here
+        spectrum = None
+        P = sum(_row_spectrum(S[i : i + _BLOCK_ROWS])[1] for i in range(0, m, _BLOCK_ROWS))
+    else:
+        spectrum = _row_spectrum(S)
+        P = spectrum[1]
     if not np.any(P > _ZERO_COLUMN_TOL):
         raise ValueError("all sensing columns are zero")
 
@@ -227,7 +327,7 @@ def _correlations(S: np.ndarray):
         Grev = 2 * _sign_gram((S + S[:, rev]) // 2).astype(np.int64) - G
         rev_sq = (Grev * Grev).sum()
     gamma = float(rev_sq) / (m * M) ** 2
-    return alpha, beta, gamma, W, (F, P)
+    return alpha, beta, gamma, W, spectrum
 
 
 def correlation_measures(S: SignMatrix) -> tuple[float, float, float]:

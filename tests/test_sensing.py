@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mwclab import sensing
 from mwclab.sensing import (
+    _BLOCK_ROWS,
     _POWER_REL_TOL,
     _ZERO_COLUMN_TOL,
     QualityReport,
@@ -18,9 +20,11 @@ from mwclab.sensing import (
     _blocked_coherence,
     _column_gram,
     _gram_coherence,
+    _pair_magnitudes,
     _row_spectrum,
     _sign_gram,
     _top_eigenvalue,
+    _unit_columns,
     coherence,
     correlation_measures,
     quality_bounds_check,
@@ -29,7 +33,7 @@ from mwclab.sensing import (
     spectral_norm_sq,
     welch_lower_bound,
 )
-from mwclab.sequences import gold_t, primitive_polys
+from mwclab.sequences import gold_t, hadamard_family, primitive_polys
 from mwclab.signmatrix import (
     FamilySpec,
     SignMatrix,
@@ -313,6 +317,30 @@ def test_tall_correlation_measures_hold_no_m_by_m_array():
     assert peak < 64 << 20, peak
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2), (5, 8), (4, 9), (80, 511)])
+def test_row_spectrum_is_the_rfft_half_with_mirrored_power(shape):
+    S = _signs(*shape, 7)
+    M = shape[1]
+    H, P = _row_spectrum(S)
+    F = np.fft.fft(S.astype(np.float64), axis=1)
+    assert H.shape == (shape[0], M // 2 + 1)
+    assert np.allclose(H, F[:, : M // 2 + 1], rtol=0, atol=1e-12 * M)
+    j = np.arange(1, M)
+    assert np.array_equal(P[j], P[M - j])
+    assert np.allclose(P, (np.abs(F) ** 2).sum(axis=0), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("m, M", [(4353, 195), (2 * _BLOCK_ROWS + 1, 64), (_BLOCK_ROWS, 33)])
+def test_tall_beta_sums_column_power_over_row_blocks(m, M):
+    # a tall matrix's P is summed block by block, never from its whole
+    # m x (M/2 + 1) spectrum; only the float64 order of the sum differs
+    S = _signs(m, M, 5)
+    _, beta, _ = correlation_measures(_sm(S))
+    P = (np.abs(np.fft.fft(S.astype(np.float64), axis=1)) ** 2).sum(axis=0)
+    want = float((P * P).sum()) / (m * m * M**4)
+    assert abs(beta - want) <= 1e-13 * want, (beta, want)
+
+
 @st.composite
 def maximal_shapes(draw):
     """(degree, rows) of a shipped maximal family, rows capped at 128."""
@@ -385,7 +413,7 @@ def _assert_one_coherence(S):
     public coherence is the S^T S one for a tall S, the blocked one
     otherwise."""
     m, M = S.shape
-    mu, zeros = _gram_coherence(_column_gram(S), m)
+    mu, zeros = _gram_coherence(_column_gram(S))
     mu_b, zeros_b = _blocked_coherence(*_row_spectrum(S))
     assert zeros == zeros_b
     assert abs(mu - mu_b) <= 1e-13 * mu_b, (S.shape, mu, mu_b)
@@ -473,40 +501,71 @@ def test_tall_coherence_matches_dense_gram(S):
     assert abs(mu - mu_ref) <= 1e-12, (S.shape, mu, mu_ref)
 
 
-def _full_square_coherence(F, P):
-    """Reference for the blocked route over the full square of Phi^H
-    Phi, given a row spectrum (S F, P): every block runs over all
-    nonzero rows, both triangles, all M columns."""
-    m, M = F.shape
-    Phi = F / np.sqrt(m * M)
-    norms = np.sqrt(P / (m * M))
-    cols = np.flatnonzero(P > _ZERO_COLUMN_TOL)
-    if len(cols) < 2:
-        return 0.0, M - len(cols)
-    PhiH = Phi[:, cols].conj().T
-    d = norms[cols]
-    best = 0.0
-    block = max(1, (1 << 22) // len(cols))
-    for start in range(0, len(cols), block):
-        sel = cols[start : start + block]
-        A = np.abs(PhiH @ Phi[:, sel])
-        A /= d[:, None]
-        A /= norms[sel][None, :]
-        A[start + np.arange(len(sel)), np.arange(len(sel))] = 0.0
-        best = max(best, float(A.max()))
-    return min(best, 1.0), M - len(cols)
-
-
 def _mirrored_spectrum(S):
-    """_row_spectrum(S) with column M - j of S F set to conj of column
-    j, and P[M - j] to P[j], for j = 1..(M-1)//2: the spectrum whose
-    conjugate symmetry the quarter route assumes, exactly."""
-    F, P = _row_spectrum(S)
+    """The full-length row spectrum (S F, P) mirrored exactly from
+    _row_spectrum's half: column M - j of S F is the conjugate of column
+    j, the symmetry the quarter route assumes (P is already mirrored)."""
+    H, P = _row_spectrum(S)
     M = S.shape[1]
     j = np.arange(M // 2 + 1, M)
-    F[:, j] = F[:, M - j].conj()
-    P[j] = P[M - j]
-    return F, P
+    return np.hstack((H, H[:, M - j].conj())), P
+
+
+def _full_square_coherence(F, P):
+    """The blocked route's rule over the full square of Phi^H Phi of a
+    full-length spectrum (S F, P): a complex128 BLAS screen of all M
+    columns, both triangles, then the route's own float64 re-score
+    (_pair_magnitudes) of every pair within 2 tau of the square's
+    maximum, tau = 4 (m + 4) eps64 (the route's bound at float64)."""
+    m, M = F.shape
+    U, cols = _unit_columns(F, P)
+    n = len(cols)
+    tau = 4 * (m + 4) * np.finfo(np.float64).eps
+    top, found = 0.0, []
+    block = max(1, (1 << 21) // n)
+    for start in range(0, n, block):
+        A = np.abs(U.conj() @ U[start : start + block].T)
+        A[start + np.arange(A.shape[1]), np.arange(A.shape[1])] = -1.0
+        top = max(top, float(A.max(initial=0.0)))
+        a, b = np.nonzero(A >= top - 2 * tau)
+        found.append((a, start + b, A[a, b]))
+    a, b, s = (np.concatenate(x) for x in zip(*found))
+    keep = s >= top - 2 * tau
+    mu = _pair_magnitudes(U, a[keep], b[keep], np.zeros(keep.sum(), bool)).max(initial=0.0)
+    return min(float(mu), 1.0), M - n
+
+
+def _long_double_coherence(F, P):
+    """mu over the full square of Phi^H Phi of a full-length spectrum
+    (S F, P), with products and norms in np.clongdouble (no BLAS) and
+    the columns kept where P is."""
+    cols = np.flatnonzero(P > _ZERO_COLUMN_TOL)
+    Phi = F[:, cols].astype(np.clongdouble)
+    norms = np.sqrt((Phi.real**2 + Phi.imag**2).sum(axis=0))
+    A = np.abs(Phi.conj().T @ Phi) / np.outer(norms, norms)
+    np.fill_diagonal(A, 0)
+    return min(float(A.max(initial=0)), 1.0), F.shape[1] - len(cols)
+
+
+def _rescore_bound(m):
+    """The re-score's stated error, 5 (m + 2) 2^-53, plus the same
+    bound at long double precision for the reference."""
+    return 5 * (m + 2) * (2.0**-53 + float(np.finfo(np.longdouble).eps) / 2)
+
+
+def _exhaustive_quarter_coherence(S):
+    """The route's float64 re-score (_pair_magnitudes) applied to every
+    pair of the quarter, without the screen: X's strict lower triangle,
+    Y's lower one less its self pairs (2j = 0 mod M)."""
+    H, P = _row_spectrum(S)
+    M = S.shape[1]
+    U, cols = _unit_columns(H, P)
+    j, k = np.tril_indices(len(cols), -1)
+    jy, ky = np.tril_indices(len(cols))
+    keep = (jy != ky) | (2 * cols[jy] % M != 0)
+    x = _pair_magnitudes(U, j, k, np.zeros(len(j), bool))
+    y = _pair_magnitudes(U, jy[keep], ky[keep], np.ones(keep.sum(), bool))
+    return min(max(x.max(initial=0.0), y.max(initial=0.0)), 1.0)
 
 
 FAMILY_SCAN_SPECS = [
@@ -522,49 +581,49 @@ FAMILY_SCAN_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("spec", FAMILY_SCAN_SPECS, ids=lambda s: f"{s.family}{s.m}x{s.length}")
+def _spec_id(spec):
+    return f"{spec.family}{spec.m}x{spec.length}"
+
+
+@pytest.mark.parametrize("spec", FAMILY_SCAN_SPECS, ids=_spec_id)
 def test_one_triangle_equals_full_square_on_family_scan(spec):
-    # the quarter scores one triangle each of X = Phi_H^H Phi_H and
-    # Y = Phi_H^T Phi_H; over a spectrum that is exactly conjugate
-    # symmetric the full square holds the same products, bit for bit
+    # the quarter screens one triangle each of X and Y in complex64, the
+    # square screens all of Phi^H Phi in complex128 BLAS; over an exactly
+    # mirrored spectrum both certify the same maximal pair, whose
+    # fixed-order re-score is the same bits either way
     S = build_sign_matrix(spec).entries
     assert _blocked_coherence(*_row_spectrum(S)) == _full_square_coherence(*_mirrored_spectrum(S))
 
 
 @st.composite
-def random_wide_sign_matrices(draw):
-    """Random wide matrices up to M = 4500 (many column blocks)."""
-    M = draw(st.integers(2, 4500))
+def random_wide_sign_matrices(draw, max_M=4500):
+    """Random wide matrices up to M = max_M (many column blocks)."""
+    M = draw(st.integers(2, max_M))
     return _signs(draw(st.integers(1, min(M, 24))), M, draw(st.integers(0, 10_000)))
 
 
 @st.composite
-def hadamard_sign_matrices(draw):
+def hadamard_sign_matrices(draw, max_n=12):
     """Hadamard rows, whose spectra have zero columns."""
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(2, max_n))
     m = draw(st.integers(1, min((1 << n) - 1, 48)))
     return build_sign_matrix(FamilySpec("hadamard", m=m, n=n)).entries
 
 
 @settings(max_examples=20, deadline=None)
-@given(random_wide_sign_matrices())
-@example(_signs(24, 4500, 1))
-@example(_signs(7, 1025, 2))  # odd M: no self-conjugate column but 0
+@given(st.one_of(random_wide_sign_matrices(max_M=400), hadamard_sign_matrices(max_n=8)))
+@example(_signs(24, 400, 1))
+@example(_signs(7, 257, 2))  # odd M: no self-conjugate column but 0
 @example(np.array([[1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], np.int8))  # mu = 0
-@example(build_sign_matrix(FamilySpec("hadamard", m=48, M=4096)).entries)
-def test_one_triangle_within_two_ulp_of_full_square(S):
-    # the last bits of a complex product depend on its shape: orthogonal
-    # columns (mu = 0) leave only rounding dust near 1e-17, and drawn
-    # Walsh rows, whose products cancel heavily, reach 4 ulp (27 x 32),
-    # so those are pinned against the complex spectrum below
+@example(build_sign_matrix(FamilySpec("hadamard", m=27, n=5)).entries)
+@example(build_sign_matrix(FamilySpec("hadamard", m=48, M=256)).entries)
+def test_one_triangle_within_rescore_bound_of_long_double_square(S):
+    # a reference that shares neither the screen's nor the re-score's
+    # rounding: the full square in long double on the mirrored spectrum
     mu, zeros = _blocked_coherence(*_row_spectrum(S))
-    mu_ref, zeros_ref = _full_square_coherence(*_mirrored_spectrum(S))
+    mu_ref, zeros_ref = _long_double_coherence(*_mirrored_spectrum(S))
     assert zeros == zeros_ref
-    assert abs(mu - mu_ref) <= 2 * np.spacing(mu_ref) or max(mu, mu_ref) < 1e-15, (
-        S.shape,
-        mu,
-        mu_ref,
-    )
+    assert abs(mu - mu_ref) <= _rescore_bound(S.shape[0]), (S.shape, mu, mu_ref)
 
 
 @settings(max_examples=10, deadline=None)
@@ -574,11 +633,12 @@ def test_one_triangle_within_two_ulp_of_full_square(S):
 @example(build_sign_matrix(FamilySpec("hadamard", m=48, M=4096)).entries)
 @example(build_sign_matrix(FamilySpec("hadamard", m=27, n=5)).entries)
 def test_quarter_matches_full_square_of_complex_spectrum(S):
-    # against the whole square of the complex-to-complex spectrum the
-    # quarter reads, whose conjugate pairs differ in the last bits;
+    # against the whole square of the complex-to-complex spectrum, whose
+    # conjugate pairs differ from the rfft half in the last bits;
     # orthogonal columns (mu = 0) leave only rounding dust near 1e-17
     mu, zeros = _blocked_coherence(*_row_spectrum(S))
-    mu_ref, zeros_ref = _full_square_coherence(*_row_spectrum(S))
+    F = np.fft.fft(S.astype(np.float64), axis=1)
+    mu_ref, zeros_ref = _full_square_coherence(F, (np.abs(F) ** 2).sum(axis=0))
     assert zeros == zeros_ref
     assert abs(mu - mu_ref) <= 1e-13 * mu_ref + 1e-15, (S.shape, mu, mu_ref)
 
@@ -587,13 +647,76 @@ def test_quarter_matches_full_square_of_complex_spectrum(S):
 def test_quarter_exhaustive_two_row_patterns(M):
     # every 2 x M sign pattern: the column 0, for even M the column
     # M/2, and each pair (j, M - j) on Y's diagonal; mu = 0 comes out
-    # of both routes as rounding dust, hence the absolute tolerance
+    # of both routes as rounding dust, inside the bound
     bits = (np.arange(1 << (2 * M))[:, None] >> np.arange(2 * M)) & 1
     for row in bits:
         S = (2 * row - 1).reshape(2, M).astype(np.int8)
         mu, zeros = _blocked_coherence(*_row_spectrum(S))
-        mu_ref, zeros_ref = _full_square_coherence(*_row_spectrum(S))
-        assert zeros == zeros_ref and abs(mu - mu_ref) <= 1e-12, (S, mu, mu_ref)
+        mu_ref, zeros_ref = _long_double_coherence(*_mirrored_spectrum(S))
+        assert zeros == zeros_ref and abs(mu - mu_ref) <= _rescore_bound(2), (S, mu, mu_ref)
+        assert (mu, zeros) == _full_square_coherence(*_mirrored_spectrum(S)), S
+
+
+def _assert_screen_never_misses(S):
+    """The screened mu is the exhaustive re-score of the quarter, bit
+    for bit, at column blocks of 1, 7 and 256."""
+    mu = _exhaustive_quarter_coherence(S)
+    for block in (1, 7, 256):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sensing, "_COLUMN_BLOCK", block)
+            assert _blocked_coherence(*_row_spectrum(S))[0] == mu, (S.shape, block)
+    return mu
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(random_wide_sign_matrices(max_M=1200), hadamard_sign_matrices(max_n=10)))
+@example(_signs(1, 700, 3))  # one row: every pair reads 1 up to rounding
+@example(np.array([[1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], np.int8))  # mu = 0
+@example(_signs(24, 1025, 2))  # odd M: no self-conjugate column but 0
+@example(build_sign_matrix(FamilySpec("hadamard", m=48, M=1024)).entries)  # zero columns
+def test_screen_never_misses_the_maximum(S):
+    _assert_screen_never_misses(S)
+
+
+@pytest.mark.parametrize("spec", [s for s in FAMILY_SCAN_SPECS if s.length <= 2047], ids=_spec_id)
+def test_screen_never_misses_the_maximum_on_family_scan(spec):
+    mu = _assert_screen_never_misses(build_sign_matrix(spec).entries)
+    assert (mu == 1.0) == (spec.family == "kasami")  # kasami's parallel columns
+
+
+def test_screen_that_separates_nothing_rescores_each_pair_once(monkeypatch):
+    # the square Walsh matrix: S^T S = M I, so Phi^H Phi = I and every
+    # pair sits at rounding dust, far inside 2 tau of the maximum.  The
+    # screen then keeps the whole quarter, one block at a time: each
+    # pair is re-scored once (one float64 pass over the quarter, the
+    # time bound), in slices of _RESCORE_ENTRIES entries, and only one
+    # block's indices are held (the memory bound)
+    M = 1024
+    S = hadamard_family(M, M)
+    seen = []
+
+    def recording(U, j, k, conj):
+        out = _pair_magnitudes(U, j, k, conj)
+        seen.append((j * M + k) * 2 + conj)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(sensing, "_pair_magnitudes", recording)
+    spectrum = _row_spectrum(S)
+    tracemalloc.start()
+    try:
+        mu, zeros = _blocked_coherence(*spectrum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = M // 2 + 1
+    assert zeros == 0 and mu < 1e-14
+    keys, values = np.concatenate(seen[0::2]), np.concatenate(seen[1::2])
+    assert len(keys) == n * (n - 1) // 2 + n * (n + 1) // 2 - 2  # the quarter, less 2 self pairs
+    assert len(np.unique(keys)) == len(keys)
+    assert mu == values.max()  # the exhaustive re-score
+    # the full product of every pair at once would be 4.3 GB
+    assert peak < 48 << 20, peak
 
 
 def _welch_mu(m, n):
