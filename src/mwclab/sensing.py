@@ -170,11 +170,18 @@ def _blocked_coherence(H: np.ndarray, P: np.ndarray) -> tuple[float, int]:
     U32 = U.astype(np.complex64)
     U32c = U32.conj()
     tau = 4 * (m + 4) * float(np.finfo(np.float32).eps)
+    # one product and one score buffer for every block, each viewed at
+    # the block's shape, so the screen allocates nothing per block
+    size = len(cols) * 2 * min(len(cols), _COLUMN_BLOCK)
+    C, Q = np.empty(size, np.complex64), np.empty(size, np.float32)
 
     def scores(start, stop):
         # rows start..n-1 against the block: X's columns, then conj Y's
         block = np.concatenate((U32[start:stop], U32c[start:stop]))
-        return _squared_magnitude(U32c[start:] @ block.T)
+        shape = (len(cols) - start, 2 * (stop - start))
+        used = shape[0] * shape[1]
+        prod = np.matmul(U32c[start:], block.T, out=C[:used].reshape(shape))
+        return _squared_magnitude(prod, out=Q[:used].reshape(shape))
 
     def rescore(j, k, conj, q):
         return _pair_magnitudes(U, j, k, conj)
@@ -192,11 +199,12 @@ def _unit_columns(F: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return U, cols
 
 
-def _squared_magnitude(C: np.ndarray) -> np.ndarray:
-    """re^2 + im^2 of a complex array, on its real view (C is consumed)."""
+def _squared_magnitude(C: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """re^2 + im^2 of a complex array, on its real view (C is consumed),
+    into out if given."""
     V = C.view(C.real.dtype)
     np.square(V, out=V)
-    return V[:, 0::2] + V[:, 1::2]
+    return np.add(V[:, 0::2], V[:, 1::2], out=out)
 
 
 def _pair_magnitudes(U: np.ndarray, j: np.ndarray, k: np.ndarray, conj: np.ndarray) -> np.ndarray:

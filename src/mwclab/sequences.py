@@ -8,12 +8,13 @@ starts from the all-ones state and bit b maps to the sign 1 - 2b, so
 0 -> +1 and 1 -> -1.  Both are conventions fixed for reproducibility:
 sign flips and phase shifts do not change any correlation magnitude.
 
-No polynomial table ships.  A degree-n polynomial is primitive iff its
-register, started from a nonzero state, first returns after exactly
-2**n - 1 steps.  The register loop that generates the sequences reports
-that period for every polynomial it runs: lfsr_msequence rejects a
-polynomial that fails it, and primitive_polys(n) keeps the degree-n
-candidates that pass it, scanned on first use.
+No polynomial table ships.  primitive_polys(n) finds the primitive
+polynomials of degree n by the order of x: p is primitive iff x has
+multiplicative order exactly 2**n - 1 modulo p (Lidl and Niederreiter,
+Finite Fields, Thm 3.16), a few carry-less squarings per candidate.
+The register loop that generates the sequences checks the same fact
+its own way: lfsr_msequence rejects a polynomial whose register, from
+the all-ones state, does not first return after exactly 2**n - 1 steps.
 """
 
 import numpy as np
@@ -81,6 +82,19 @@ def _run_registers(polys, n: int) -> tuple[np.ndarray, np.ndarray]:
     return bits[:M], period
 
 
+def _mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
+    """a * b mod p over GF(2), elementwise over int64 arrays of
+    polynomials (bit i the coefficient of x**i) with a, b of degree
+    below n and every p of degree n: shift and add from b's top bit,
+    reducing after each shift."""
+    r = np.zeros_like(p)
+    for i in range(n - 1, -1, -1):
+        r <<= 1
+        r ^= -((r >> n) & 1) & p
+        r ^= -((b >> i) & 1) & a
+    return r
+
+
 _primitive_memo: dict[int, tuple[int, ...]] = {}
 
 
@@ -88,9 +102,19 @@ def primitive_polys(n: int) -> tuple[int, ...]:
     """Every primitive polynomial over GF(2) of degree n, ascending.
 
     The candidates are the odd-weight polynomials with x**n and 1
-    present (an even weight is divisible by x + 1); one register run
-    over all of them keeps those of period exactly 2**n - 1.  Each
-    degree is scanned on its first call and kept for the process.
+    present (an even weight is divisible by x + 1).  Each is kept iff x
+    has order exactly N = 2**n - 1 modulo it, tested on all candidates
+    at once: n squarings give x**(2**i) mod p for i = 0..n, the
+    candidates with x**(2**n) = x stay, and then every prime q | N must
+    have x**(N/q) != 1, each power a product of the squarings.
+
+    Why that is primitivity: p(0) = 1, so x is a unit of
+    R = GF(2)[x]/(p), and x**(2**n) = x makes its order divide N.  If
+    the order is exactly N, R, which has 2**n elements, has at least N
+    units, so every nonzero element is a unit: R is a field, p is
+    irreducible, and its root x generates the multiplicative group.
+    Conversely a primitive p has a root of order N.  Each degree is
+    tested on its first call and kept for the process.
 
     Raises:
         ValueError: n outside 3..13.
@@ -98,10 +122,23 @@ def primitive_polys(n: int) -> tuple[int, ...]:
     if n not in _primitive_memo:
         _check_degree(n)
         c = np.arange(1 << (n - 1))
-        cands = (1 << n) | (c << 1) | 1
-        cands = cands[np.bitwise_count(cands) & 1 == 1]
-        _, period = _run_registers(cands, n)
-        _primitive_memo[n] = tuple(int(p) for p in cands[period == (1 << n) - 1])
+        p = (1 << n) | (c << 1) | 1
+        p = p[np.bitwise_count(p) & 1 == 1]
+        powers = [np.full_like(p, 2)]  # x**(2**i) mod p
+        for _ in range(n):
+            powers.append(_mulmod(powers[-1], powers[-1], p, n))
+        keep = powers[n] == 2
+        N = (1 << n) - 1
+        for q in range(2, N + 1):
+            if N % q or not all(q % d for d in range(2, q)):
+                continue  # q is not a prime factor of N
+            e = N // q
+            xe = np.ones_like(p)
+            for i in range(n):
+                if e >> i & 1:
+                    xe = _mulmod(xe, powers[i], p, n)
+            keep &= xe != 1
+        _primitive_memo[n] = tuple(int(v) for v in p[keep])
     return _primitive_memo[n]
 
 
@@ -186,10 +223,19 @@ def gold_family(n: int) -> list[np.ndarray]:
         list of 2**n + 1 int8 arrays of length 2**n - 1, ordered
         [a, b, a*T^0(b), a*T^1(b), ...].
     """
+    return list(_gold_rows(n, (1 << n) + 1))
+
+
+def _gold_rows(n: int, m: int) -> np.ndarray:
+    """The first m rows of gold_family(n) as an m x (2**n - 1) int8
+    array, building only those rows; the pair's spectrum is checked on
+    every call."""
     if n % 2 == 0 or n not in GOLD_PREFERRED_PAIRS:
         raise ValueError(
             f"gold families ship for odd n in {sorted(GOLD_PREFERRED_PAIRS)}, got n={n}"
         )
+    if m > (1 << n) + 1:
+        raise ValueError(f"gold degree {n} has {(1 << n) + 1} rows, requested {m}")
     pa, pb = GOLD_PREFERRED_PAIRS[n]
     if _degree(pa) != n or _degree(pb) != n:
         raise ValueError(f"pair (0x{pa:x}, 0x{pb:x}) is not of degree {n}")
@@ -205,7 +251,12 @@ def gold_family(n: int) -> list[np.ndarray]:
             f"cross-correlation {int(bad[0])} at lag {lag}"
         )
     M = len(a)
-    return [a, b] + [a * np.roll(b, i) for i in range(M)]
+    rows = np.empty((m, M), dtype=np.int8)
+    rows[:2] = (a, b)[:m]
+    bb = np.concatenate((b, b))
+    for i in range(m - 2):  # T^i(b) = np.roll(b, i) = bb[M - i : 2M - i]
+        np.multiply(a, bb[M - i : 2 * M - i], out=rows[2 + i])
+    return rows
 
 
 def kasami_small_family(n: int) -> list[np.ndarray]:

@@ -144,6 +144,12 @@ def _random_signs(key, m: int, M: int) -> np.ndarray:
     return np.concatenate(list(_sign_blocks(key, m, M))).astype(np.int8)
 
 
+def _repeated_rows(S: np.ndarray) -> list[int]:
+    """Every row of S but the first of its kind, in row order."""
+    first = {}
+    return [i for i, row in enumerate(S) if first.setdefault(row.tobytes(), i) != i]
+
+
 def _random_entries(m: int, M: int, seed: Seed) -> np.ndarray:
     if seed is None:
         raise ValueError("random family needs a seed")
@@ -153,9 +159,8 @@ def _random_entries(m: int, M: int, seed: Seed) -> np.ndarray:
     S = _random_signs(rng, m, M)
     # rows must be distinct; redraw clashes (astronomically rare at real sizes)
     for _ in range(100):
-        # every row but the first of its kind, in row order
-        dup = np.setdiff1d(np.arange(m), np.unique(S, axis=0, return_index=True)[1])
-        if not len(dup):
+        dup = _repeated_rows(S)
+        if not dup:
             return S
         S[dup] = _random_signs(rng, len(dup), M)
     raise ValueError(f"could not draw {m} distinct rows of length {M}")
@@ -182,10 +187,7 @@ def build_sign_matrix(spec: FamilySpec) -> SignMatrix:
     if fam == "maximal":
         rows = _maximal_rows(spec.n, spec.m)
     elif fam == "gold":
-        family = sequences.gold_family(spec.n)
-        if spec.m > len(family):
-            raise ValueError(f"gold degree {spec.n} has {len(family)} rows, requested {spec.m}")
-        rows = family[: spec.m]
+        rows = sequences._gold_rows(spec.n, spec.m)
     elif fam == "kasami":
         family = sequences.kasami_small_family(spec.n)
         if spec.m > len(family):

@@ -298,3 +298,60 @@ def test_empirical_and_bound_against_exact_sign_enumeration(m, M, K, seed, delta
     assert abs(est.empirical_p - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials)
     bound = exrip_from_sign_matrix(S, delta, moment_constants(BS, K))
     assert bound.probability <= p
+
+
+def _exact_complex_normal_exrip(Phi, K, delta):
+    """P(|Z^2 - 1| <= delta) under uniform K-supports and i.i.d. complex
+    normal values, with the smallest eigenvalue gap of any support.
+
+    On a support T, Z^2 = sum_i lam_i D_i with lam the eigenvalues of
+    Phi_T^H Phi_T and D uniform on the simplex (|g_i|^2 / sum |g|^2 of
+    i.i.d. complex normals is Dirichlet(1, ..., 1)), whose tail is the
+    Curry-Schoenberg spline P(Z^2 > x) = sum_i (lam_i - x)_+^(K-1) /
+    prod_{j != i} (lam_i - lam_j) for distinct lam; averaging over all
+    C(M, K) supports gives P exactly."""
+    M = Phi.shape[1]
+    A = Phi[:, np.array(list(itertools.combinations(range(M), K)))].transpose(1, 0, 2)
+    lam = np.linalg.eigvalsh(A.conj().transpose(0, 2, 1) @ A)  # ascending per support
+    diff = lam[:, :, None] - lam[:, None, :]
+    diff[:, range(K), range(K)] = 1.0
+    denom = diff.prod(axis=2)
+
+    def tail(x):
+        above = lam > x  # (lam - x)_+^0 is the step at x when K = 1
+        return ((np.where(above, lam - x, 0.0) ** (K - 1) * above) / denom).sum(axis=1)
+
+    p = float((tail(1.0 - delta) - tail(1.0 + delta)).mean())
+    return p, float(np.diff(lam, axis=1).min(initial=np.inf))
+
+
+# eigenvalues are O(1) here, so a gap of at least 1e-3 keeps the divided
+# differences' cancellation near 2^-52 (1e3)^(K-1), below 1e-6 at K <= 4;
+# K <= m keeps Phi_T^H Phi_T of full rank, without a repeated zero
+_EIGENVALUE_GAP = 1e-3
+
+
+@pytest.mark.parametrize(
+    "m, M, K, seed, delta",
+    [
+        (2, 5, 2, 1, 0.5),
+        (3, 7, 3, 2, 0.6),
+        (4, 8, 2, 3, BP_DELTA),
+        (5, 9, 4, 4, 0.6),
+        (5, 9, 3, 5, BP_DELTA),
+        (4, 6, 4, 6, 0.8),
+        (4, 9, 1, 7, 0.5),
+        (5, 7, 4, 8, 0.9),
+    ],
+)
+def test_empirical_and_bound_against_exact_complex_normal_law(m, M, K, seed, delta):
+    S = build_sign_matrix(FamilySpec("random", m=m, M=M, seed=seed))
+    Phi = sensing_matrix(S)
+    p, gap = _exact_complex_normal_exrip(Phi, K, delta)
+    if gap < _EIGENVALUE_GAP:
+        pytest.skip(f"eigenvalue gap {gap:.1e} below {_EIGENVALUE_GAP}: the spline would cancel")
+    trials = 20_000
+    est = empirical_exrip(Phi, K, delta, CN, trials, seed=seed)
+    assert abs(est.empirical_p - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials)
+    bound = exrip_from_sign_matrix(S, delta, moment_constants(CN, K))
+    assert bound.probability <= p

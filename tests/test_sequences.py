@@ -49,6 +49,17 @@ def test_primitive_count_is_totient_over_degree(n):
     assert all(p.bit_length() == n + 1 and p & 1 for p in polys)
 
 
+@pytest.mark.parametrize("n", DEGREES)
+def test_primitive_polys_are_the_candidates_of_full_register_period(n):
+    # the register route as an oracle for the order test: every odd-weight
+    # candidate with x**n and 1 present, kept iff its register first
+    # returns to all ones after exactly 2**n - 1 steps
+    cands = [p for p in range(1 << n, 1 << (n + 1)) if p & 1 and p.bit_count() & 1]
+    _, period = sq._run_registers(cands, n)
+    want = tuple(p for p, t in zip(cands, period.tolist()) if t == 2**n - 1)
+    assert sq.primitive_polys(n) == want
+
+
 @pytest.mark.parametrize("n", [2, 14, 0, -1])
 def test_primitive_polys_rejects_degrees_outside_the_range(n):
     with pytest.raises(ValueError, match=f"register degree {n} outside 3..13"):
@@ -174,6 +185,27 @@ def test_gold_family_exhaustive_three_valued(n):
         prod = np.conj(F[i]) * F[i + 1 :]
         vals = np.rint(np.fft.ifft(prod, axis=1).real).astype(np.int64)
         assert set(np.unique(vals)) <= allowed, f"pair with base {i}"
+
+
+def _spelled_out_gold(n):
+    # the family as its definition reads: a, b, then a * T^i(b) by np.roll
+    a, b = (sq.lfsr_msequence(p) for p in sq.GOLD_PREFERRED_PAIRS[n])
+    return [a, b] + [a * np.roll(b, i) for i in range(len(a))]
+
+
+@pytest.mark.parametrize("n", [5, 9, 11])
+@pytest.mark.parametrize("m", [1, 2, 3, 160, "all"])
+def test_gold_rows_are_the_first_rows_of_the_family(n, m):
+    size = 2**n + 1
+    m = size if m == "all" else m
+    if m > size:
+        with pytest.raises(ValueError, match=f"gold degree {n} has {size} rows, requested {m}"):
+            sq._gold_rows(n, m)
+        return
+    rows = sq._gold_rows(n, m)
+    assert rows.dtype == np.int8 and rows.shape == (m, 2**n - 1)
+    assert np.array_equal(rows, np.array(sq.gold_family(n)[:m]))
+    assert np.array_equal(rows, np.array(_spelled_out_gold(n)[:m]))
 
 
 def test_gold_t_values():
