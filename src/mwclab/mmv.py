@@ -36,7 +36,6 @@ class MMVInstance:
     U: np.ndarray  # M x r, nonzero only on support rows
     V: np.ndarray  # m x r
     noise_sigma: float
-    degenerate: bool = False  # empty support without noise: V is exactly 0
 
 
 def synthesize_mmv(
@@ -67,7 +66,7 @@ def synthesize_mmv(
     if noise_sigma > 0:
         noise = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
         V = V + noise * (noise_sigma / math.sqrt(2.0))
-    return MMVInstance(Phi, support, U, V, noise_sigma, degenerate=not support.size and noise_sigma == 0)
+    return MMVInstance(Phi, support, U, V, noise_sigma)
 
 
 @dataclass(frozen=True)

@@ -380,20 +380,19 @@ def welch_lower_bound(m: int, M: int) -> float:
     return (2 * m - 1) / (2 * m * M - 1)
 
 
-def quality_bounds_check(report: QualityReport, strict: bool = False) -> BoundsCheck:
+def quality_bounds_check(report: QualityReport) -> BoundsCheck:
     """Slack of every inequality the measures are expected to satisfy.
 
       1/m <= alpha <= 1
       (2m-1)/(2mM-1) <= beta <= 1
       (2m-1)/(2mM-1) <= gamma <= 1
 
-    A negative slack names the violated inequality; with strict=True it
-    raises instead.  Violations signal an implementation bug for alpha
-    and beta, whose bounds are theorems.  The gamma lower bound is not
-    one: only the zero-lag term of the reversed correlation enters
-    gamma, and matrices with reversal-orthogonal rows sit below the
-    bound (S = [[1, 1, 1, -1]] has gamma = 0).  The slack is reported
-    faithfully either way.
+    A negative slack names the violated inequality.  Violations signal
+    an implementation bug for alpha and beta, whose bounds are theorems.
+    The gamma lower bound is not one: only the zero-lag term of the
+    reversed correlation enters gamma, and matrices with
+    reversal-orthogonal rows sit below the bound (S = [[1, 1, 1, -1]]
+    has gamma = 0).  The slack is reported faithfully either way.
     """
     m, M = report.m, report.M
     welch = welch_lower_bound(m, M)
@@ -406,11 +405,7 @@ def quality_bounds_check(report: QualityReport, strict: bool = False) -> BoundsC
         "gamma_upper": 1.0 - report.gamma,
     }
     violations = tuple(k for k, v in slacks.items() if v < -1e-12)
-    check = BoundsCheck(not violations, slacks, violations)
-    if strict and violations:
-        detail = ", ".join(f"{k} (slack {slacks[k]:.3e})" for k in violations)
-        raise ValueError(f"quality bounds violated: {detail}")
-    return check
+    return BoundsCheck(not violations, slacks, violations)
 
 
 __all__ = [

@@ -12,9 +12,8 @@ No polynomial table ships.  primitive_polys(n) finds the primitive
 polynomials of degree n by the order of x: p is primitive iff x has
 multiplicative order exactly 2**n - 1 modulo p (Lidl and Niederreiter,
 Finite Fields, Thm 3.16), a few carry-less squarings per candidate.
-The register loop that generates the sequences checks the same fact
-its own way: lfsr_msequence rejects a polynomial whose register, from
-the all-ones state, does not first return after exactly 2**n - 1 steps.
+That test is the only check of primitivity: lfsr_msequence runs a
+register only for a polynomial that primitive_polys returns.
 """
 
 import numpy as np
@@ -46,7 +45,7 @@ def _degree(poly: int) -> int:
     return _check_degree(poly.bit_length() - 1)
 
 
-def _run_registers(polys, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _run_registers(polys, n: int) -> np.ndarray:
     """Step one degree-n register per poly together, from the all-ones
     state, for 2**n - 1 steps.
 
@@ -54,12 +53,10 @@ def _run_registers(polys, n: int) -> tuple[np.ndarray, np.ndarray]:
     steps ahead), so the loop moves n steps at a time: it emits the
     state's bits, and the state n steps on is the XOR of jump[i] over
     the set bits i, where jump[i] is the unit state 1 << i after n
-    single steps.  The states in between are the n-bit windows of the
-    two states' 2n bits.
+    single steps.
 
-    Returns (bits, period): bits[t] is every register's output bit at
-    step t, a (2**n - 1) x len(polys) int8 array, and period[i] is the
-    first step at which register i is back at all ones (0 if never).
+    Returns bits: bits[t] is every register's output bit at step t, a
+    (2**n - 1) x len(polys) int8 array.
     """
     M = (1 << n) - 1
     taps = np.array(polys, dtype=np.int32) & M
@@ -69,17 +66,12 @@ def _run_registers(polys, n: int) -> tuple[np.ndarray, np.ndarray]:
         fb = (np.bitwise_count(jump & taps) & 1).astype(np.int32)
         jump = (jump >> 1) | (fb << (n - 1))
     bits = np.empty((-(-M // n) * n, len(taps)), dtype=np.int8)
-    period = np.zeros(len(taps), dtype=np.int32)
     state = np.full(len(taps), M, dtype=np.int32)
     for t in range(0, M, n):
         b = (state >> rows) & 1
         bits[t : t + n] = b
-        after = np.bitwise_xor.reduce(jump * b, axis=0)
-        back = (((state | after << n) >> (rows + 1)) & M) == M  # steps t+1..t+n
-        first = back.any(axis=0) & (period == 0)
-        period[first] = t + 1 + back.argmax(axis=0)[first]
-        state = after
-    return bits[:M], period
+        state = np.bitwise_xor.reduce(jump * b, axis=0)
+    return bits[:M]
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
@@ -153,8 +145,8 @@ def lfsr_msequence(poly: int) -> np.ndarray:
         int8 array of length 2**n - 1 with entries in {-1, +1}.
 
     Raises:
-        ValueError: the degree is outside 3..13, or the register's
-            period is not exactly 2**n - 1 (poly is not primitive).
+        ValueError: the degree is outside 3..13, or poly is not one of
+            primitive_polys(n) (x does not have order 2**n - 1 mod poly).
     """
     return _lfsr_msequences([poly])[0]
 
@@ -162,14 +154,14 @@ def lfsr_msequence(poly: int) -> np.ndarray:
 def _lfsr_msequences(polys) -> np.ndarray:
     """lfsr_msequence of every poly in polys, all of one degree n, as
     the rows of one int8 array: the registers step together, n steps
-    per vector operation, not one Python loop per polynomial."""
+    per vector operation, not one Python loop per polynomial.  Every
+    poly must be primitive, else ValueError names the first that is not."""
     (n,) = {_degree(p) for p in polys}  # one degree, else ValueError
-    M = (1 << n) - 1
-    bits, period = _run_registers(polys, n)
-    for poly, p in zip(polys, period.tolist()):
-        if p != M:
-            raise ValueError(f"0x{poly:x} has period {p or None}, expected {M}")
-    return np.ascontiguousarray(1 - 2 * bits.T)
+    primitive = set(primitive_polys(n))
+    for poly in polys:
+        if poly not in primitive:
+            raise ValueError(f"0x{poly:x} is not a primitive polynomial of degree {n}")
+    return np.ascontiguousarray(1 - 2 * _run_registers(polys, n).T)
 
 
 def sequence_period(seq: np.ndarray) -> int:

@@ -49,13 +49,28 @@ def test_primitive_count_is_totient_over_degree(n):
     assert all(p.bit_length() == n + 1 and p & 1 for p in polys)
 
 
+def _first_returns(polys, n):
+    # one register step per iteration, vectorized over polys: the step at
+    # which each register, from all ones, is first back at all ones (0 if
+    # never); no n-step jumps, so it shares nothing with _run_registers
+    M = (1 << n) - 1
+    taps = np.array(polys, dtype=np.int64) & M
+    state = np.full(len(taps), M, dtype=np.int64)
+    period = np.zeros(len(taps), dtype=np.int64)
+    for t in range(1, M + 1):
+        fb = np.bitwise_count(state & taps).astype(np.int64) & 1
+        state = (state >> 1) | (fb << (n - 1))
+        period[(state == M) & (period == 0)] = t
+    return period
+
+
 @pytest.mark.parametrize("n", DEGREES)
 def test_primitive_polys_are_the_candidates_of_full_register_period(n):
-    # the register route as an oracle for the order test: every odd-weight
+    # the register period as an oracle for the order test: every odd-weight
     # candidate with x**n and 1 present, kept iff its register first
     # returns to all ones after exactly 2**n - 1 steps
     cands = [p for p in range(1 << n, 1 << (n + 1)) if p & 1 and p.bit_count() & 1]
-    _, period = sq._run_registers(cands, n)
+    period = _first_returns(cands, n)
     want = tuple(p for p, t in zip(cands, period.tolist()) if t == 2**n - 1)
     assert sq.primitive_polys(n) == want
 
@@ -147,16 +162,24 @@ def test_vector_lfsr_equals_scalar_register(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_register_run_equals_scalar_steps_for_every_polynomial(n):
-    # every degree-n polynomial, reducible and divisible by x included,
-    # so returns before 2**n - 1 steps and registers that never return
-    # both occur
+    # every degree-n polynomial, reducible and divisible by x included
     polys = list(range(1 << n, 1 << (n + 1)))
-    bits, period = sq._run_registers(polys, n)
+    bits = sq._run_registers(polys, n)
+    assert bits.shape == (2**n - 1, len(polys))
     for i, poly in enumerate(polys):
-        want_bits, want_period = _scalar_run(poly)
-        assert bits[:, i].tolist() == want_bits, hex(poly)
-        assert period[i] == want_period, hex(poly)
-    assert {0, 1, 2**n - 1} <= set(period.tolist())
+        assert bits[:, i].tolist() == _scalar_run(poly)[0], hex(poly)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_msequence_raises_exactly_off_full_register_period(n):
+    # the order test against the scalar register: a polynomial is
+    # accepted iff its register first returns after 2**n - 1 steps
+    for poly in range(1 << n, 1 << (n + 1)):
+        if _scalar_run(poly)[1] == 2**n - 1:
+            assert np.array_equal(sq.lfsr_msequence(poly), _scalar_msequence(poly))
+        else:
+            with pytest.raises(ValueError, match=f"0x{poly:x} is not a primitive"):
+                sq.lfsr_msequence(poly)
 
 
 def test_vector_lfsr_rejects_mixed_degrees():
@@ -166,11 +189,17 @@ def test_vector_lfsr_rejects_mixed_degrees():
 
 def test_non_primitive_poly_fails_the_period_check():
     # x^3+x^2+x+1 = (x+1)^3: the all-ones state is a fixed point, so the
-    # register has period 1, not 7, also beside a primitive polynomial
-    with pytest.raises(ValueError, match="0xf has period 1, expected 7"):
+    # register has period 1, not 7; in a list the first bad one is named
+    msg = "0xf is not a primitive polynomial of degree 3"
+    with pytest.raises(ValueError, match=msg):
         sq.lfsr_msequence(0b1111)
-    with pytest.raises(ValueError, match="0xf has period 1, expected 7"):
-        sq._lfsr_msequences([0xb, 0xf])
+    with pytest.raises(ValueError, match=msg):
+        sq._lfsr_msequences([0xb, 0xf, 0xd, 0x9])
+    # x^4+x^3+x^2+x+1 divides x^5 - 1: irreducible, but x has order 5,
+    # so its register returns after 5 steps, not 15
+    assert _scalar_run(0x1F)[1] == 5
+    with pytest.raises(ValueError, match="0x1f is not a primitive polynomial of degree 4"):
+        sq.lfsr_msequence(0x1F)
 
 
 @pytest.mark.parametrize("n", [5, 7])
