@@ -60,10 +60,6 @@ class NonzeroDistribution:
         object.__setattr__(self, "kind", kind)
 
     @property
-    def is_complex(self) -> bool:
-        return self.kind.startswith("complex")
-
-    @property
     def second_moment(self) -> float:
         """E|u|^2 of a single draw (noise scaling in experiments)."""
         return {

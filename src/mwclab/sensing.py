@@ -317,8 +317,6 @@ def _correlations(S: np.ndarray):
     else:
         spectrum = _row_spectrum(S)
         P = spectrum[1]
-    if not np.any(P > _ZERO_COLUMN_TOL):
-        raise ValueError("all sensing columns are zero")
 
     W = _sign_gram(S)
     G = W.astype(np.int64)

@@ -14,17 +14,27 @@ multiplicative order exactly 2**n - 1 modulo p (Lidl and Niederreiter,
 Finite Fields, Thm 3.16), a few carry-less squarings per candidate.
 That test is the only check of primitivity: lfsr_msequence runs a
 register only for a polynomial that primitive_polys returns.
+
+Each structured family has one builder that takes the row count m and
+returns exactly the family's first m rows as one m x M int8 array:
+maximal_family(n, m), gold_family(n, m), kasami_small_family(n, m) and
+hadamard_family(M, m).  Every cyclically shifted row comes from one
+gather of windows of the doubled sequences.  The Gold preferred pairs
+and the Kasami decimation are fixed properties of the two families
+(Sarwate and Pursley, Proc. IEEE 68(5), 1980); the tests pin them for
+every shipped degree, and no build re-checks them.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # register degrees accepted anywhere; the cap bounds one run at 2**13 - 1 steps
 _DEGREES = range(3, 14)
 
 # (base, partner) per odd degree: the base is primitive_polys(n)[0] and
 # the partner generates the decimation-by-3 orbit of its m-sequence,
-# which makes the pair preferred (3-valued cross-correlation);
-# gold_family checks that spectrum on every call
+# which makes the pair preferred (3-valued cross-correlation); the
+# tests pin both facts for every entry
 GOLD_PREFERRED_PAIRS = {
     5: (0x25, 0x3d),
     7: (0x83, 0xab),
@@ -199,75 +209,84 @@ def gold_t(n: int) -> int:
     return (1 << ((n + 1) // 2)) + 1
 
 
-def gold_family(n: int) -> list[np.ndarray]:
-    """All 2**n + 1 Gold sequences of odd degree n.
+def _shifted(seqs: np.ndarray, rows, shifts) -> np.ndarray:
+    """np.roll(seqs[r], s) for every pair r, s of rows and shifts
+    (broadcast together, each s in 0..M-1) as one int8 array: T^s(x) is
+    the window of the doubled x that starts at M - s, so one gather
+    builds every shifted row of a family."""
+    M = seqs.shape[1]
+    windows = sliding_window_view(np.concatenate((seqs, seqs), axis=1), M, axis=1)
+    return windows[rows, M - shifts]
 
-    The family is the two base m-sequences a, b followed by a * T^i(b)
-    for every cyclic shift i = 0..M-1 (XOR in bit terms is the
-    elementwise product in sign terms).  Every cross-correlation value
-    between distinct members lies in {-1, -t(n), t(n) - 2}; the shipped
-    pair is rejected if its spectrum violates that.
 
-    Args:
-        n: odd register length with a shipped pair (5, 7, 9 or 11).
+def maximal_family(n: int, m: int) -> np.ndarray:
+    """The first m rows of the maximal family of degree n as an
+    m x (2**n - 1) int8 array: one m-sequence per primitive polynomial
+    in ascending order, then their cyclic shifts round-robin (shift 1 of
+    each, shift 2 of each, ...), so row r is T^(r // P) of sequence
+    r % P for P polynomials.
 
-    Returns:
-        list of 2**n + 1 int8 arrays of length 2**n - 1, ordered
-        [a, b, a*T^0(b), a*T^1(b), ...].
+    Raises:
+        ValueError: n outside 3..13, or m outside 1..P * (2**n - 1).
     """
-    return list(_gold_rows(n, (1 << n) + 1))
+    polys = primitive_polys(n)
+    M = (1 << n) - 1
+    if not 1 <= m <= len(polys) * M:
+        raise ValueError(
+            f"maximal family of degree {n} has {len(polys) * M} rows "
+            f"({len(polys)} polynomials x {M} shifts), requested {m}"
+        )
+    r = np.arange(m)
+    return _shifted(_lfsr_msequences(polys[:m]), r % len(polys), r // len(polys))
 
 
-def _gold_rows(n: int, m: int) -> np.ndarray:
-    """The first m rows of gold_family(n) as an m x (2**n - 1) int8
-    array, building only those rows; the pair's spectrum is checked on
-    every call."""
-    if n % 2 == 0 or n not in GOLD_PREFERRED_PAIRS:
+def gold_family(n: int, m: int) -> np.ndarray:
+    """The first m of the 2**n + 1 Gold sequences of odd degree n as an
+    m x (2**n - 1) int8 array.
+
+    The family is the two base m-sequences a, b of the shipped preferred
+    pair followed by a * T^i(b) for every cyclic shift i = 0..M-1 (XOR
+    in bit terms is the elementwise product in sign terms).  Every
+    cross-correlation value between distinct members lies in
+    {-1, -t(n), t(n) - 2}; the tests pin that spectrum for every shipped
+    pair, so no build re-checks it.
+
+    Raises:
+        ValueError: n without a shipped pair (5, 7, 9 and 11 ship), or m
+            outside 1..2**n + 1.
+    """
+    if n not in GOLD_PREFERRED_PAIRS:
         raise ValueError(
             f"gold families ship for odd n in {sorted(GOLD_PREFERRED_PAIRS)}, got n={n}"
         )
-    if m > (1 << n) + 1:
+    if not 1 <= m <= (1 << n) + 1:
         raise ValueError(f"gold degree {n} has {(1 << n) + 1} rows, requested {m}")
-    pa, pb = GOLD_PREFERRED_PAIRS[n]
-    if _degree(pa) != n or _degree(pb) != n:
-        raise ValueError(f"pair (0x{pa:x}, 0x{pb:x}) is not of degree {n}")
-    a, b = _lfsr_msequences([pa, pb])
-    t = gold_t(n)
-    cc = cyclic_crosscorrelation(a, b)
-    allowed = {-1, -t, t - 2}
-    bad = [v for v in np.unique(cc) if int(v) not in allowed]
-    if bad:
-        lag = int(np.nonzero(cc == bad[0])[0][0])
-        raise ValueError(
-            f"(0x{pa:x}, 0x{pb:x}) is not a preferred pair: "
-            f"cross-correlation {int(bad[0])} at lag {lag}"
-        )
-    M = len(a)
-    rows = np.empty((m, M), dtype=np.int8)
-    rows[:2] = (a, b)[:m]
-    bb = np.concatenate((b, b))
-    for i in range(m - 2):  # T^i(b) = np.roll(b, i) = bb[M - i : 2M - i]
-        np.multiply(a, bb[M - i : 2 * M - i], out=rows[2 + i])
-    return rows
+    ab = _lfsr_msequences(GOLD_PREFERRED_PAIRS[n])
+    return np.concatenate((ab[:m], ab[0] * _shifted(ab[1:], 0, np.arange(m - 2))))
 
 
-def kasami_small_family(n: int) -> list[np.ndarray]:
-    """The small Kasami set: 2**(n/2) sequences of length 2**n - 1.
+def kasami_small_family(n: int, m: int) -> np.ndarray:
+    """The first m of the 2**(n/2) small-set Kasami sequences of even
+    degree n as an m x (2**n - 1) int8 array.
 
-    Built from primitive_polys(n)[0], the first primitive polynomial of
-    even degree n: the base m-sequence a, then a * T^s(d) for every
-    shift s of the decimation d[j] = a[(2**(n/2) + 1) * j mod M], which
-    has period 2**(n/2) - 1.
+    Built from primitive_polys(n)[0]: the base m-sequence a, then
+    a * T^s(d) for every shift s of the decimation
+    d[j] = a[(2**(n/2) + 1) * j mod M], which has period 2**(n/2) - 1;
+    the tests pin the family's three-valued spectrum for every even
+    degree, so no build re-checks the decimation.
+
+    Raises:
+        ValueError: n not even in 4..12, or m outside 1..2**(n/2).
     """
     if n % 2 == 1 or not 4 <= n <= 12:
         raise ValueError(f"kasami small set requires even n in 4..12, got n={n}")
+    half = 1 << (n // 2)
+    if not 1 <= m <= half:
+        raise ValueError(f"kasami degree {n} has {half} rows, requested {m}")
     a = lfsr_msequence(primitive_polys(n)[0])
     M = len(a)
-    half = 1 << (n // 2)
     d = a[((half + 1) * np.arange(M)) % M]
-    if sequence_period(d) != half - 1:
-        raise ValueError(f"decimation period {sequence_period(d)} != {half - 1}")
-    return [a] + [a * np.roll(d, s) for s in range(half - 1)]
+    return np.concatenate((a[None], a * _shifted(d[None], 0, np.arange(m - 1))))
 
 
 def hadamard_family(M: int, m: int) -> np.ndarray:
@@ -294,6 +313,7 @@ __all__ = [
     "hadamard_family",
     "kasami_small_family",
     "lfsr_msequence",
+    "maximal_family",
     "primitive_polys",
     "sequence_period",
 ]

@@ -94,25 +94,6 @@ class SignMatrix:
         return self.entries.shape[1]
 
 
-def _maximal_rows(n: int, m: int) -> list[np.ndarray]:
-    polys = sequences.primitive_polys(n)
-    M = (1 << n) - 1
-    population = len(polys) * M
-    if m > population:
-        raise ValueError(
-            f"maximal family of degree {n} has {population} rows "
-            f"({len(polys)} polynomials x {M} shifts), requested {m}"
-        )
-    base = sequences._lfsr_msequences(polys[: min(m, len(polys))])
-    rows = list(base)
-    # past one sequence per polynomial, walk shifts round-robin
-    extra = m - len(rows)
-    for i in range(extra):
-        shift = 1 + i // len(polys)
-        rows.append(np.roll(base[i % len(polys)], shift))
-    return rows
-
-
 # rows per block of the sign stream; a block's Gram has integer partial
 # sums of magnitude at most this, exact even in float32 (below 2**24)
 _BLOCK_ROWS = 4096
@@ -170,12 +151,10 @@ def build_sign_matrix(spec: FamilySpec) -> SignMatrix:
     """Materialize a FamilySpec into m distinct rows.
 
     Selection policies, all deterministic:
-      maximal      one m-sequence per primitive polynomial of degree n in
-                   ascending order, then cyclic shifts of those sequences
-                   round-robin (shift 1 of each, shift 2 of each, ...).
-      gold         the family enumeration order: both base sequences,
-                   then the shift-products in ascending shift order.
-      kasami       base sequence first, then ascending shifts.
+      maximal, gold, kasami
+                   the first m rows of sequences.maximal_family,
+                   gold_family or kasami_small_family, in the row order
+                   their docstrings give.
       hadamard     rows 1..m, skipping the all-ones row 0 (it would make
                    every channel measurement redundant with the DC bin).
       random       i.i.d. equiprobable signs from the seed.
@@ -183,26 +162,21 @@ def build_sign_matrix(spec: FamilySpec) -> SignMatrix:
     fam = spec.family
     if fam == "random":
         entries = _random_entries(spec.m, spec.M, spec.seed)
-        return SignMatrix(entries, fam, spec.seed)
-    if fam == "maximal":
-        rows = _maximal_rows(spec.n, spec.m)
-    elif fam == "gold":
-        rows = sequences._gold_rows(spec.n, spec.m)
-    elif fam == "kasami":
-        family = sequences.kasami_small_family(spec.n)
-        if spec.m > len(family):
-            raise ValueError(
-                f"kasami degree {spec.n} has {len(family)} rows, requested {spec.m}"
-            )
-        rows = family[: spec.m]
-    else:
+    elif fam == "hadamard":
         if spec.m > spec.length - 1:
             raise ValueError(
                 f"hadamard of size {spec.length} has {spec.length - 1} usable rows "
                 f"(all-ones row 0 is skipped), requested {spec.m}"
             )
-        rows = sequences.hadamard_family(spec.length, spec.m + 1)[1:]
-    return SignMatrix(np.array(rows, dtype=np.int8), fam, spec.seed)
+        entries = sequences.hadamard_family(spec.length, spec.m + 1)[1:]
+    else:
+        build = {
+            "maximal": sequences.maximal_family,
+            "gold": sequences.gold_family,
+            "kasami": sequences.kasami_small_family,
+        }[fam]
+        entries = build(spec.n, spec.m)
+    return SignMatrix(entries, fam, spec.seed)
 
 
 def _format_seed(seed: Seed) -> str:

@@ -218,7 +218,7 @@ def test_criterion_08_sequence_invariants():
             ac = sq.cyclic_crosscorrelation(*(sq.lfsr_msequence(poly),) * 2)
             assert ac[0] == M and (ac[1:] == -1).all()
 
-    fam = sq.gold_family(9)
+    fam = sq.gold_family(9, 2**9 + 1)
     F = np.fft.fft(np.array(fam, dtype=np.float64), axis=1)
     gold_vals = set()
     for i in range(len(fam) - 1):
@@ -226,7 +226,7 @@ def test_criterion_08_sequence_invariants():
         gold_vals |= set(np.unique(vals).tolist())
     gold_ok = gold_vals <= {-1, -33, 31}
 
-    kas = sq.kasami_small_family(8)
+    kas = sq.kasami_small_family(8, 2**4)
     kas_vals = set()
     for i, a in enumerate(kas):
         for j, b in enumerate(kas):

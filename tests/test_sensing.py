@@ -86,8 +86,12 @@ def test_sensing_matrix_frobenius_norm_is_sqrt_M():
     assert np.isclose(np.linalg.norm(Phi) ** 2, 17.0)
 
 
-@pytest.mark.parametrize("shape", [(1, 4), (2, 5), (3, 7), (4, 8), (5, 6)])
+@pytest.mark.parametrize(
+    "shape", [(1, 4), (2, 5), (3, 7), (4, 8), (5, 6), (6, 4), (9, 5), (7, 2), (12, 7)]
+)
 def test_measures_match_direct_oracle(shape):
+    # wide and tall: a tall matrix's column power is summed over row
+    # blocks, so its beta is checked against the literal convolution sum too
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
     S = rng.integers(0, 2, shape) * 2 - 1
     q = quality_measures(_sm(S))

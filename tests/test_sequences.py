@@ -207,8 +207,8 @@ def test_gold_family_exhaustive_three_valued(n):
     M = 2**n - 1
     t = sq.gold_t(n)
     allowed = {-1, -t, t - 2}
-    fam = sq.gold_family(n)
-    assert len(fam) == M + 2
+    fam = sq.gold_family(n, M + 2)
+    assert fam.shape == (M + 2, M)
     F = np.fft.fft(np.array(fam, dtype=np.float64), axis=1)
     for i in range(len(fam)):
         prod = np.conj(F[i]) * F[i + 1 :]
@@ -229,12 +229,70 @@ def test_gold_rows_are_the_first_rows_of_the_family(n, m):
     m = size if m == "all" else m
     if m > size:
         with pytest.raises(ValueError, match=f"gold degree {n} has {size} rows, requested {m}"):
-            sq._gold_rows(n, m)
+            sq.gold_family(n, m)
         return
-    rows = sq._gold_rows(n, m)
+    rows = sq.gold_family(n, m)
     assert rows.dtype == np.int8 and rows.shape == (m, 2**n - 1)
-    assert np.array_equal(rows, np.array(sq.gold_family(n)[:m]))
+    assert np.array_equal(rows, sq.gold_family(n, size)[:m])
     assert np.array_equal(rows, np.array(_spelled_out_gold(n)[:m]))
+
+
+@pytest.mark.parametrize("n", sorted(sq.GOLD_PREFERRED_PAIRS))
+def test_gold_pairs_are_primitive_and_preferred(n):
+    # the shipped table is trusted at run time, so every entry is pinned
+    # here: the base is the first primitive polynomial, the partner is
+    # primitive, and the two m-sequences cross-correlate in exactly the
+    # three Gold values
+    pa, pb = sq.GOLD_PREFERRED_PAIRS[n]
+    polys = sq.primitive_polys(n)
+    assert pa == polys[0] and pb in polys
+    t = sq.gold_t(n)
+    cc = sq.cyclic_crosscorrelation(sq.lfsr_msequence(pa), sq.lfsr_msequence(pb))
+    assert set(np.unique(cc).tolist()) == {-1, -t, t - 2}
+
+
+def _spelled_out_maximal(n):
+    # every polynomial's sequence, then shift 1 of each, shift 2 of each, ...
+    base = [sq.lfsr_msequence(p) for p in sq.primitive_polys(n)]
+    return [np.roll(x, s) for s in range(2**n - 1) for x in base]
+
+
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_maximal_rows_are_the_first_rows_of_the_round_robin(n):
+    full = np.array(_spelled_out_maximal(n))
+    P = len(sq.primitive_polys(n))
+    for m in {1, P - 1, P, P + 1, 3 * P + 2, len(full)}:
+        rows = sq.maximal_family(n, m)
+        assert rows.dtype == np.int8 and rows.shape == (m, 2**n - 1)
+        assert np.array_equal(rows, full[:m]), m
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_kasami_rows_are_the_first_rows_of_the_family(n):
+    # the family as its definition reads: a, then a * T^s(d) by np.roll
+    M = 2**n - 1
+    a = sq.lfsr_msequence(sq.primitive_polys(n)[0])
+    d = a[((2 ** (n // 2) + 1) * np.arange(M)) % M]
+    full = np.array([a] + [a * np.roll(d, s) for s in range(2 ** (n // 2) - 1)])
+    for m in {1, 2, len(full)}:
+        rows = sq.kasami_small_family(n, m)
+        assert rows.dtype == np.int8 and rows.shape == (m, M)
+        assert np.array_equal(rows, full[:m]), m
+
+
+@pytest.mark.parametrize(
+    "build, n, size, name",
+    [
+        (sq.maximal_family, 3, 14, "maximal family of degree 3"),
+        (sq.gold_family, 5, 33, "gold degree 5"),
+        (sq.kasami_small_family, 6, 8, "kasami degree 6"),
+    ],
+)
+def test_builders_reject_row_counts_outside_the_family(build, n, size, name):
+    assert build(n, size).shape[0] == size
+    for m in (0, -1, size + 1):
+        with pytest.raises(ValueError, match=f"{name} has {size} rows.*, requested {m}"):
+            build(n, m)
 
 
 def test_gold_t_values():
@@ -245,50 +303,31 @@ def test_gold_t_values():
 
 def test_gold_rejects_bad_degree():
     with pytest.raises(ValueError):
-        sq.gold_family(6)
+        sq.gold_family(6, 1)
     with pytest.raises(ValueError):
-        sq.gold_family(4)
+        sq.gold_family(4, 1)
 
 
-def test_gold_rejects_non_preferred_pair(monkeypatch):
-    # two distinct primitive polys of degree 5 that are not a preferred
-    # pair produce a 4-valued correlation, so a table holding them must
-    # be refused
-    p = sq.primitive_polys(5)
-    good = sq.GOLD_PREFERRED_PAIRS[5]
-    bad = None
-    for a in p:
-        for b in p:
-            if a < b and (a, b) != good and (b, a) != good:
-                bad = (a, b)
-                break
-        if bad:
-            break
-    assert bad is not None
-    monkeypatch.setitem(sq.GOLD_PREFERRED_PAIRS, 5, bad)
-    with pytest.raises(ValueError):
-        sq.gold_family(5)
-
-
-@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
 def test_kasami_family_exhaustive_three_valued(n):
+    # every even degree the builder accepts: the builder trusts its
+    # decimation, so a wrong one has to show here as a broken spectrum
     M = 2**n - 1
     half = 2 ** (n // 2)
     allowed = {-1, -(half + 1), half - 1}
-    fam = sq.kasami_small_family(n)
-    assert len(fam) == half
-    for i, a in enumerate(fam):
-        for k, b in enumerate(fam):
-            vals = sq.cyclic_crosscorrelation(a, b)
-            if i == k:
-                assert vals[0] == M
-                vals = vals[1:]
-            assert set(np.unique(vals)) <= allowed
+    fam = sq.kasami_small_family(n, half)
+    assert fam.shape == (half, M)
+    F = np.fft.fft(fam.astype(np.float64), axis=1)
+    for i in range(half):
+        vals = np.rint(np.fft.ifft(np.conj(F[i]) * F, axis=1).real).astype(np.int64)
+        assert vals[i, 0] == M
+        vals[i, 0] = -1  # the in-phase autocorrelation, the one value outside
+        assert set(np.unique(vals).tolist()) <= allowed, f"pairs with row {i}"
 
 
 def test_kasami_rejects_odd_degree():
     with pytest.raises(ValueError):
-        sq.kasami_small_family(5)
+        sq.kasami_small_family(5, 1)
 
 
 def test_hadamard_family_orthogonal():

@@ -62,7 +62,7 @@ def test_maximal_population_cap():
 
 def test_gold_rows_follow_family_enumeration():
     S = build_sign_matrix(FamilySpec("gold", m=6, n=5))
-    fam = sq.gold_family(5)
+    fam = sq.gold_family(5, 33)
     for i in range(6):
         assert np.array_equal(S.entries[i], fam[i])
     with pytest.raises(ValueError):
@@ -71,7 +71,7 @@ def test_gold_rows_follow_family_enumeration():
 
 def test_kasami_rows_follow_family_enumeration():
     S = build_sign_matrix(FamilySpec("kasami", m=5, n=6))
-    fam = sq.kasami_small_family(6)
+    fam = sq.kasami_small_family(6, 8)
     for i in range(5):
         assert np.array_equal(S.entries[i], fam[i])
     with pytest.raises(ValueError):
@@ -336,13 +336,57 @@ def test_gen_random_pattern_bytes_are_pinned(M, m, seed, digest, tmp_path):
             ["--family", "kasami", "--n", "12", "--m", "64"],
             "bf7a5bc79ebaf9f98fabd72713805c02ef4d01710b7b7e5d9e593d91e3cc79dd",
         ),
+        (
+            ["--family", "maximal", "--n", "9", "--m", "80"],
+            "45de64150a0ec8415c12f94c83a321c0078930b301ac4e97b6af06cc7d279296",
+        ),
+        (
+            ["--family", "maximal", "--n", "5", "--m", "186"],
+            "a0d414a56e51c1a5e327cb70f2678601a9a8efe887ee3fcb30c711ce6d8f9218",
+        ),
+        (
+            ["--family", "gold", "--n", "9", "--m", "80"],
+            "2466a8404d76785556903a18bd7613e6b43affb2d0d5df881eb6d3821bef6796",
+        ),
+        (
+            ["--family", "gold", "--n", "11", "--m", "2049"],
+            "d526ee925a1402db2fb18bc0b5c3512b51656070b349df3516734378f4fa5f16",
+        ),
+        (
+            ["--family", "kasami", "--n", "8", "--m", "16"],
+            "83cb8bf65f1742f672ccd7c401611d614964cf4f9d34f32d8af522c7f25eff6e",
+        ),
+        (
+            ["--family", "kasami", "--n", "4", "--m", "1"],
+            "191f1d48a837d71d2c14520f0adb3c4c52b0b686a2ce46ac42c7f1a0e1537471",
+        ),
+        (
+            ["--family", "hadamard", "--M", "512", "--m", "80"],
+            "c55b77fd049bba48754d7d616c86347e814408d82450d739de60de3595893e56",
+        ),
     ],
-    ids=["hadamard160x8192", "maximal160x8191", "maximal160x2047", "gold160x2047", "kasami64x4095"],
+    ids=[
+        "hadamard160x8192",
+        "maximal160x8191",
+        "maximal160x2047",
+        "gold160x2047",
+        "kasami64x4095",
+        "maximal80x511",
+        "maximal186x31",
+        "gold80x511",
+        "gold2049x2047",
+        "kasami16x255",
+        "kasami1x15",
+        "hadamard80x512",
+    ],
 )
 def test_gen_structured_pattern_bytes_are_pinned(argv, digest, tmp_path):
     # digests of the pattern files written by np.savetxt rows, the
     # scalar LFSR, the shipped polynomial table and the full Sylvester
-    # matrix, before each was replaced
+    # matrix, before each was replaced; the last seven (table2's
+    # patterns at 80 and 16 rows, maximal rows past one per polynomial
+    # and whole families) were taken before the families were built by
+    # one cyclic-shift gather
     out = tmp_path / "p.pat"
     assert cli.main(["gen", *argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
