@@ -8,6 +8,7 @@ unit-norm on average.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,13 +56,9 @@ def sensing_matrix(S: SignMatrix) -> np.ndarray:
 
 def _row_spectrum(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(H, P) of a +/-1 matrix: H the columns 0..M//2 of its unscaled row
-    DFT S F (rfft), P the full-length column power
-    P[j] = sum_i |(S F)[i, j]|^2, completed by P[M - j] = P[j] (S is
-    real, so column M - j of S F is the conjugate of column j)."""
-    M = S.shape[1]
+    DFT S F (rfft), P their column power P[j] = sum_i |H[i, j]|^2."""
     H = np.fft.rfft(S.astype(np.float64, copy=False), axis=1)
-    half = _squared_magnitude(H.copy()).sum(axis=0)
-    return H, np.concatenate((half, half[1 : (M + 1) // 2][::-1]))
+    return H, _squared_magnitude(H.copy()).sum(axis=0)
 
 
 def _block_gram(blocks, n: int) -> np.ndarray:
@@ -112,7 +109,7 @@ def _coherence(m: int, M: int, column_gram, spectrum) -> tuple[float, int]:
     wide one from spectrum() = _row_spectrum(S); only one is called."""
     if m > M:
         return _gram_coherence(column_gram())
-    return _blocked_coherence(*spectrum())
+    return _blocked_coherence(*spectrum(), M)
 
 
 def _gram_coherence(T: np.ndarray) -> tuple[float, int]:
@@ -139,8 +136,8 @@ def _gram_coherence(T: np.ndarray) -> tuple[float, int]:
     return mu, M - 2 * len(cols) + int(np.count_nonzero(mirror == cols))
 
 
-def _blocked_coherence(H: np.ndarray, P: np.ndarray) -> tuple[float, int]:
-    """coherence from the row spectrum (H, P) of a wide +/-1 matrix
+def _blocked_coherence(H: np.ndarray, P: np.ndarray, M: int) -> tuple[float, int]:
+    """coherence from the row spectrum (H, P) of a wide m x M +/-1 matrix
     (_row_spectrum), on the conjugate-symmetric quarter of Phi^H Phi: S
     is real, so Phi_{M-j} = conj Phi_j and every |<Phi_j, Phi_k>| is in
     one triangle of X = Phi_H^H Phi_H or of Y = Phi_H^T Phi_H over the
@@ -164,7 +161,6 @@ def _blocked_coherence(H: np.ndarray, P: np.ndarray) -> tuple[float, int]:
     to first order, and tau = 4 (m + 4) eps32 = 8 (m + 4) u is over
     twice that, which also covers the re-score's own error and the
     float32 rounding of the floor the screen compares against."""
-    M = len(P)
     m = H.shape[0]
     U, cols = _unit_columns(H, P)
     U32 = U.astype(np.complex64)
@@ -183,17 +179,15 @@ def _blocked_coherence(H: np.ndarray, P: np.ndarray) -> tuple[float, int]:
         prod = np.matmul(U32c[start:], block.T, out=C[:used].reshape(shape))
         return _squared_magnitude(prod, out=Q[:used].reshape(shape))
 
-    def rescore(j, k, conj, q):
-        return _pair_magnitudes(U, j, k, conj)
-
-    mu = _quarter_max(scores, 2 * cols % M == 0, tau, rescore)
-    return mu, int(np.count_nonzero(P <= _ZERO_COLUMN_TOL))
+    self_conj = 2 * cols % M == 0
+    mu = _quarter_max(scores, self_conj, tau, lambda j, k, conj, q: _pair_magnitudes(U, j, k, conj))
+    return mu, M - 2 * len(cols) + int(np.count_nonzero(self_conj))
 
 
 def _unit_columns(F: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(U, cols): the columns cols of a row spectrum F whose power P is
     not a structural zero, scaled to unit norm, as the rows of U."""
-    cols = np.flatnonzero(P[: F.shape[1]] > _ZERO_COLUMN_TOL)
+    cols = np.flatnonzero(P > _ZERO_COLUMN_TOL)
     U = F.T[cols]
     U /= np.sqrt(P[cols])[:, None]
     return U, cols
@@ -273,24 +267,25 @@ def _quarter_max(scores, self_conj: np.ndarray, tau: float, rescore) -> float:
 
 
 def _top_eigenvalue(W: np.ndarray) -> float:
-    """Power iteration on a symmetric positive semidefinite matrix.
-    The matvec runs through einsum to keep the reduction order fixed."""
+    """Power iteration on a symmetric positive semidefinite matrix, its
+    matvec through einsum in a fixed order; at the cap it warns."""
     n = W.shape[0]
     # deterministic start with no accidental symmetry
     v = 1.0 + ((np.arange(n) * 2654435761) % 1000) / 1000.0
     v /= np.linalg.norm(v)
-    lam = 0.0
+    lam = prev = 0.0
     for _ in range(_POWER_MAX_ITER):
         w = np.einsum("ij,j->i", W, v)
-        new = float(v @ w)
+        prev, lam = lam, float(v @ w)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
-        if abs(new - lam) <= _POWER_REL_TOL * max(abs(new), 1.0):
-            lam = new
-            break
-        lam = new
+        if abs(lam - prev) <= _POWER_REL_TOL * max(abs(lam), 1.0):
+            return lam
+    step = abs(lam - prev) / max(abs(lam), 1.0)
+    msg = f"power iteration hit its cap of {_POWER_MAX_ITER} steps, last relative step {step:.3g}"
+    warnings.warn(msg, RuntimeWarning, stacklevel=2)
     return lam
 
 
@@ -307,33 +302,47 @@ def spectral_norm_sq(S: np.ndarray) -> float:
 def _correlations(S: np.ndarray):
     """alpha, beta, gamma of a +/-1 matrix, plus the smaller Gram W that
     alpha and gamma were taken from and, for a wide matrix, the row
-    spectrum (H, P) that beta was (see quality_measures); a tall one's P
-    is summed over the row blocks of the Gram, and its spectrum is None."""
+    spectrum (H, P) that beta was (see quality_measures); a tall one's
+    beta is read off W = S^T S, and its spectrum is None."""
     m, M = S.shape
-    if m > M:
-        # a tall matrix's coherence reads S^T S: only P is summed here
-        spectrum = None
-        P = sum(_row_spectrum(S[i : i + _BLOCK_ROWS])[1] for i in range(0, m, _BLOCK_ROWS))
-    else:
-        spectrum = _row_spectrum(S)
-        P = spectrum[1]
-
     W = _sign_gram(S)
     G = W.astype(np.int64)
     alpha = float((G * G).sum()) / (m * M) ** 2
 
-    beta = float((P * P).sum()) / (m * m * M**4)
-
     rev = -np.arange(M) % M
     if m > M:
+        spectrum = None
+        # A[l] = sum_n (S^T S)[n, n + l mod M], a cyclic diagonal of W
+        n = np.arange(M)[:, None]
+        A = G[n, (n + np.arange(M)) % M].sum(axis=0)
         # ||S R S^T||_F^2 = tr(R W R W) for W = S^T S and R = R^T
         rev_sq = (G * G[np.ix_(rev, rev)]).sum()
     else:
+        spectrum = _row_spectrum(S)
+        A = _autocorrelation(spectrum[1], M)
         # S R S^T = 2 H H^T - W for W = S S^T, H = (S + S R) / 2 in {-1, 0, 1}
         Grev = 2 * _sign_gram((S + S[:, rev]) // 2).astype(np.int64) - G
         rev_sq = (Grev * Grev).sum()
+    # sum A^2 <= m^2 M^3 may pass 2**63: summed in Python integers
+    beta = float(sum(a * a for a in A.tolist())) / (m * m * M**3)
     gamma = float(rev_sq) / (m * M) ** 2
     return alpha, beta, gamma, W, spectrum
+
+
+def _autocorrelation(P: np.ndarray, M: int) -> np.ndarray:
+    """A[l] = sum_i sum_n S_i[n] S_i[n + l mod M] (int64) of a +/-1
+    matrix from the half column power P of its rows (_row_spectrum),
+    the DFT of A.  An FFT of length M is off by at most c log2(M) u in
+    the 2-norm (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., Thm 24.2; u = 2^-53, c small); each row's spectrum has
+    2-norm M and A at most mM sqrt(M), so irfft(P) is within about
+    ((4 + sqrt(M)) c log2(M) + m) mM u of A, under 1e-6 at 160 x 8191,
+    and rint gives A.  An entry over 1/4 off raises ArithmeticError."""
+    x = np.fft.irfft(P, n=M)
+    A = np.rint(x)
+    if (off := float(np.abs(x - A).max())) > 0.25:
+        raise ArithmeticError(f"autocorrelation {off:.3g} off an integer at M = {M}")
+    return A.astype(np.int64)
 
 
 def correlation_measures(S: SignMatrix) -> tuple[float, float, float]:
@@ -347,16 +356,15 @@ def quality_measures(S: SignMatrix) -> QualityReport:
 
     All three pair sums run over ordered pairs (i, k) including i = k;
     the diagonal is what puts alpha at its 1/m floor for orthogonal
-    rows.  alpha and gamma are exact integer sums (below 2**53) up to
-    the final division; beta is not, since its P_j come from a floating
-    FFT.
+    rows.  All three are exact integer sums up to the final division.
 
       alpha = (mM)^-2   sum (S_i . S_k)^2
       beta  = (m^2M^3)^-1 sum ||S_i (*) S_k||^2   ((*) cyclic convolution)
       gamma = (mM)^-2   sum (S_i . reverse(S_k))^2
 
-    beta uses Parseval: sum_ik ||S_i (*) S_k||^2 = (1/M) sum_j P_j^2
-    with P_j the column power of S F.  alpha comes from the smaller
+    beta uses Parseval: sum_ik ||S_i (*) S_k||^2 = sum_l A[l]^2, A the
+    rows' summed cyclic autocorrelation: the cyclic diagonal sums of
+    S^T S if tall, else _autocorrelation.  alpha comes from the smaller
     Gram W (_sign_gram, ||S S^T||_F = ||S^T S||_F), which also gives
     the spectral norm, and so does gamma = (mM)^-2 ||S R S^T||_F^2 with
     R the cyclic reversal n -> -n mod M: a wide matrix takes
@@ -365,8 +373,8 @@ def quality_measures(S: SignMatrix) -> QualityReport:
     the one float32 block kernel (_block_gram) and is exact; it is cast
     to int64 so the sums of squares are exact integers too.  The
     coherence takes the route of its shape (_coherence): a tall matrix
-    is scored from W, which is S^T S there, a wide one from the row
-    spectrum that beta was taken from.
+    is scored from W, which is S^T S there and the only pass over its
+    rows, a wide one from the row spectrum that beta was taken from.
     """
     alpha, beta, gamma, W, spectrum = _correlations(S.entries)
     mu, zero_columns = _coherence(S.m, S.M, lambda: W, lambda: spectrum)

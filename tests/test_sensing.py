@@ -16,6 +16,7 @@ from mwclab.sensing import (
     _POWER_REL_TOL,
     _ZERO_COLUMN_TOL,
     QualityReport,
+    _autocorrelation,
     _block_gram,
     _blocked_coherence,
     _column_gram,
@@ -33,7 +34,7 @@ from mwclab.sensing import (
     spectral_norm_sq,
     welch_lower_bound,
 )
-from mwclab.sequences import gold_t, hadamard_family, primitive_polys
+from mwclab.sequences import gold_family, gold_t, hadamard_family, primitive_polys
 from mwclab.signmatrix import (
     FamilySpec,
     SignMatrix,
@@ -90,14 +91,14 @@ def test_sensing_matrix_frobenius_norm_is_sqrt_M():
     "shape", [(1, 4), (2, 5), (3, 7), (4, 8), (5, 6), (6, 4), (9, 5), (7, 2), (12, 7)]
 )
 def test_measures_match_direct_oracle(shape):
-    # wide and tall: a tall matrix's column power is summed over row
-    # blocks, so its beta is checked against the literal convolution sum too
+    # wide and tall: beta is read off S^T S when tall and off the column
+    # power when wide, and is the literal convolution sum to the bit
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
     S = rng.integers(0, 2, shape) * 2 - 1
     q = quality_measures(_sm(S))
     a, b, g = direct_measures(S)
     assert np.isclose(q.alpha, a, rtol=0, atol=1e-14)
-    assert np.isclose(q.beta, b, rtol=0, atol=1e-14)
+    assert q.beta == b
     assert np.isclose(q.gamma, g, rtol=0, atol=1e-14)
 
 
@@ -155,10 +156,9 @@ def test_row_permutation_preserves_measures(S, seed):
     perm = np.random.default_rng(seed).permutation(S.shape[0])
     q1 = quality_measures(_sm(S))
     q2 = quality_measures(_sm(S[perm]))
-    assert q1.alpha == q2.alpha  # integer path: exactly invariant
+    assert q1.alpha == q2.alpha  # integer paths: exactly invariant
+    assert q1.beta == q2.beta
     assert q1.gamma == q2.gamma
-    # beta sums FFT column powers, so row order moves the last ulp
-    assert np.isclose(q1.beta, q2.beta, rtol=1e-13)
     assert np.isclose(q1.mu, q2.mu, atol=1e-12)
 
 
@@ -320,27 +320,75 @@ def test_tall_correlation_measures_hold_no_m_by_m_array():
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (5, 8), (4, 9), (80, 511)])
-def test_row_spectrum_is_the_rfft_half_with_mirrored_power(shape):
+def test_row_spectrum_is_the_rfft_half_and_its_power(shape):
     S = _signs(*shape, 7)
     M = shape[1]
     H, P = _row_spectrum(S)
     F = np.fft.fft(S.astype(np.float64), axis=1)
-    assert H.shape == (shape[0], M // 2 + 1)
+    assert H.shape == (shape[0], M // 2 + 1) and P.shape == (M // 2 + 1,)
     assert np.allclose(H, F[:, : M // 2 + 1], rtol=0, atol=1e-12 * M)
-    j = np.arange(1, M)
-    assert np.array_equal(P[j], P[M - j])
-    assert np.allclose(P, (np.abs(F) ** 2).sum(axis=0), rtol=1e-13, atol=0)
+    assert np.allclose(P, (np.abs(F[:, : M // 2 + 1]) ** 2).sum(axis=0), rtol=1e-13, atol=0)
+
+
+def _direct_autocorrelation(S):
+    """A[l] = sum_i sum_n S_i[n] S_i[n + l mod M] by integer sums."""
+    S = S.astype(np.int32)
+    return np.array([int((S * np.roll(S, -l, axis=1)).sum()) for l in range(S.shape[1])])
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_shape_sign_matrices)
+@example(_signs(1, 1, 0))
+@example(_signs(9, 1, 4))  # tall, M = 1
+@example(_signs(11, 2, 5))  # tall, M = 2
+@example(_signs(2, 2, 6))
+@example(build_sign_matrix(FamilySpec("hadamard", m=5, M=32)).entries)  # 25 zero columns
+@example(build_sign_matrix(FamilySpec("hadamard", m=48, M=256)).entries)
+@example(_random_signs((0, 4353, 95), 4353, 195))  # a streamed channel-search shape
+@example(_signs(4353, 195, 5))  # past one row block
+@example(_signs(2 * _BLOCK_ROWS + 1, 64, 5))
+@example(_signs(_BLOCK_ROWS, 33, 5))
+def test_beta_is_the_sum_of_squares_of_one_integer_autocorrelation(S):
+    # three routes to A: the cyclic diagonals of S^T S (a tall matrix's
+    # beta), the rounded irfft of the column power (a wide one's), and
+    # direct integer sums; beta is sum A^2 / (m^2 M^3) to the bit
+    m, M = S.shape
+    A = _direct_autocorrelation(S)
+    T = _column_gram(S).astype(np.int64)
+    assert np.array_equal(A, [np.trace(np.roll(T, -l, axis=1)) for l in range(M)])
+    assert np.array_equal(A, _autocorrelation(_row_spectrum(S)[1], M))
+    _, beta, _ = correlation_measures(_sm(S))
+    assert beta == float(sum(int(a) ** 2 for a in A)) / (m * m * M**3)
 
 
 @pytest.mark.parametrize("m, M", [(4353, 195), (2 * _BLOCK_ROWS + 1, 64), (_BLOCK_ROWS, 33)])
 def test_tall_beta_sums_column_power_over_row_blocks(m, M):
-    # a tall matrix's P is summed block by block, never from its whole
-    # m x (M/2 + 1) spectrum; only the float64 order of the sum differs
+    # a tall matrix's beta, read off S^T S, is the sum of its squared
+    # column power P taken over the whole m x M spectrum at once
     S = _signs(m, M, 5)
     _, beta, _ = correlation_measures(_sm(S))
     P = (np.abs(np.fft.fft(S.astype(np.float64), axis=1)) ** 2).sum(axis=0)
     want = float((P * P).sum()) / (m * m * M**4)
     assert abs(beta - want) <= 1e-13 * want, (beta, want)
+
+
+def test_tall_measures_read_s_only_to_form_its_gram(monkeypatch):
+    # beta comes off S^T S's diagonals: no row spectrum, no second pass
+    S = _sm(_signs(4353, 195, 5))
+    want = quality_measures(S)
+
+    def forbidden(S):
+        raise AssertionError("a tall matrix took its row spectrum")
+
+    monkeypatch.setattr(sensing, "_row_spectrum", forbidden)
+    assert quality_measures(S) == want
+    assert correlation_measures(S) == (want.alpha, want.beta, want.gamma)
+
+
+def test_autocorrelation_off_an_integer_raises():
+    # a power no +/-1 matrix has: its inverse DFT sits at half-integers
+    with pytest.raises(ArithmeticError, match="off an integer"):
+        _autocorrelation(np.array([2.0, 0.0, 0.0]), 4)
 
 
 @st.composite
@@ -416,7 +464,7 @@ def _assert_one_coherence(S):
     otherwise."""
     m, M = S.shape
     mu, zeros = _gram_coherence(_column_gram(S))
-    mu_b, zeros_b = _blocked_coherence(*_row_spectrum(S))
+    mu_b, zeros_b = _blocked_coherence(*_row_spectrum(S), S.shape[1])
     assert zeros == zeros_b
     assert abs(mu - mu_b) <= 1e-13 * mu_b, (S.shape, mu, mu_b)
     assert coherence(S) == ((mu, zeros) if m > M else (mu_b, zeros_b)), S.shape
@@ -506,11 +554,11 @@ def test_tall_coherence_matches_dense_gram(S):
 def _mirrored_spectrum(S):
     """The full-length row spectrum (S F, P) mirrored exactly from
     _row_spectrum's half: column M - j of S F is the conjugate of column
-    j, the symmetry the quarter route assumes (P is already mirrored)."""
+    j, the symmetry the quarter route assumes, and P[M - j] = P[j]."""
     H, P = _row_spectrum(S)
     M = S.shape[1]
     j = np.arange(M // 2 + 1, M)
-    return np.hstack((H, H[:, M - j].conj())), P
+    return np.hstack((H, H[:, M - j].conj())), np.concatenate((P, P[M - j]))
 
 
 def _full_square_coherence(F, P):
@@ -594,7 +642,8 @@ def test_one_triangle_equals_full_square_on_family_scan(spec):
     # mirrored spectrum both certify the same maximal pair, whose
     # fixed-order re-score is the same bits either way
     S = build_sign_matrix(spec).entries
-    assert _blocked_coherence(*_row_spectrum(S)) == _full_square_coherence(*_mirrored_spectrum(S))
+    want = _full_square_coherence(*_mirrored_spectrum(S))
+    assert _blocked_coherence(*_row_spectrum(S), S.shape[1]) == want
 
 
 @st.composite
@@ -622,7 +671,7 @@ def hadamard_sign_matrices(draw, max_n=12):
 def test_one_triangle_within_rescore_bound_of_long_double_square(S):
     # a reference that shares neither the screen's nor the re-score's
     # rounding: the full square in long double on the mirrored spectrum
-    mu, zeros = _blocked_coherence(*_row_spectrum(S))
+    mu, zeros = _blocked_coherence(*_row_spectrum(S), S.shape[1])
     mu_ref, zeros_ref = _long_double_coherence(*_mirrored_spectrum(S))
     assert zeros == zeros_ref
     assert abs(mu - mu_ref) <= _rescore_bound(S.shape[0]), (S.shape, mu, mu_ref)
@@ -638,7 +687,7 @@ def test_quarter_matches_full_square_of_complex_spectrum(S):
     # against the whole square of the complex-to-complex spectrum, whose
     # conjugate pairs differ from the rfft half in the last bits;
     # orthogonal columns (mu = 0) leave only rounding dust near 1e-17
-    mu, zeros = _blocked_coherence(*_row_spectrum(S))
+    mu, zeros = _blocked_coherence(*_row_spectrum(S), S.shape[1])
     F = np.fft.fft(S.astype(np.float64), axis=1)
     mu_ref, zeros_ref = _full_square_coherence(F, (np.abs(F) ** 2).sum(axis=0))
     assert zeros == zeros_ref
@@ -653,7 +702,7 @@ def test_quarter_exhaustive_two_row_patterns(M):
     bits = (np.arange(1 << (2 * M))[:, None] >> np.arange(2 * M)) & 1
     for row in bits:
         S = (2 * row - 1).reshape(2, M).astype(np.int8)
-        mu, zeros = _blocked_coherence(*_row_spectrum(S))
+        mu, zeros = _blocked_coherence(*_row_spectrum(S), S.shape[1])
         mu_ref, zeros_ref = _long_double_coherence(*_mirrored_spectrum(S))
         assert zeros == zeros_ref and abs(mu - mu_ref) <= _rescore_bound(2), (S, mu, mu_ref)
         assert (mu, zeros) == _full_square_coherence(*_mirrored_spectrum(S)), S
@@ -666,7 +715,7 @@ def _assert_screen_never_misses(S):
     for block in (1, 7, 256):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sensing, "_COLUMN_BLOCK", block)
-            assert _blocked_coherence(*_row_spectrum(S))[0] == mu, (S.shape, block)
+            assert _blocked_coherence(*_row_spectrum(S), S.shape[1])[0] == mu, (S.shape, block)
     return mu
 
 
@@ -707,7 +756,7 @@ def test_screen_that_separates_nothing_rescores_each_pair_once(monkeypatch):
     spectrum = _row_spectrum(S)
     tracemalloc.start()
     try:
-        mu, zeros = _blocked_coherence(*spectrum)
+        mu, zeros = _blocked_coherence(*spectrum, M)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -784,3 +833,49 @@ def test_power_iteration_on_a_tall_witness_gram():
     ratio = ev[-2] / ev[-1]
     assert abs(lam - ev[-1]) <= 2 * _POWER_REL_TOL / (1 - ratio**2) * ev[-1]
     assert spectral_norm_sq(Si) == lam / m
+
+
+def test_power_iteration_at_its_cap_warns_and_keeps_its_estimate(monkeypatch):
+    W = _sign_gram(build_sign_matrix(FamilySpec("gold", m=80, n=9)).entries)
+    monkeypatch.setattr(sensing, "_POWER_MAX_ITER", 3)
+    with pytest.warns(RuntimeWarning, match=r"cap of 3 steps, last relative step \d"):
+        lam = _top_eigenvalue(W)
+    # the estimate is the Rayleigh quotient of the third step, as before
+    v = 1.0 + ((np.arange(80) * 2654435761) % 1000) / 1000.0
+    v /= np.linalg.norm(v)
+    for _ in range(3):
+        w = np.einsum("ij,j->i", W, v)
+        want, v = float(v @ w), w / np.linalg.norm(w)
+    assert lam == want < np.linalg.eigvalsh(W)[-1]
+
+
+@pytest.fixture(scope="module")
+def gold9_pair_tables():
+    """The integer pair tables of the whole Gold n = 9 family (513 rows):
+    (S_i . S_k)^2, (S_i . rev S_k)^2 and ||S_i (*) S_k||^2 = r_i . r_k,
+    with r_i the integer cyclic autocorrelation of row i.  Every entry
+    and partial sum is an integer below 2**53, so float64 products are
+    exact."""
+    S = gold_family(9, 513).astype(np.float64)
+    M = S.shape[1]
+    R = np.stack([(S * np.roll(S, -d, axis=1)).sum(axis=1) for d in range(M)], axis=1)
+    tables = [(S @ S.T) ** 2, (S @ S[:, (-np.arange(M)) % M].T) ** 2, R @ R.T]
+    return S.astype(np.int8), [t.astype(np.int64) for t in tables]
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_pair_tables_give_correlation_measures(gold9_pair_tables, seed):
+    # a third route to alpha, beta and gamma: sums over the sub-tables of
+    # a row subset, for the shipped first 80 rows and seeded subsets
+    S, (X, Y, Z) = gold9_pair_tables
+    m, M = 80, S.shape[1]
+    rows = np.arange(m) if seed is None else np.random.default_rng(seed).choice(513, m, False)
+    sub = np.ix_(rows, rows)
+    want = (
+        float(X[sub].sum()) / (m * M) ** 2,
+        float(Z[sub].sum()) / (m * m * M**3),
+        float(Y[sub].sum()) / (m * M) ** 2,
+    )
+    shipped = build_sign_matrix(FamilySpec("gold", m=80, n=9)).entries
+    assert seed is not None or np.array_equal(S[rows], shipped)
+    assert correlation_measures(SignMatrix(S[rows], "gold")) == want
