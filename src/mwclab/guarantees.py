@@ -291,10 +291,11 @@ class _CandidatePool:
 
     Attempt a is the one sign stream default_rng((seed, a)), and its
     candidate at m is that stream's first m rows: _sign_blocks draws a
-    prefix the same whatever the block split, including the half-word
-    PCG64 buffers after an odd number of signs.  mu is kept per (a, m),
-    so a bound that scans attempts until one passes reuses every score
-    another bound took, and scores the rest itself.
+    prefix the same whatever the block split, from PCG64 words read as
+    32-bit draws, including a block that starts on the high half of a
+    word the Generator holds after an odd number of signs.  mu is kept
+    per (a, m), so a bound that scans attempts until one passes reuses
+    every score another bound took, and scores the rest itself.
 
     A tall candidate (m > M) is scored from S^T S alone, grown from the
     attempt's checkpoint at the largest m0 <= m by the Gram of rows

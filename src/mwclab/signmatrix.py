@@ -107,22 +107,56 @@ def _sign_blocks(key, m: int, M: int):
     what integers(0, 2) takes from the same draw; blocks drawn in order
     give the same signs as one m x M draw and leave the Generator in the
     same state, so a tall matrix need never exist in full.
+
+    The 32-bit draws come off the PCG64 words of random_raw: PCG64 hands
+    out the low half of a word and holds the high half for the next
+    draw, so the words read as little-endian uint32 pairs are the draws
+    in order.  A block that starts on a held half draws its other signs
+    into the same words shifted up one place, with the held half in
+    front, and steps the generator back one word when it drew one too
+    many.  random_raw leaves the held half alone, so has_uint32 and
+    uinteger are then set by hand to what the 32-bit draws leave: the
+    last word's high half stays in uinteger even once it is used.  Any
+    other bit generator raises TypeError.
     """
     rng = np.random.default_rng(key)
+    bg = rng.bit_generator
+    if not isinstance(bg, np.random.PCG64):
+        raise TypeError(f"the sign stream needs a PCG64 bit generator, not {type(bg).__name__}")
     for start in range(0, m, _BLOCK_ROWS):
-        bits = rng.integers(0, 1 << 32, size=(min(_BLOCK_ROWS, m - start), M), dtype=np.uint32)
+        n = min(_BLOCK_ROWS, m - start) * M
+        state = bg.state
+        held = state["has_uint32"]
+        words = (n - held + 1) // 2  # the words these n draws take
+        raw = bg.random_raw((n + 1) // 2)  # room for n draws
+        bits = raw.astype("<u8", copy=False).view("<u4")
+        # what uinteger keeps; read before the shift below can move it
+        last = bits[2 * words - 1] if words else state["uinteger"]
+        if held:
+            if words < len(raw):
+                bg.advance(-1)
+            bits[1:n] = bits[: n - 1]  # no temporary: numpy copies 1-d overlap back to front
+            bits[0] = state["uinteger"]
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = (n - held) % 2, int(last)
+        bg.state = state
         # keep the top bit and write the float32 pattern of +1 (top bit
         # set, 0x3F800000) or -1 (clear, 0xBF800000) in place
+        bits = bits[:n]
         bits &= 0x80000000
         bits ^= 0xBF800000
-        yield bits.view(np.float32)
+        yield bits.reshape(-1, M).view("<f4")
 
 
 def _random_signs(key, m: int, M: int) -> np.ndarray:
     """m x M i.i.d. equiprobable int8 signs from `key`, a seed or a
-    Generator (which the draw advances).  Every random sign pattern in
-    the package comes from this one stream (see _sign_blocks)."""
-    return np.concatenate(list(_sign_blocks(key, m, M))).astype(np.int8)
+    Generator on PCG64 (which the draw advances).  Every random sign
+    pattern in the package comes from this one stream (see
+    _sign_blocks); each block is written straight into the result."""
+    S = np.empty((m, M), dtype=np.int8)
+    for start, B in zip(range(0, m, _BLOCK_ROWS), _sign_blocks(key, m, M)):
+        S[start : start + len(B)] = B
+    return S
 
 
 def _repeated_rows(S: np.ndarray) -> list[int]:

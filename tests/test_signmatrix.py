@@ -3,13 +3,14 @@ file format."""
 
 import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mwclab import cli
+from mwclab import cli, signmatrix
 from mwclab import sequences as sq
 from mwclab.sensing import _block_gram, _column_gram
 from mwclab.signmatrix import (
@@ -283,6 +284,63 @@ def test_random_signs_leaves_the_generator_where_one_draw_does(m, M):
     for shape in ((1, 7), (m, M), (3, 5)):
         assert np.array_equal(_random_signs(ours, *shape), _spelled_out_signs(ref, *shape))
         assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def _skip_draws(rng, k):
+    # k single 32-bit draws: an odd k leaves the high half of a word held
+    rng.integers(0, 1 << 32, size=k, dtype=np.uint32)
+    return rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    first=st.integers(0, 9),
+    shapes=st.lists(st.tuples(st.integers(1, 8), st.integers(1, 7)), min_size=1, max_size=4),
+)
+@example(first=1, shapes=[(1, 1), (1, 1), (3, 5)])
+@example(first=0, shapes=[(2, 3), (1, 4), (4, 2)])
+def test_small_blocks_give_the_spelled_out_stream_and_state(first, shapes):
+    # 3-row blocks put block edges inside most shapes, so a block may start
+    # on a word or on a held half, and take an odd or even number of draws
+    ours, ref = _skip_draws(np.random.default_rng(33), first), _skip_draws(np.random.default_rng(33), first)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signmatrix, "_BLOCK_ROWS", 3)
+        for shape in shapes:
+            assert np.array_equal(_random_signs(ours, *shape), _spelled_out_signs(ref, *shape))
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "m, M",
+    [
+        (1, 1),  # the held half is the whole block: no word is drawn
+        (3, 5),  # 14 fresh draws take 7 words; the 8 that hold 15 draws are one too many
+        (_BLOCK_ROWS + 1, 9),  # a full block then one row, both from a held half
+    ],
+)
+def test_block_on_a_held_half_steps_back_a_spare_word(m, M):
+    ours, ref = _skip_draws(np.random.default_rng(8), 3), _skip_draws(np.random.default_rng(8), 3)
+    assert ours.bit_generator.state["has_uint32"] == 1
+    for shape in ((m, M), (1, 2), (2, 1)):
+        assert np.array_equal(_random_signs(ours, *shape), _spelled_out_signs(ref, *shape))
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_sign_block_holds_no_second_block_sized_array(first):
+    rng = _skip_draws(np.random.default_rng(5), first)
+    tracemalloc.start()
+    try:
+        B = next(_sign_blocks(rng, _BLOCK_ROWS, 195))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < B.nbytes + (64 << 10), (peak, B.nbytes)
+
+
+def test_random_signs_take_only_pcg64():
+    with pytest.raises(TypeError, match="Philox"):
+        _random_signs(np.random.Generator(np.random.Philox(0)), 2, 3)
 
 
 @pytest.mark.parametrize("m, M", STREAM_SHAPES)
