@@ -19,8 +19,11 @@ from .signmatrix import _BLOCK_ROWS, SignMatrix
 # DFT of every row); true nonzero norms are orders of magnitude larger
 _ZERO_COLUMN_TOL = 1e-9
 
-# columns per block of each coherence screen (_quarter_max)
+# columns and rows per tile of each coherence screen (_quarter_max)
 _COLUMN_BLOCK = 256
+
+# rows per rfft call of _row_spectrum
+_SPECTRUM_ROWS = 16
 
 # complex entries per slice of the float64 re-score (_pair_magnitudes)
 _RESCORE_ENTRIES = 1 << 14
@@ -56,9 +59,18 @@ def sensing_matrix(S: SignMatrix) -> np.ndarray:
 
 def _row_spectrum(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(H, P) of a +/-1 matrix: H the columns 0..M//2 of its unscaled row
-    DFT S F (rfft), P their column power P[j] = sum_i |H[i, j]|^2."""
-    H = np.fft.rfft(S.astype(np.float64, copy=False), axis=1)
-    return H, _squared_magnitude(H.copy()).sum(axis=0)
+    DFT S F (rfft) as the rows of a C-contiguous (M//2 + 1) x m array,
+    P their power P[j] = sum_i |H[j, i]|^2, summed over S's rows in order.
+    rfft reads _SPECTRUM_ROWS rows at a time, so S is never copied whole,
+    and each row gets the bits of one rfft over all of S."""
+    m, M = S.shape
+    H, P = np.empty((M // 2 + 1, m), complex), np.zeros(M // 2 + 1)
+    for i in range(0, m, _SPECTRUM_ROWS):
+        rows = np.fft.rfft(S[i : i + _SPECTRUM_ROWS], axis=1)
+        H[:, i : i + len(rows)] = rows.T
+        for q in _squared_magnitude(rows):
+            P += q
+    return H, P
 
 
 def _block_gram(blocks, n: int) -> np.ndarray:
@@ -124,10 +136,10 @@ def _gram_coherence(T: np.ndarray) -> tuple[float, int]:
     G, mirror = G[:, cols], -cols % M  # column M - j of Phi is conj Phi_j
     w = 1.0 / d2[cols]
 
-    def scores(start, stop):
-        block = np.hstack((G[cols[start:], start:stop], G[mirror[start:], start:stop]))
+    def scores(r0, r1, start, stop):
+        block = np.hstack((G[cols[r0:r1], start:stop], G[mirror[r0:r1], start:stop]))
         Q = _squared_magnitude(block)
-        Q *= w[start:, None]
+        Q *= w[r0:r1, None]
         Q *= np.tile(w[start:stop], 2)
         return Q
 
@@ -143,12 +155,13 @@ def _blocked_coherence(H: np.ndarray, P: np.ndarray, M: int) -> tuple[float, int
     one triangle of X = Phi_H^H Phi_H or of Y = Phi_H^T Phi_H over the
     columns H = 0..M//2 (Y_jk pairs j with M - k).
 
-    The kept columns are scaled to unit norm once, u_j = H_j / sqrt(P_j)
-    (_unit_columns).
-    A complex64 BLAS product screens each block, and only the pairs
-    within 2 tau of the running maximum are re-scored in float64 by
-    _pair_magnitudes, whose fixed order numpy defines: mu depends on S
-    and numpy, not on the BLAS build or the thread count.
+    H is consumed: its kept rows are scaled to unit norm in place,
+    u_j = H_j / sqrt(P_j) (_unit_columns), and one complex64 copy U32 of
+    them is screened, a tile at a time as U32[rows] @ [conj U32[block];
+    U32[block]]^T, whose magnitudes are X's and Y's (|conj z| = |z|).
+    The pairs within 2 tau of the running maximum are re-scored in
+    float64 by _pair_magnitudes, whose fixed order numpy defines: mu
+    depends on S and numpy, not on the BLAS build or the thread count.
 
     tau certifies the screen.  The real and imaginary parts of a
     complex64 inner product of length m are float32 dot products of
@@ -161,34 +174,32 @@ def _blocked_coherence(H: np.ndarray, P: np.ndarray, M: int) -> tuple[float, int
     to first order, and tau = 4 (m + 4) eps32 = 8 (m + 4) u is over
     twice that, which also covers the re-score's own error and the
     float32 rounding of the floor the screen compares against."""
-    m = H.shape[0]
+    m = H.shape[1]
     U, cols = _unit_columns(H, P)
     U32 = U.astype(np.complex64)
-    U32c = U32.conj()
     tau = 4 * (m + 4) * float(np.finfo(np.float32).eps)
-    # one product and one score buffer for every block, each viewed at
-    # the block's shape, so the screen allocates nothing per block
-    size = len(cols) * 2 * min(len(cols), _COLUMN_BLOCK)
+    # one product and one score buffer for every tile, each viewed at
+    # the tile's shape, so the screen allocates nothing tile-sized
+    size = 2 * min(len(cols), _COLUMN_BLOCK) ** 2
     C, Q = np.empty(size, np.complex64), np.empty(size, np.float32)
 
-    def scores(start, stop):
-        # rows start..n-1 against the block: X's columns, then conj Y's
-        block = np.concatenate((U32[start:stop], U32c[start:stop]))
-        shape = (len(cols) - start, 2 * (stop - start))
-        used = shape[0] * shape[1]
-        prod = np.matmul(U32c[start:], block.T, out=C[:used].reshape(shape))
-        return _squared_magnitude(prod, out=Q[:used].reshape(shape))
+    def scores(r0, r1, start, stop):
+        block = U32[start:stop]
+        prod = C[: (r1 - r0) * 2 * len(block)].reshape(r1 - r0, -1)
+        np.matmul(U32[r0:r1], np.concatenate((block.conj(), block)).T, out=prod)
+        return _squared_magnitude(prod, out=Q[: prod.size].reshape(prod.shape))
 
     self_conj = 2 * cols % M == 0
     mu = _quarter_max(scores, self_conj, tau, lambda j, k, conj, q: _pair_magnitudes(U, j, k, conj))
     return mu, M - 2 * len(cols) + int(np.count_nonzero(self_conj))
 
 
-def _unit_columns(F: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(U, cols): the columns cols of a row spectrum F whose power P is
-    not a structural zero, scaled to unit norm, as the rows of U."""
+def _unit_columns(H: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U, cols): the rows cols of a spectrum H (_row_spectrum) whose
+    power P is not a structural zero, scaled to unit norm.  H is
+    consumed: U is H, scaled in place, if every row is kept."""
     cols = np.flatnonzero(P > _ZERO_COLUMN_TOL)
-    U = F.T[cols]
+    U = H if len(cols) == len(H) else H[cols]
     U /= np.sqrt(P[cols])[:, None]
     return U, cols
 
@@ -232,38 +243,42 @@ def _quarter_max(scores, self_conj: np.ndarray, tau: float, rescore) -> float:
     """max |<Phi_j, Phi_k>| / (||Phi_j|| ||Phi_k||) over distinct
     columns, the one max rule of both coherence routes.
 
-    scores(start, stop) gives the squared screened magnitudes of rows
-    start..n-1 of X and of Y against their columns start..stop-1, side
-    by side, for the n kept columns; the root of each is within tau of
-    the pair's magnitude as rescore(j, k, conj, q) gives it (conj marks
-    the Y pairs, q is the screened score).  Only the quarter counts: X's
-    strict lower triangle and Y's lower one, less the self pairs
+    scores(r0, r1, start, stop) gives the squared screened magnitudes
+    of rows r0..r1-1 of X and of Y against their columns start..stop-1,
+    side by side, for the n kept columns; the root of each is within
+    tau of the pair's magnitude as rescore(j, k, conj, q) gives it
+    (conj marks the Y pairs, q is the screened score).  The tiles, of
+    _COLUMN_BLOCK rows and columns, walk the lower trapezoid, and each
+    is consumed before the next is asked for.  Only the quarter counts:
+    X's strict lower triangle and Y's lower one, less the self pairs
     self_conj marks on Y's diagonal (2j = 0 mod M); the rest is set to
     -1 and never kept.  The pairs within 2 tau of the running maximum
     are re-scored, so the pair with the largest re-score is always
     among them, and mu is the same whatever _COLUMN_BLOCK is.
 
-    Each pair is re-scored at most once, one block at a time: where the
+    Each pair is re-scored at most once, one tile at a time: where the
     screen separates no pair (orthogonal columns, mu at rounding dust)
     every pair of the quarter is, which costs one float64 pass over it
-    and holds one block's indices at a time."""
+    and holds one tile's indices at a time."""
     n = len(self_conj)
     best, top = 0.0, 0.0
     for start in range(0, n, _COLUMN_BLOCK):
         stop = min(n, start + _COLUMN_BLOCK)
         w = stop - start
-        Q = scores(start, stop)
-        Q[:w, :w][~np.tri(w, k=-1, dtype=bool)] = -1
-        Q[:w, w:][~np.tri(w, dtype=bool)] = -1
-        d = np.flatnonzero(self_conj[start:stop])
-        Q[d, w + d] = -1
-        top = max(top, float(Q.max()))
-        floor = min(top, max(math.sqrt(top) - 2 * tau, 0.0) ** 2)
-        r, c = np.divmod(np.flatnonzero(Q >= floor), 2 * w)
-        best = float(rescore(start + r, start + c % w, c >= w, Q[r, c]).max(initial=best))
-        if best >= 1.0:
-            break  # duplicate columns: nothing is above 1
-    return min(best, 1.0)
+        for r0 in range(start, n, _COLUMN_BLOCK):
+            Q = scores(r0, min(n, r0 + _COLUMN_BLOCK), start, stop)
+            if r0 == start:
+                Q[:, :w][~np.tri(w, k=-1, dtype=bool)] = -1
+                Q[:, w:][~np.tri(w, dtype=bool)] = -1
+                d = np.flatnonzero(self_conj[start:stop])
+                Q[d, w + d] = -1
+            top = max(top, float(Q.max()))
+            floor = min(top, max(math.sqrt(top) - 2 * tau, 0.0) ** 2)
+            r, c = np.divmod(np.flatnonzero(Q >= floor), 2 * w)
+            best = float(rescore(r0 + r, start + c % w, c >= w, Q[r, c]).max(initial=best))
+            if best >= 1.0:
+                return 1.0  # duplicate columns: nothing is above 1
+    return best
 
 
 def _top_eigenvalue(W: np.ndarray) -> float:

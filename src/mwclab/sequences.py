@@ -300,7 +300,8 @@ def hadamard_family(M: int, m: int) -> np.ndarray:
         raise ValueError(f"M must be a power of two >= 2, got {M}")
     if not 1 <= m <= M:
         raise ValueError(f"the Hadamard matrix of size {M} has {M} rows, requested {m}")
-    parity = np.bitwise_count(np.arange(m)[:, None] & np.arange(M)) & 1
+    index = np.min_scalar_type(M - 1)  # uint16 at M = 8192, not int64
+    parity = np.bitwise_count(np.arange(m, dtype=index)[:, None] & np.arange(M, dtype=index)) & 1
     return 1 - 2 * parity.astype(np.int8)
 
 

@@ -14,6 +14,7 @@ from mwclab import sensing
 from mwclab.sensing import (
     _BLOCK_ROWS,
     _POWER_REL_TOL,
+    _SPECTRUM_ROWS,
     _ZERO_COLUMN_TOL,
     QualityReport,
     _autocorrelation,
@@ -325,9 +326,24 @@ def test_row_spectrum_is_the_rfft_half_and_its_power(shape):
     M = shape[1]
     H, P = _row_spectrum(S)
     F = np.fft.fft(S.astype(np.float64), axis=1)
-    assert H.shape == (shape[0], M // 2 + 1) and P.shape == (M // 2 + 1,)
-    assert np.allclose(H, F[:, : M // 2 + 1], rtol=0, atol=1e-12 * M)
+    assert H.shape == (M // 2 + 1, shape[0]) and P.shape == (M // 2 + 1,)
+    assert np.allclose(H, F[:, : M // 2 + 1].T, rtol=0, atol=1e-12 * M)
     assert np.allclose(P, (np.abs(F[:, : M // 2 + 1]) ** 2).sum(axis=0), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("M", [255, 256, 257])  # odd, even, prime
+@pytest.mark.parametrize("m", [1, _SPECTRUM_ROWS - 1, _SPECTRUM_ROWS, _SPECTRUM_ROWS + 1, 160])
+def test_row_spectrum_is_the_bits_of_one_rfft_transposed(m, M):
+    # rfft over chunks of rows gives each row the transform of rfft over
+    # all rows at once, and P is |H|^2 summed over the rows in order
+    S = _signs(m, M, 11)
+    H, P = _row_spectrum(S)
+    R = np.fft.rfft(S.astype(np.float64), axis=1)
+    assert H.flags.c_contiguous and np.array_equal(H, R.T)
+    want = np.zeros(M // 2 + 1)
+    for row in R:
+        want += np.square(row.real) + np.square(row.imag)
+    assert np.array_equal(P, want)
 
 
 def _direct_autocorrelation(S):
@@ -552,22 +568,24 @@ def test_tall_coherence_matches_dense_gram(S):
 
 
 def _mirrored_spectrum(S):
-    """The full-length row spectrum (S F, P) mirrored exactly from
-    _row_spectrum's half: column M - j of S F is the conjugate of column
-    j, the symmetry the quarter route assumes, and P[M - j] = P[j]."""
+    """The full-length row spectrum (S F, P), transposed as
+    _row_spectrum's half is and mirrored exactly from it: column M - j
+    of S F is the conjugate of column j, the symmetry the quarter route
+    assumes, and P[M - j] = P[j]."""
     H, P = _row_spectrum(S)
     M = S.shape[1]
     j = np.arange(M // 2 + 1, M)
-    return np.hstack((H, H[:, M - j].conj())), np.concatenate((P, P[M - j]))
+    return np.vstack((H, H[M - j].conj())), np.concatenate((P, P[M - j]))
 
 
 def _full_square_coherence(F, P):
     """The blocked route's rule over the full square of Phi^H Phi of a
-    full-length spectrum (S F, P): a complex128 BLAS screen of all M
-    columns, both triangles, then the route's own float64 re-score
-    (_pair_magnitudes) of every pair within 2 tau of the square's
-    maximum, tau = 4 (m + 4) eps64 (the route's bound at float64)."""
-    m, M = F.shape
+    full-length transposed spectrum ((S F)^T, P), which it consumes: a
+    complex128 BLAS screen of all M columns, both triangles, then the
+    route's own float64 re-score (_pair_magnitudes) of every pair within
+    2 tau of the square's maximum, tau = 4 (m + 4) eps64 (the route's
+    bound at float64)."""
+    M, m = F.shape
     U, cols = _unit_columns(F, P)
     n = len(cols)
     tau = 4 * (m + 4) * np.finfo(np.float64).eps
@@ -586,15 +604,15 @@ def _full_square_coherence(F, P):
 
 
 def _long_double_coherence(F, P):
-    """mu over the full square of Phi^H Phi of a full-length spectrum
-    (S F, P), with products and norms in np.clongdouble (no BLAS) and
-    the columns kept where P is."""
+    """mu over the full square of Phi^H Phi of a full-length transposed
+    spectrum ((S F)^T, P), with products and norms in np.clongdouble (no
+    BLAS) and the columns kept where P is."""
     cols = np.flatnonzero(P > _ZERO_COLUMN_TOL)
-    Phi = F[:, cols].astype(np.clongdouble)
+    Phi = F[cols].T.astype(np.clongdouble)
     norms = np.sqrt((Phi.real**2 + Phi.imag**2).sum(axis=0))
     A = np.abs(Phi.conj().T @ Phi) / np.outer(norms, norms)
     np.fill_diagonal(A, 0)
-    return min(float(A.max(initial=0)), 1.0), F.shape[1] - len(cols)
+    return min(float(A.max(initial=0)), 1.0), F.shape[0] - len(cols)
 
 
 def _rescore_bound(m):
@@ -689,7 +707,7 @@ def test_quarter_matches_full_square_of_complex_spectrum(S):
     # orthogonal columns (mu = 0) leave only rounding dust near 1e-17
     mu, zeros = _blocked_coherence(*_row_spectrum(S), S.shape[1])
     F = np.fft.fft(S.astype(np.float64), axis=1)
-    mu_ref, zeros_ref = _full_square_coherence(F, (np.abs(F) ** 2).sum(axis=0))
+    mu_ref, zeros_ref = _full_square_coherence(F.T.copy(), (np.abs(F) ** 2).sum(axis=0))
     assert zeros == zeros_ref
     assert abs(mu - mu_ref) <= 1e-13 * mu_ref + 1e-15, (S.shape, mu, mu_ref)
 
@@ -710,7 +728,7 @@ def test_quarter_exhaustive_two_row_patterns(M):
 
 def _assert_screen_never_misses(S):
     """The screened mu is the exhaustive re-score of the quarter, bit
-    for bit, at column blocks of 1, 7 and 256."""
+    for bit, at column blocks and row tiles of 1, 7 and 256."""
     mu = _exhaustive_quarter_coherence(S)
     for block in (1, 7, 256):
         with pytest.MonkeyPatch.context() as mp:
@@ -724,6 +742,8 @@ def _assert_screen_never_misses(S):
 @example(_signs(1, 700, 3))  # one row: every pair reads 1 up to rounding
 @example(np.array([[1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], np.int8))  # mu = 0
 @example(_signs(24, 1025, 2))  # odd M: no self-conjugate column but 0
+@example(_signs(24, 513, 3))  # n = 257 kept columns: one past a tile
+@example(_signs(16, 1025, 4))  # n = 513: one past two tiles
 @example(build_sign_matrix(FamilySpec("hadamard", m=48, M=1024)).entries)  # zero columns
 def test_screen_never_misses_the_maximum(S):
     _assert_screen_never_misses(S)
@@ -768,6 +788,45 @@ def test_screen_that_separates_nothing_rescores_each_pair_once(monkeypatch):
     assert mu == values.max()  # the exhaustive re-score
     # the full product of every pair at once would be 4.3 GB
     assert peak < 48 << 20, peak
+
+
+def _traced_peak(call):
+    """The tracemalloc peak, in bytes, of what call() allocates."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_quality_measures_of_the_widest_maximal_pattern_stay_under_24_mb():
+    # one spectrum (10.5 MB at 160 x 8191), its complex64 copy and one
+    # tile; a unit-column copy, a conjugate copy and an n x 512 product
+    # of a screen by column blocks alone peaked at 56 MB
+    S = build_sign_matrix(FamilySpec("maximal", m=160, n=13))
+    peak = _traced_peak(lambda: quality_measures(S))
+    assert peak < 24 << 20, peak
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec("maximal", m=160, n=13),
+        FamilySpec("hadamard", m=160, M=8192),  # 129 of 4097 half columns kept
+        FamilySpec("kasami", m=64, n=12),
+    ],
+    ids=_spec_id,
+)
+def test_wide_coherence_holds_one_copy_and_one_tile(spec):
+    # the wide route consumes its spectrum: it holds a complex64 copy of
+    # the n kept rows (8 n m bytes), a copy of those rows where some are
+    # zero (16 n m) and one 256 x 512 tile with its scores (1.5 MB)
+    S = build_sign_matrix(spec).entries
+    spectrum = _row_spectrum(S)
+    n = int(np.count_nonzero(spectrum[1] > _ZERO_COLUMN_TOL))
+    peak = _traced_peak(lambda: _blocked_coherence(*spectrum, S.shape[1]))
+    assert peak < 24 * n * S.shape[0] + (4 << 20), (peak, n)
 
 
 def _welch_mu(m, n):
