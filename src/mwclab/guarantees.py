@@ -20,7 +20,8 @@ import numpy as np
 from .distributions import MomentConstants, NonzeroDistribution, moment_constants
 from .sensing import (
     _block_gram,
-    _coherence,
+    _blocked_coherence,
+    _gram_coherence,
     _row_spectrum,
     _top_eigenvalue,
     correlation_measures,
@@ -174,6 +175,8 @@ def coherence_guarantees(
         return CoherenceGuarantees(mu, de, tk, False)
     if K is None or spectral_norm_sq is None:
         raise ValueError("the c-dependent check needs K and spectral_norm_sq")
+    if M < 2:
+        raise ValueError(f"the c-dependent check divides by log M, so it needs M >= 2, got M={M}")
     logM = math.log(M)
     mu_ok = mu < candes_plan_c / logM
     k_ok = K <= candes_plan_c * M / (spectral_norm_sq * logM)
@@ -297,8 +300,11 @@ class _CandidatePool:
     per (a, m), so a bound that scans attempts until one passes reuses
     every score another bound took, and scores the rest itself.
 
-    A tall candidate (m > M) is scored from S^T S alone, grown from the
-    attempt's checkpoint at the largest m0 <= m by the Gram of rows
+    A tall candidate (m > M) is scored from S^T S alone
+    (sensing._gram_coherence, one masked max over its whole Gram), a
+    wide one from the row spectrum of its drawn rows
+    (sensing._blocked_coherence, the tiled screen).  S^T S is grown from
+    the attempt's checkpoint at the largest m0 <= m by the Gram of rows
     m0..m, drawn from the Generator state saved with it.  Each attempt
     keeps at most two checkpoints, the one it grew from and the newest
     (none at m = 0): along a doubling or a bisection the next probe lies
@@ -342,9 +348,10 @@ class _CandidatePool:
     def mu(self, a: int, m: int) -> float:
         """coherence of the candidate, by the route of its shape."""
         if (a, m) not in self._mu:
-            self._mu[a, m] = _coherence(
-                m, self.M, lambda: self.gram(a, m), lambda: _row_spectrum(self.signs(a, m))
-            )[0]
+            if m > self.M:
+                self._mu[a, m] = _gram_coherence(self.gram(a, m))[0]
+            else:
+                self._mu[a, m] = _blocked_coherence(*_row_spectrum(self.signs(a, m)), self.M)[0]
         return self._mu[a, m]
 
     def norm_sq(self, a: int, m: int) -> float:

@@ -19,7 +19,7 @@ from .signmatrix import _BLOCK_ROWS, SignMatrix
 # DFT of every row); true nonzero norms are orders of magnitude larger
 _ZERO_COLUMN_TOL = 1e-9
 
-# columns and rows per tile of each coherence screen (_quarter_max)
+# columns and rows per tile of the wide coherence screen (_blocked_coherence)
 _COLUMN_BLOCK = 256
 
 # rows per rfft call of _row_spectrum
@@ -108,44 +108,41 @@ def coherence(S: np.ndarray) -> tuple[float, int]:
     """Max normalized inner product between distinct columns of Phi.
 
     Zero-norm columns are excluded from the maximization (the quantity
-    is undefined there) and counted.  Returns (mu, zero_columns).
+    is undefined there) and counted.  Returns (mu, zero_columns).  A
+    tall matrix (m > M) is scored from S^T S (_gram_coherence), a wide
+    one from its row spectrum (_blocked_coherence).
     """
     S = np.asarray(S)
-    return _coherence(*S.shape, lambda: _column_gram(S), lambda: _row_spectrum(S))
-
-
-def _coherence(m: int, M: int, column_gram, spectrum) -> tuple[float, int]:
-    """coherence of an m x M +/-1 matrix by shape alone, on the
-    conjugate-symmetric quarter of Phi^H Phi: a tall one (m > M) from
-    column_gram() = S^T S, which a caller may stream or already hold, a
-    wide one from spectrum() = _row_spectrum(S); only one is called."""
-    if m > M:
-        return _gram_coherence(column_gram())
-    return _blocked_coherence(*spectrum(), M)
+    if S.shape[0] > S.shape[1]:
+        return _gram_coherence(_column_gram(S))
+    return _blocked_coherence(*_row_spectrum(S), S.shape[1])
 
 
 def _gram_coherence(T: np.ndarray) -> tuple[float, int]:
-    """coherence from T = S^T S alone, on the columns H of
-    G = F^H T F / M = m Phi^H Phi (_blocked_coherence's quarter: rows H
-    give X, rows -H mod M Y), scored as |G_jk|^2 / (G_jj G_kk).  T is
+    """coherence from T = S^T S alone, on the conjugate-symmetric quarter
+    of G = F^H T F / M = m Phi^H Phi that _blocked_coherence scores:
+    over the columns H = 0..M//2, X = G[H, H] and Y = G[-H mod M, H]
+    (column M - j of Phi is conj Phi_j).  Each pair of X's strict lower
+    triangle and of Y's lower one, less the self-conjugate pairs
+    (2j = 0 mod M), is scored as |G_jk|^2 / G_jj / G_kk, and mu is the
+    root of the largest score, at most 1 (parallel columns).  T is
     exact and the FFTs single-threaded: one T, one mu, on any route."""
     M = T.shape[0]
     G = np.fft.ifft(np.fft.rfft(T, axis=1), axis=0)
     d2 = G[: M // 2 + 1].diagonal().real  # P_j / M
     cols = np.flatnonzero(d2 * M > _ZERO_COLUMN_TOL)
-    G, mirror = G[:, cols], -cols % M  # column M - j of Phi is conj Phi_j
-    w = 1.0 / d2[cols]
+    mirror, w, n = -cols % M, 1.0 / d2[cols], len(cols)
 
-    def scores(r0, r1, start, stop):
-        block = np.hstack((G[cols[r0:r1], start:stop], G[mirror[r0:r1], start:stop]))
-        Q = _squared_magnitude(block)
-        Q *= w[r0:r1, None]
-        Q *= np.tile(w[start:stop], 2)
-        return Q
+    def top(rows, keep):
+        Q = _squared_magnitude(G[np.ix_(rows, cols)])
+        Q *= w[:, None]
+        Q *= w
+        return Q.max(initial=0.0, where=keep)
 
-    # the scores are final: tau = 0 keeps the block maxima, whose root is mu
-    mu = _quarter_max(scores, mirror == cols, 0.0, lambda j, k, conj, q: np.sqrt(q))
-    return mu, M - 2 * len(cols) + int(np.count_nonzero(mirror == cols))
+    lower = np.tri(n, dtype=bool)
+    np.fill_diagonal(lower, mirror != cols)
+    q = max(top(cols, np.tri(n, k=-1, dtype=bool)), top(mirror, lower))
+    return min(math.sqrt(q), 1.0), M - 2 * n + int(np.count_nonzero(mirror == cols))
 
 
 def _blocked_coherence(H: np.ndarray, P: np.ndarray, M: int) -> tuple[float, int]:
@@ -159,9 +156,17 @@ def _blocked_coherence(H: np.ndarray, P: np.ndarray, M: int) -> tuple[float, int
     u_j = H_j / sqrt(P_j) (_unit_columns), and one complex64 copy U32 of
     them is screened, a tile at a time as U32[rows] @ [conj U32[block];
     U32[block]]^T, whose magnitudes are X's and Y's (|conj z| = |z|).
-    The pairs within 2 tau of the running maximum are re-scored in
-    float64 by _pair_magnitudes, whose fixed order numpy defines: mu
-    depends on S and numpy, not on the BLAS build or the thread count.
+    The tiles, of _COLUMN_BLOCK rows and columns, walk the lower
+    trapezoid of each column block, and each is consumed before the
+    next: only X's strict lower triangle and Y's lower one, less the
+    self-conjugate pairs (2j = 0 mod M), count, and the rest of a
+    diagonal tile is set to -1.  The pairs within 2 tau of the running
+    maximum are re-scored in float64 by _pair_magnitudes, whose fixed
+    order numpy defines, so the pair with the largest re-score is
+    always among them: mu depends on S and numpy, not on _COLUMN_BLOCK,
+    the BLAS build or the thread count.  Each pair is re-scored at most
+    once: where the screen separates no pair (orthogonal columns, mu at
+    rounding dust) every pair of the quarter is, one tile at a time.
 
     tau certifies the screen.  The real and imaginary parts of a
     complex64 inner product of length m are float32 dot products of
@@ -176,22 +181,35 @@ def _blocked_coherence(H: np.ndarray, P: np.ndarray, M: int) -> tuple[float, int
     float32 rounding of the floor the screen compares against."""
     m = H.shape[1]
     U, cols = _unit_columns(H, P)
-    U32 = U.astype(np.complex64)
+    U32, n = U.astype(np.complex64), len(cols)
+    self_conj = 2 * cols % M == 0
+    zero_columns = M - 2 * n + int(np.count_nonzero(self_conj))
     tau = 4 * (m + 4) * float(np.finfo(np.float32).eps)
     # one product and one score buffer for every tile, each viewed at
     # the tile's shape, so the screen allocates nothing tile-sized
-    size = 2 * min(len(cols), _COLUMN_BLOCK) ** 2
-    C, Q = np.empty(size, np.complex64), np.empty(size, np.float32)
-
-    def scores(r0, r1, start, stop):
-        block = U32[start:stop]
-        prod = C[: (r1 - r0) * 2 * len(block)].reshape(r1 - r0, -1)
-        np.matmul(U32[r0:r1], np.concatenate((block.conj(), block)).T, out=prod)
-        return _squared_magnitude(prod, out=Q[: prod.size].reshape(prod.shape))
-
-    self_conj = 2 * cols % M == 0
-    mu = _quarter_max(scores, self_conj, tau, lambda j, k, conj, q: _pair_magnitudes(U, j, k, conj))
-    return mu, M - 2 * len(cols) + int(np.count_nonzero(self_conj))
+    size = 2 * min(n, _COLUMN_BLOCK) ** 2
+    products, scores = np.empty(size, np.complex64), np.empty(size, np.float32)
+    best = top = 0.0
+    for start in range(0, n, _COLUMN_BLOCK):
+        block = U32[start : start + _COLUMN_BLOCK]
+        w, pair = len(block), np.concatenate((block.conj(), block)).T
+        for r0 in range(start, n, _COLUMN_BLOCK):
+            rows = U32[r0 : r0 + _COLUMN_BLOCK]
+            prod = products[: len(rows) * 2 * w].reshape(len(rows), -1)
+            np.matmul(rows, pair, out=prod)
+            Q = _squared_magnitude(prod, out=scores[: prod.size].reshape(prod.shape))
+            if r0 == start:
+                Q[:, :w][~np.tri(w, k=-1, dtype=bool)] = -1
+                Q[:, w:][~np.tri(w, dtype=bool)] = -1
+                d = np.flatnonzero(self_conj[start : start + w])
+                Q[d, w + d] = -1
+            top = max(top, float(Q.max()))
+            floor = min(top, max(math.sqrt(top) - 2 * tau, 0.0) ** 2)
+            r, c = np.divmod(np.flatnonzero(Q >= floor), 2 * w)
+            best = float(_pair_magnitudes(U, r0 + r, start + c % w, c >= w).max(initial=best))
+            if best >= 1.0:
+                return 1.0, zero_columns  # duplicate columns: nothing is above 1
+    return best, zero_columns
 
 
 def _unit_columns(H: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,48 +255,6 @@ def _pair_magnitudes(U: np.ndarray, j: np.ndarray, k: np.ndarray, conj: np.ndarr
         im = (a.real * b.imag).sum(axis=1) - (a.imag * b.real).sum(axis=1)
         out[s] = np.sqrt(re * re + im * im)
     return out
-
-
-def _quarter_max(scores, self_conj: np.ndarray, tau: float, rescore) -> float:
-    """max |<Phi_j, Phi_k>| / (||Phi_j|| ||Phi_k||) over distinct
-    columns, the one max rule of both coherence routes.
-
-    scores(r0, r1, start, stop) gives the squared screened magnitudes
-    of rows r0..r1-1 of X and of Y against their columns start..stop-1,
-    side by side, for the n kept columns; the root of each is within
-    tau of the pair's magnitude as rescore(j, k, conj, q) gives it
-    (conj marks the Y pairs, q is the screened score).  The tiles, of
-    _COLUMN_BLOCK rows and columns, walk the lower trapezoid, and each
-    is consumed before the next is asked for.  Only the quarter counts:
-    X's strict lower triangle and Y's lower one, less the self pairs
-    self_conj marks on Y's diagonal (2j = 0 mod M); the rest is set to
-    -1 and never kept.  The pairs within 2 tau of the running maximum
-    are re-scored, so the pair with the largest re-score is always
-    among them, and mu is the same whatever _COLUMN_BLOCK is.
-
-    Each pair is re-scored at most once, one tile at a time: where the
-    screen separates no pair (orthogonal columns, mu at rounding dust)
-    every pair of the quarter is, which costs one float64 pass over it
-    and holds one tile's indices at a time."""
-    n = len(self_conj)
-    best, top = 0.0, 0.0
-    for start in range(0, n, _COLUMN_BLOCK):
-        stop = min(n, start + _COLUMN_BLOCK)
-        w = stop - start
-        for r0 in range(start, n, _COLUMN_BLOCK):
-            Q = scores(r0, min(n, r0 + _COLUMN_BLOCK), start, stop)
-            if r0 == start:
-                Q[:, :w][~np.tri(w, k=-1, dtype=bool)] = -1
-                Q[:, w:][~np.tri(w, dtype=bool)] = -1
-                d = np.flatnonzero(self_conj[start:stop])
-                Q[d, w + d] = -1
-            top = max(top, float(Q.max()))
-            floor = min(top, max(math.sqrt(top) - 2 * tau, 0.0) ** 2)
-            r, c = np.divmod(np.flatnonzero(Q >= floor), 2 * w)
-            best = float(rescore(r0 + r, start + c % w, c >= w, Q[r, c]).max(initial=best))
-            if best >= 1.0:
-                return 1.0  # duplicate columns: nothing is above 1
-    return best
 
 
 def _top_eigenvalue(W: np.ndarray) -> float:
@@ -387,12 +363,16 @@ def quality_measures(S: SignMatrix) -> QualityReport:
     tr(R W R W), which never forms an m x m array.  Every Gram runs in
     the one float32 block kernel (_block_gram) and is exact; it is cast
     to int64 so the sums of squares are exact integers too.  The
-    coherence takes the route of its shape (_coherence): a tall matrix
-    is scored from W, which is S^T S there and the only pass over its
-    rows, a wide one from the row spectrum that beta was taken from.
+    coherence takes the route of its shape, as coherence does: a tall
+    matrix is scored from W (_gram_coherence), which is S^T S there and
+    the only pass over its rows, a wide one from the row spectrum that
+    beta was taken from (_blocked_coherence, the only tiled screen).
     """
     alpha, beta, gamma, W, spectrum = _correlations(S.entries)
-    mu, zero_columns = _coherence(S.m, S.M, lambda: W, lambda: spectrum)
+    if spectrum is None:
+        mu, zero_columns = _gram_coherence(W)
+    else:
+        mu, zero_columns = _blocked_coherence(*spectrum, S.M)
     snorm = _top_eigenvalue(W) / S.m
     return QualityReport(alpha, beta, gamma, mu, snorm, S.m, S.M, zero_columns)
 

@@ -220,6 +220,13 @@ def test_candes_plan_needs_constant():
     assert cg.candes_plan_mu_ok is not None and cg.candes_plan_k_ok is not None
 
 
+def test_candes_plan_at_one_column_is_a_value_error():
+    # log M = 0 at M = 1: the c-dependent check has no threshold there
+    with pytest.raises(ValueError, match="M=1"):
+        coherence_guarantees(0.0, 1, 1.0, 1, candes_plan_c=1.0)
+    assert not coherence_guarantees(0.0, 1).candes_plan_evaluable
+
+
 def test_rip_min_m_frozen_and_monotone():
     assert rip_min_m(195, 12, BP_DELTA, 0.97) == 1087
     assert rip_min_m(195, 24, BP_DELTA, 0.97) == 1928
@@ -338,7 +345,8 @@ def test_best_instance_cache_matches_uncached_loop(M, m, attempts, seed, monkeyp
     best = min(range(attempts), key=lambda a: (mus[a], a))
     assert min(range(attempts), key=lambda a: pool.mu(a, m)) == best
     # served from the memo: no draw is scored twice
-    monkeypatch.setattr(guarantees, "_coherence", None)
+    monkeypatch.setattr(guarantees, "_gram_coherence", None)
+    monkeypatch.setattr(guarantees, "_blocked_coherence", None)
     assert [pool.mu(a, m) for a in range(attempts)] == mus
 
 

@@ -462,6 +462,13 @@ def test_cli_exit_codes():
     assert run_cli("exrip", "--family", "gold", "--n", "5", "--m", "4").returncode == 2  # no k
 
 
+def test_cli_bounds_candes_c_at_one_column_is_a_usage_error(capsys):
+    argv = ["bounds", "--family", "random", "--M", "1", "--m", "1", "--family-seed", "0"]
+    assert cli.main([*argv, "--k", "1", "--candes-c", "1"]) == 2
+    assert "error: " in (err := capsys.readouterr().err) and "M=1" in err
+    assert "internal error" not in err
+
+
 @pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
 def test_cli_recover_non_finite_snr_is_a_usage_error(snr, tmp_path, capsys):
     out = tmp_path / "recover.json"

@@ -2,6 +2,7 @@
 measures, checked against direct-sum oracles, closed forms and
 metamorphic invariances."""
 
+import math
 import tracemalloc
 from dataclasses import asdict
 
@@ -35,7 +36,9 @@ from mwclab.sensing import (
     spectral_norm_sq,
     welch_lower_bound,
 )
-from mwclab.sequences import gold_family, gold_t, hadamard_family, primitive_polys
+from mwclab.distributions import NonzeroDistribution, moment_constants
+from mwclab.guarantees import BP_DELTA, ExripInputs, exrip_probability
+from mwclab.sequences import gold_family, gold_t, hadamard_family, maximal_family, primitive_polys
 from mwclab.signmatrix import (
     FamilySpec,
     SignMatrix,
@@ -567,6 +570,39 @@ def test_tall_coherence_matches_dense_gram(S):
     assert abs(mu - mu_ref) <= 1e-12, (S.shape, mu, mu_ref)
 
 
+def _exhaustive_gram_coherence(S):
+    """_gram_coherence's quarter scored pair by pair in Python floats:
+    over the kept columns H of G = F^H (S^T S) F / M, X = G[H, H]'s
+    strict lower triangle and Y = G[-H mod M, H]'s lower one less the
+    self-conjugate pairs, each |G_jk|^2 as re re + im im, then times
+    w_j, then times w_k (w = 1 / G_jj), and mu the root of the max."""
+    T = _column_gram(S)
+    M = T.shape[0]
+    G = np.fft.ifft(np.fft.rfft(T, axis=1), axis=0)
+    d2 = [float(G[j, j].real) for j in range(M // 2 + 1)]
+    cols = [j for j in range(M // 2 + 1) if d2[j] * M > _ZERO_COLUMN_TOL]
+    w = [1.0 / d2[j] for j in cols]
+    q = 0.0
+    for r, j in enumerate(cols):
+        for c, k in enumerate(cols[: r + 1]):
+            for row, in_quarter in ((j, c < r), (-j % M, c < r or 2 * j % M != 0)):
+                g = complex(G[row, k])
+                if in_quarter:
+                    q = max(q, (g.real * g.real + g.imag * g.imag) * w[r] * w[c])
+    zeros = M - 2 * len(cols) + sum(2 * j % M == 0 for j in cols)
+    return min(math.sqrt(q), 1.0), zeros
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_sign_matrices())
+@example(np.tile(_signs(50, 2, 3), (1, 6)))  # period 2: only columns 0 and 6 live
+@example(_signs(50, 8, 4))  # column M/2 pairs with itself on Y's diagonal
+@example(build_sign_matrix(FamilySpec("maximal", m=186, n=5)).entries)  # orthogonal columns
+@example(_signs(40, 1, 5) * _signs(1, 9, 6))  # rows +/- one row: parallel columns, mu = 1
+def test_tall_coherence_is_the_exhaustive_quarter_bit_for_bit(S):
+    assert _gram_coherence(_column_gram(S)) == _exhaustive_gram_coherence(S), S.shape
+
+
 def _mirrored_spectrum(S):
     """The full-length row spectrum (S F, P), transposed as
     _row_spectrum's half is and mirrored exactly from it: column M - j
@@ -726,11 +762,11 @@ def test_quarter_exhaustive_two_row_patterns(M):
         assert (mu, zeros) == _full_square_coherence(*_mirrored_spectrum(S)), S
 
 
-def _assert_screen_never_misses(S):
+def _assert_screen_never_misses(S, blocks=(1, 7, 256)):
     """The screened mu is the exhaustive re-score of the quarter, bit
-    for bit, at column blocks and row tiles of 1, 7 and 256."""
+    for bit, at each of these column blocks and row tiles."""
     mu = _exhaustive_quarter_coherence(S)
-    for block in (1, 7, 256):
+    for block in blocks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sensing, "_COLUMN_BLOCK", block)
             assert _blocked_coherence(*_row_spectrum(S), S.shape[1])[0] == mu, (S.shape, block)
@@ -751,7 +787,9 @@ def test_screen_never_misses_the_maximum(S):
 
 @pytest.mark.parametrize("spec", [s for s in FAMILY_SCAN_SPECS if s.length <= 2047], ids=_spec_id)
 def test_screen_never_misses_the_maximum_on_family_scan(spec):
-    mu = _assert_screen_never_misses(build_sign_matrix(spec).entries)
+    # 1 x 1 tiles are swept on the drawn matrices above; here they would
+    # be ~5e5 tiles per shape
+    mu = _assert_screen_never_misses(build_sign_matrix(spec).entries, blocks=(7, 256))
     assert (mu == 1.0) == (spec.family == "kasami")  # kasami's parallel columns
 
 
@@ -938,3 +976,30 @@ def test_pair_tables_give_correlation_measures(gold9_pair_tables, seed):
     shipped = build_sign_matrix(FamilySpec("gold", m=80, n=9)).entries
     assert seed is not None or np.array_equal(S[rows], shipped)
     assert correlation_measures(SignMatrix(S[rows], "gold")) == want
+
+
+def test_maximal_row_policy_sits_below_random_row_subsets():
+    # the shipped first 80 rows of maximal n = 9 against 50 random 80-row
+    # subsets (default_rng(0)) of all its 48 x 511 rows, at K = 24,
+    # complex-normal values and delta = sqrt(2) - 1 (README caveat): the
+    # shipped p is below every subset's, and the gap is alpha, since each
+    # m-sequence's spectrum is flat off DC and beta is the same for any rows
+    S = maximal_family(9, len(primitive_polys(9)) * 511)
+    const = moment_constants(NonzeroDistribution("complex_normal"), 24)
+
+    def measures(rows):
+        alpha, beta, gamma = correlation_measures(SignMatrix(S[rows], "maximal"))
+        bound = exrip_probability(ExripInputs(alpha, beta, gamma, 80, 511, BP_DELTA, const))
+        return alpha, beta, bound.probability
+
+    shipped = build_sign_matrix(FamilySpec("maximal", m=80, n=9)).entries
+    assert S.shape == (24528, 511) and np.array_equal(S[:80], shipped)
+    alpha, beta, p = measures(np.arange(80))
+    rng = np.random.default_rng(0)
+    subsets = np.array([measures(rng.choice(len(S), 80, replace=False)) for _ in range(50)])
+    ps = subsets[:, 2]
+    assert p == pytest.approx(0.93032, abs=5e-6) and p < ps.min()
+    assert [ps.min(), np.median(ps), ps.max()] == pytest.approx([0.93169, 0.93233, 0.93276], abs=5e-6)
+    assert 100 * alpha == pytest.approx(1.4765, abs=5e-5)
+    assert 100 * np.median(subsets[:, 0]) == pytest.approx(1.4390, abs=5e-5)
+    assert (subsets[:, 1] == beta).all()
