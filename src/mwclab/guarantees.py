@@ -399,6 +399,8 @@ def min_channels_search(
         raise ValueError(f"unknown bound {bound!r}, expected one of {SEARCH_BOUNDS}")
     if attempts < 1:
         raise ValueError(f"attempts must be positive, got {attempts}")
+    if ceiling < 1:
+        raise ValueError(f"ceiling must be positive, got {ceiling}")
     target_prob, tropp_t = _search_policy(bound, K)
     params = {
         "bound": bound,

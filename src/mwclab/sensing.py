@@ -153,51 +153,67 @@ def _blocked_coherence(H: np.ndarray, P: np.ndarray, M: int) -> tuple[float, int
     columns H = 0..M//2 (Y_jk pairs j with M - k).
 
     H is consumed: its kept rows are scaled to unit norm in place,
-    u_j = H_j / sqrt(P_j) (_unit_columns), and one complex64 copy U32 of
-    them is screened, a tile at a time as U32[rows] @ [conj U32[block];
-    U32[block]]^T, whose magnitudes are X's and Y's (|conj z| = |z|).
-    The tiles, of _COLUMN_BLOCK rows and columns, walk the lower
-    trapezoid of each column block, and each is consumed before the
-    next: only X's strict lower triangle and Y's lower one, less the
-    self-conjugate pairs (2j = 0 mod M), count, and the rest of a
-    diagonal tile is set to -1.  The pairs within 2 tau of the running
-    maximum are re-scored in float64 by _pair_magnitudes, whose fixed
-    order numpy defines, so the pair with the largest re-score is
-    always among them: mu depends on S and numpy, not on _COLUMN_BLOCK,
-    the BLAS build or the thread count.  Each pair is re-scored at most
-    once: where the screen separates no pair (orthogonal columns, mu at
-    rounding dust) every pair of the quarter is, one tile at a time.
+    u_j = H_j / sqrt(P_j) = a_j + i b_j (_unit_columns), and one float32
+    copy R of their parts is screened, per tile of _COLUMN_BLOCK columns
+    its a rows then its b rows.  A tile is one real product R[rows] @
+    R[block]^T, whose quadrants are the parts aa, ab, ba and bb (ab_jk =
+    a_j . b_k), and |X_jk|^2 = (aa + bb)^2 + (ba - ab)^2, |Y_jk|^2 =
+    (aa - bb)^2 + (ab + ba)^2.  The tiles walk the lower trapezoid of
+    each column block, and each is consumed before the next: only X's
+    strict lower triangle and Y's lower one, less the self-conjugate
+    pairs (2j = 0 mod M), count, and the rest of a diagonal tile is set
+    to -1.  The pairs within 2 tau of the running maximum are re-scored
+    in float64 by _pair_magnitudes, whose fixed order numpy defines, so
+    the pair with the largest re-score is always among them: mu depends
+    on S and numpy, not on _COLUMN_BLOCK, the BLAS build or the thread
+    count.  Each pair is re-scored at most once: where the screen
+    separates no pair (orthogonal columns, mu at rounding dust) every
+    pair of the quarter is, one tile at a time.
 
-    tau certifies the screen.  The real and imaginary parts of a
-    complex64 inner product of length m are float32 dot products of
-    length 2m, each off by at most gamma_2m ||x|| ||y|| in any summation
-    order, gamma_k = k u / (1 - k u), u = 2^-24 (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., eq. 3.4 and section
-    3.6); rounding the unit columns to complex64 moves the product by
-    at most 2u, and the float32 re^2 + im^2 its root by 2u more.  So a
-    screened magnitude is within (2 sqrt(2) m + 4) u of the float64 one,
-    to first order, and tau = 4 (m + 4) eps32 = 8 (m + 4) u is over
-    twice that, which also covers the re-score's own error and the
-    float32 rounding of the floor the screen compares against."""
+    tau certifies the screen.  Each part is a float32 dot product of
+    length m, so a sum of two, rounded, is within gamma_(m+1) ||u_j||
+    ||u_k|| of its float64 value in any summation order (Cauchy-Schwarz
+    on the 2m-vectors (|a_j|, |b_j|) and (|a_k|, |b_k|)), gamma_k = k u
+    / (1 - k u), u = 2^-24 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., eq. 3.4 and section 3.6): under the gamma_2m of
+    a complex64 inner product.  Rounding the unit columns to float32
+    moves it by at most 2u, and the float32 re^2 + im^2 its root by 2u
+    more.  So a screened magnitude is within (sqrt(2) (m + 1) + 4) u of
+    the float64 one, to first order, and tau = 4 (m + 4) eps32 = 8 (m +
+    4) u is over twice that, which also covers the re-score's own error
+    and the float32 rounding of the floor the screen compares against."""
     m = H.shape[1]
     U, cols = _unit_columns(H, P)
-    U32, n = U.astype(np.complex64), len(cols)
+    n = len(cols)
+    R = np.empty((2 * n, m), np.float32)
+    for start in range(0, n, _COLUMN_BLOCK):
+        block = U[start : start + _COLUMN_BLOCK]
+        R[2 * start : 2 * start + len(block)] = block.real
+        R[2 * start + len(block) : 2 * (start + len(block))] = block.imag
     self_conj = 2 * cols % M == 0
     zero_columns = M - 2 * n + int(np.count_nonzero(self_conj))
     tau = 4 * (m + 4) * float(np.finfo(np.float32).eps)
-    # one product and one score buffer for every tile, each viewed at
-    # the tile's shape, so the screen allocates nothing tile-sized
+    # one product, one score and one part buffer for every tile, each
+    # viewed at the tile's shape, so the screen allocates nothing
+    # tile-sized; no output overlaps an input, so numpy copies nothing
     size = 2 * min(n, _COLUMN_BLOCK) ** 2
-    products, scores = np.empty(size, np.complex64), np.empty(size, np.float32)
+    products, scores, parts = np.split(np.empty(4 * size, np.float32), [2 * size, 3 * size])
     best = top = 0.0
     for start in range(0, n, _COLUMN_BLOCK):
-        block = U32[start : start + _COLUMN_BLOCK]
-        w, pair = len(block), np.concatenate((block.conj(), block)).T
+        w = min(n - start, _COLUMN_BLOCK)
+        block = R[2 * start : 2 * (start + w)].T
         for r0 in range(start, n, _COLUMN_BLOCK):
-            rows = U32[r0 : r0 + _COLUMN_BLOCK]
-            prod = products[: len(rows) * 2 * w].reshape(len(rows), -1)
-            np.matmul(rows, pair, out=prod)
-            Q = _squared_magnitude(prod, out=scores[: prod.size].reshape(prod.shape))
+            h = min(n - r0, _COLUMN_BLOCK)
+            prod = products[: 4 * h * w].reshape(2 * h, 2 * w)
+            np.matmul(R[2 * r0 : 2 * (r0 + h)], block, out=prod)
+            aa, ab, ba, bb = prod[:h, :w], prod[:h, w:], prod[h:, :w], prod[h:, w:]
+            Q, im = scores[: 2 * h * w].reshape(h, -1), parts[: 2 * h * w].reshape(h, -1)
+            np.add(aa, bb, out=Q[:, :w])
+            np.subtract(aa, bb, out=Q[:, w:])
+            np.subtract(ba, ab, out=im[:, :w])
+            np.add(ab, ba, out=im[:, w:])
+            np.square(Q, out=Q)
+            Q += np.square(im, out=im)
             if r0 == start:
                 Q[:, :w][~np.tri(w, k=-1, dtype=bool)] = -1
                 Q[:, w:][~np.tri(w, dtype=bool)] = -1
@@ -222,12 +238,11 @@ def _unit_columns(H: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return U, cols
 
 
-def _squared_magnitude(C: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """re^2 + im^2 of a complex array, on its real view (C is consumed),
-    into out if given."""
+def _squared_magnitude(C: np.ndarray) -> np.ndarray:
+    """re^2 + im^2 of a complex array, on its real view (C is consumed)."""
     V = C.view(C.real.dtype)
     np.square(V, out=V)
-    return np.add(V[:, 0::2], V[:, 1::2], out=out)
+    return V[:, 0::2] + V[:, 1::2]
 
 
 def _pair_magnitudes(U: np.ndarray, j: np.ndarray, k: np.ndarray, conj: np.ndarray) -> np.ndarray:

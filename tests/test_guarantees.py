@@ -527,3 +527,12 @@ def test_table1_shares_one_pool_and_releases_it(monkeypatch):
 def test_search_rejects_nonpositive_attempts():
     with pytest.raises(ValueError, match="attempts"):
         min_channels_search("donoho_elad", 63, 2, attempts=0)
+
+
+@pytest.mark.parametrize("bound", ["donoho_elad", "candes_plan", "rip"])
+@pytest.mark.parametrize("ceiling", [0, -4])
+def test_search_rejects_a_ceiling_below_one(bound, ceiling):
+    # no m <= ceiling is a channel count, so no row can say "not
+    # satisfied by any m <= ceiling"
+    with pytest.raises(ValueError, match=f"ceiling must be positive, got {ceiling}"):
+        min_channels_search(bound, 63, 2, ceiling=ceiling)

@@ -469,6 +469,15 @@ def test_cli_bounds_candes_c_at_one_column_is_a_usage_error(capsys):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("ceiling", ["0", "-4"])
+def test_cli_table1_ceiling_below_one_is_a_usage_error(ceiling, tmp_path, capsys):
+    out = tmp_path / "table1.csv"
+    argv = ["table1", "--attempts", "2", "--ceiling", ceiling, "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert f"error: ceiling must be positive, got {ceiling}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
 def test_cli_recover_non_finite_snr_is_a_usage_error(snr, tmp_path, capsys):
     out = tmp_path / "recover.json"

@@ -691,9 +691,9 @@ def _spec_id(spec):
 
 @pytest.mark.parametrize("spec", FAMILY_SCAN_SPECS, ids=_spec_id)
 def test_one_triangle_equals_full_square_on_family_scan(spec):
-    # the quarter screens one triangle each of X and Y in complex64, the
-    # square screens all of Phi^H Phi in complex128 BLAS; over an exactly
-    # mirrored spectrum both certify the same maximal pair, whose
+    # the quarter screens one triangle each of X and Y from float32 part
+    # products, the square all of Phi^H Phi in complex128 BLAS; over an
+    # exactly mirrored spectrum both certify the same maximal pair, whose
     # fixed-order re-score is the same bits either way
     S = build_sign_matrix(spec).entries
     want = _full_square_coherence(*_mirrored_spectrum(S))
@@ -793,6 +793,18 @@ def test_screen_never_misses_the_maximum_on_family_scan(spec):
     assert (mu == 1.0) == (spec.family == "kasami")  # kasami's parallel columns
 
 
+def test_screen_never_misses_the_maximum_at_160_rows():
+    # family_scan's row count, where tau is largest, and n = 601 kept
+    # columns: the last tile of each column block is 89 (at 256) or 6
+    # (at 7) wide, so tiles with h != w read their four parts off a
+    # 2h x 2w product that is not square.  The maximal pair is in X, off
+    # column 0 (where |X_0k| = |Y_0k|), and above every pair of Y's
+    # diagonal, so a screen that mixes up X and Y misses it
+    S = _signs(160, 1201, 9)
+    assert len(_row_spectrum(S)[0]) == 601
+    _assert_screen_never_misses(S, blocks=(7, 256))
+
+
 def test_screen_that_separates_nothing_rescores_each_pair_once(monkeypatch):
     # the square Walsh matrix: S^T S = M I, so Phi^H Phi = I and every
     # pair sits at rounding dust, far inside 2 tau of the maximum.  The
@@ -839,9 +851,10 @@ def _traced_peak(call):
 
 
 def test_quality_measures_of_the_widest_maximal_pattern_stay_under_24_mb():
-    # one spectrum (10.5 MB at 160 x 8191), its complex64 copy and one
-    # tile; a unit-column copy, a conjugate copy and an n x 512 product
-    # of a screen by column blocks alone peaked at 56 MB
+    # one spectrum (10.5 MB at 160 x 8191), its float32 copy of real and
+    # imaginary parts and one tile; a unit-column copy, a complex64 copy,
+    # its conjugate and an n x 512 product of a screen by column blocks
+    # alone peaked at 56 MB
     S = build_sign_matrix(FamilySpec("maximal", m=160, n=13))
     peak = _traced_peak(lambda: quality_measures(S))
     assert peak < 24 << 20, peak
@@ -857,9 +870,10 @@ def test_quality_measures_of_the_widest_maximal_pattern_stay_under_24_mb():
     ids=_spec_id,
 )
 def test_wide_coherence_holds_one_copy_and_one_tile(spec):
-    # the wide route consumes its spectrum: it holds a complex64 copy of
-    # the n kept rows (8 n m bytes), a copy of those rows where some are
-    # zero (16 n m) and one 256 x 512 tile with its scores (1.5 MB)
+    # the wide route consumes its spectrum: it holds a float32 copy of
+    # the parts of the n kept rows (8 n m bytes), a copy of those rows
+    # where some are zero (16 n m) and one 512 x 512 tile with its scores
+    # (2 MB)
     S = build_sign_matrix(spec).entries
     spectrum = _row_spectrum(S)
     n = int(np.count_nonzero(spectrum[1] > _ZERO_COLUMN_TOL))
