@@ -85,8 +85,14 @@ def sample_values(dist: NonzeroDistribution, shape, rng: np.random.Generator) ->
 
 
 def block_rng(seed: int, block: int) -> np.random.Generator:
-    """Counter-based stream for (seed, block): parallel-safe, exact replay."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    """Counter-based stream for (seed, block): parallel-safe, exact replay.
+
+    The seed is one 64-bit key word, so it must lie in [0, 2**64); a
+    seed outside would alias the stream of the seed it wraps to.
+    """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -23,9 +23,10 @@ from .montecarlo import sample_supports
 from .sensing import sensing_matrix
 from .signmatrix import SignMatrix
 
-# trials per _somp_slab call in recovery_experiment: a 40 x 64 x 12
-# residual is 0.5 MB, where all 500 recover_mwc trials at once take
-# recover's peak RSS from 45 to 93 MB, above verify's 53 MB.
+# trials per _somp_slab call in recovery_experiment: at recover_mwc a
+# 40 x 64 x 12 residual is 0.5 MB and one step's 195 x 64 x 12 score
+# product 2.4 MB, where all 500 trials in one slab took recover's peak
+# RSS from 45 to 93 MB.
 _SLAB = 64
 
 
@@ -130,6 +131,7 @@ def _somp_slab(Phi: np.ndarray, V: np.ndarray, k: int) -> list[SompResult]:
         # squared norm over r of each column's inner products, per trial
         C = (AH @ R.reshape(m, n * r)).view(np.float64).reshape(M * n, 2 * r)
         score = np.einsum("ij,ij->i", C, C).reshape(M, n)
+        del C  # else it is still held while the next step's product is formed
         lanes = np.arange(n)
         score[picked[:, :s], lanes[:, None]] = -1.0
         best = score.argmax(axis=0)
@@ -208,13 +210,15 @@ def recovery_experiment(
     successes = 0
     early_stops = 0
     for t0 in range(0, trials, _SLAB):
-        supports, Vs = [], []
-        for t in range(t0, min(t0 + _SLAB, trials)):
+        slab = range(t0, min(t0 + _SLAB, trials))
+        supports = []
+        V = np.empty((len(slab), S.m, r), dtype=np.complex128)
+        for j, t in enumerate(slab):
             rng = block_rng(seed, t)
             support = np.sort(sample_supports(M, k_rows, 1, rng)[0])
             supports.append(support)
-            Vs.append(synthesize_mmv(Phi, support, r, dist, noise_sigma, rng).V)
-        for support, res in zip(supports, _somp_slab(Phi, np.stack(Vs), k_rows)):
+            V[j] = synthesize_mmv(Phi, support, r, dist, noise_sigma, rng).V
+        for support, res in zip(supports, _somp_slab(Phi, V, k_rows)):
             successes += int(np.array_equal(res.support, support))
             early_stops += int(res.early_stop)
     rate = successes / trials

@@ -34,9 +34,13 @@ def sample_supports(M: int, K: int, count: int, rng: np.random.Generator) -> np.
 
     Step i draws one integer in [0, M - i) per row, so at count = 1 the
     stream is consumed exactly as by the scalar shuffle, draw for draw.
-    The table is int32 (M < 2**31), half the bytes each swap moves.
+    The table's entries are the narrowest that hold M - 1 (two bytes at
+    M = 512); the K drawn columns are returned as an int32 copy
+    (M < 2**31), so the count x M table is freed on return.
     """
-    idx = np.tile(np.arange(M, dtype=np.int32), (count, 1))
+    if not 0 <= K <= M:
+        raise ValueError(f"need 0 <= K <= M, got K={K}, M={M}")
+    idx = np.tile(np.arange(M, dtype=np.min_scalar_type(M - 1)), (count, 1))
     flat = idx.reshape(-1)  # swaps on flat offsets: one index array, not two
     base = np.arange(count) * M
     for i in range(K):
@@ -45,7 +49,7 @@ def sample_supports(M: int, K: int, count: int, rng: np.random.Generator) -> np.
         tmp = flat[pi]
         flat[pi] = flat[pj]
         flat[pj] = tmp
-    return idx[:, :K]
+    return idx[:, :K].astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,36 @@ class ExripEstimate:
     redraws: int
 
 
+def _block_z2(
+    cols: np.ndarray, K: int, dist: NonzeroDistribution, take: int, rng: np.random.Generator
+) -> tuple[np.ndarray, int]:
+    """Z^2 of `take` trials drawn from rng, and the redraws they took.
+
+    Only the (take,) Z^2 vector is returned: the block's supports and
+    values die here, before the next block is drawn.
+    """
+    supports = sample_supports(cols.shape[0], K, take, rng)
+    values = sample_values(dist, (take, K), rng)
+    nrm2 = (np.abs(values) ** 2).sum(axis=1)
+    redraws = 0
+    for _ in range(100):
+        bad = np.nonzero(nrm2 < _UNDERFLOW)[0]
+        if bad.size == 0:
+            break
+        redraws += int(bad.size)
+        values[bad] = sample_values(dist, (bad.size, K), rng)
+        nrm2[bad] = (np.abs(values[bad]) ** 2).sum(axis=1)
+    # y[t] = w_t Phi_T^T, one stacked (1 x K) @ (K x m) product per
+    # slab into one reused slab buffer; only ||y[t]||^2 outlives it
+    y = np.empty((_GATHER, 1, cols.shape[1]), dtype=np.result_type(cols, values))
+    y2 = np.empty(take)
+    for i in range(0, take, _GATHER):
+        n = min(_GATHER, take - i)
+        np.matmul(values[i : i + n, None, :], cols.take(supports[i : i + n], axis=0), out=y[:n])
+        y2[i : i + n] = (np.abs(y[:n, 0]) ** 2).sum(axis=1)
+    return y2 / nrm2, redraws
+
+
 def empirical_exrip(
     Phi: np.ndarray,
     K: int,
@@ -74,7 +108,7 @@ def empirical_exrip(
     """Empirical isometry probability over `trials` sparse draws."""
     if trials < 10**3:
         raise ValueError(f"need at least 1000 trials, got {trials}")
-    m, M = Phi.shape
+    M = Phi.shape[1]
     if not 1 <= K <= M:
         raise ValueError(f"need 1 <= K <= M, got K={K}, M={M}")
     cols = Phi.T.copy()  # M x m, row gather per support
@@ -82,35 +116,14 @@ def empirical_exrip(
     hits = 0
     s2 = s4 = s8 = 0.0
     redraws = 0
-    done = 0
-    block_index = 0
-    while done < trials:
-        take = min(_BLOCK, trials - done)
+    for block_index, done in enumerate(range(0, trials, _BLOCK)):
         rng = block_rng(seed, block_index)
-        supports = sample_supports(M, K, take, rng)
-        values = sample_values(dist, (take, K), rng)
-        nrm2 = (np.abs(values) ** 2).sum(axis=1)
-        for _ in range(100):
-            bad = np.nonzero(nrm2 < _UNDERFLOW)[0]
-            if bad.size == 0:
-                break
-            redraws += int(bad.size)
-            values[bad] = sample_values(dist, (bad.size, K), rng)
-            nrm2[bad] = (np.abs(values[bad]) ** 2).sum(axis=1)
-        # y[t] = w_t Phi_T^T, one stacked (1 x K) @ (K x m) product per slab
-        y = np.empty((take, 1, m), dtype=np.result_type(cols, values))
-        for i in range(0, take, _GATHER):
-            np.matmul(
-                values[i : i + _GATHER, None, :], cols.take(supports[i : i + _GATHER], axis=0),
-                out=y[i : i + _GATHER],
-            )
-        z2 = (np.abs(y[:, 0]) ** 2).sum(axis=1) / nrm2
+        z2, block_redraws = _block_z2(cols, K, dist, min(_BLOCK, trials - done), rng)
+        redraws += block_redraws
         hits += int((np.abs(z2 - 1.0) <= delta).sum())
         s2 += float(z2.sum())
         s4 += float((z2 * z2).sum())
         s8 += float((z2 * z2) @ (z2 * z2))
-        done += take
-        block_index += 1
 
     p = hits / trials
     stderr = math.sqrt(p * (1.0 - p) / trials)

@@ -170,3 +170,16 @@ def test_block_rng_streams():
     c = block_rng(7, 4).standard_normal(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7, -(2**64)])
+def test_block_rng_rejects_a_seed_outside_64_bits(seed):
+    # masked to 64 bits, 2**64 would replay seed 0's stream and -1 seed 2**64 - 1's
+    with pytest.raises(ValueError, match=f"seed must be in \\[0, 2\\*\\*64\\), got {seed}"):
+        block_rng(seed, 0)
+
+
+def test_block_rng_takes_every_64_bit_seed():
+    top = block_rng(2**64 - 1, 0).standard_normal(5)
+    assert not np.array_equal(top, block_rng(0, 0).standard_normal(5))
+    assert np.array_equal(top, block_rng(2**64 - 1, 0).standard_normal(5))

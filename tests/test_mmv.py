@@ -2,6 +2,7 @@
 rails, equivariance, and the experiment driver."""
 
 import importlib.util
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 from mwclab.distributions import NonzeroDistribution, block_rng
 from mwclab.mmv import (
+    _SLAB,
     _somp_slab,
     noise_sigma_for_snr,
     recovery_experiment,
@@ -186,6 +188,27 @@ def test_slab_kernel_trials_leave_at_different_steps():
     # lstsq leaves a rounding-level residual where Gram-Schmidt on unit
     # vectors subtracts exactly, so only its picks and flags are compared
     assert [o[:2] for o in slab] == [_reference_somp(Phi, v, k)[:2] for v in V]
+
+
+def test_recover_mwc_holds_one_score_product():
+    # one step's product of Phi^H with the residual (16 M r per trial)
+    # and two steps' row sums of it (8 M each); the slab's measurements,
+    # residual and picked basis (16 m (2 r + k) per trial); Phi and its
+    # adjoint.  Holding the last step's product while the next one is
+    # formed, or a list of the slab's measurements beside their stack,
+    # breaks the bound; both at once take 7.2 MB.
+    preset = load_preset("recover_mwc")
+    S = build_sign_matrix(preset.family_spec())
+    m, M = S.m, S.M
+    k, r = preset.get_int("k_rows"), preset.get_int("r")
+    tracemalloc.start()
+    try:
+        recovery_experiment(S, k, r, trials=preset.get_int("trials"), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_trial = 16 * M * r + 2 * 8 * M + 16 * m * (2 * r + k)
+    assert peak < _SLAB * per_trial + 2 * 16 * m * M + (384 << 10), peak
 
 
 def test_somp_leaves_the_callers_measurements_alone():

@@ -5,6 +5,7 @@ wiring."""
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -14,6 +15,7 @@ from mwclab.distributions import NonzeroDistribution, block_rng, moment_constant
 from mwclab.guarantees import BP_DELTA, exrip_from_sign_matrix
 from mwclab.montecarlo import (
     _BLOCK,
+    _GATHER,
     ExripEstimate,
     bound_validity_report,
     empirical_exrip,
@@ -258,6 +260,52 @@ def test_int32_table_draws_the_int64_supports(M, K):
     assert got.dtype == np.int32
     assert np.array_equal(got, want)
     assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("M", [256, 257, 65536, 65537])
+def test_narrowed_table_draws_the_int64_supports_at_its_dtype_edges(M):
+    # the table holds 0..M-1 in one, two or four bytes; at K = M every
+    # entry is drawn, so one that wrapped (M - 1 stored as 0) would show
+    ref_rng, rng = block_rng(5, 1), block_rng(5, 1)
+    want = _int64_fisher_yates(M, M, 2, ref_rng)
+    got = sample_supports(M, M, 2, rng)
+    assert got.dtype == np.int32 and got.flags.owndata
+    assert np.array_equal(got, want)
+    assert rng.random() == ref_rng.random()
+    assert np.array_equal(np.sort(got, axis=1), np.tile(np.arange(M), (2, 1)))
+
+
+@pytest.mark.parametrize("K", [-1, 6, 9])
+def test_sample_supports_rejects_k_outside_zero_to_m(K):
+    with pytest.raises(ValueError, match=f"K={K}, M=5"):
+        sample_supports(5, K, 2, np.random.default_rng(0))
+
+
+def test_sample_supports_takes_k_zero():
+    assert sample_supports(5, 0, 3, np.random.default_rng(0)).shape == (3, 0)
+
+
+def test_empirical_exrip_holds_one_slab_not_one_block(hadamard_80_512):
+    # Beside the column copy (16 M m), one block's int32 supports (4 per
+    # entry) and the last block's Z^2, a block holds at most one of: the
+    # drawing table of two-byte entries (2 M per trial), the complex
+    # values with their two normal draws (48 K per trial), or the values
+    # with one slab's gather (16 K per trial + 16 _GATHER K m).  Keeping
+    # a block's products (16 m per trial) with their |y|^2 temporaries,
+    # the table past the draw, or one block while the next is drawn
+    # each breaks the bound; all of them at once take 12.6 MB.
+    Phi = sensing_matrix(hadamard_80_512)
+    m, M = Phi.shape
+    K, trials = 24, 2 * _BLOCK + 100  # two whole blocks and a short one
+    tracemalloc.start()
+    try:
+        empirical_exrip(Phi, K, BP_DELTA, CN, trials, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = 16 * M * m + 4 * _BLOCK * K + 8 * _BLOCK
+    block = max(2 * _BLOCK * M, 48 * _BLOCK * K, 16 * _BLOCK * K + 16 * _GATHER * K * m)
+    assert peak < held + block + (256 << 10), peak
 
 
 BS = NonzeroDistribution("bernoulli_sign")

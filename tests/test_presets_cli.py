@@ -487,6 +487,23 @@ def test_cli_recover_non_finite_snr_is_a_usage_error(snr, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--preset", "table2_kasami", "--trials", "1000"],
+        ["recover", "--preset", "recover_mwc", "--trials", "20"],
+    ],
+    ids=["verify", "recover"],
+)
+def test_cli_seed_outside_64_bits_is_a_usage_error(argv, seed, tmp_path, capsys):
+    # neither may run another seed's stream and record its own
+    out = tmp_path / "report.json"
+    assert cli.main([*argv, f"--seed={seed}", "--out", str(out)]) == 2
+    assert f"error: seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", [14, 2])
 def test_cli_maximal_degree_outside_the_range_is_a_usage_error(n, capsys):
     argv = ["gen", "--family", "maximal", "--n", str(n), "--m", "4"]
