@@ -84,14 +84,17 @@ def sample_values(dist: NonzeroDistribution, shape, rng: np.random.Generator) ->
     return rng.integers(0, 2, shape) * 2.0 - 1.0
 
 
-def block_rng(seed: int, block: int) -> np.random.Generator:
-    """Counter-based stream for (seed, block): parallel-safe, exact replay.
-
-    The seed is one 64-bit key word, so it must lie in [0, 2**64); a
-    seed outside would alias the stream of the seed it wraps to.
-    """
+def _check_seed(seed: int) -> None:
+    """Every seed lies in [0, 2**64): block_rng's seed is one 64-bit key
+    word, which a wider seed would alias, and default_rng's message on a
+    negative one names no seed."""
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
+def block_rng(seed: int, block: int) -> np.random.Generator:
+    """Counter-based stream for (seed, block): parallel-safe, exact replay."""
+    _check_seed(seed)
     key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import MomentConstants, NonzeroDistribution, moment_constants
+from .distributions import MomentConstants, NonzeroDistribution, _check_seed, moment_constants
 from .sensing import (
     _block_gram,
     _blocked_coherence,
@@ -401,6 +401,7 @@ def min_channels_search(
         raise ValueError(f"attempts must be positive, got {attempts}")
     if ceiling < 1:
         raise ValueError(f"ceiling must be positive, got {ceiling}")
+    _check_seed(seed)
     target_prob, tropp_t = _search_policy(bound, K)
     params = {
         "bound": bound,

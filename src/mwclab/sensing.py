@@ -70,6 +70,7 @@ def _row_spectrum(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         H[:, i : i + len(rows)] = rows.T
         for q in _squared_magnitude(rows):
             P += q
+        del rows, q  # not alive while the next rows are transformed
     return H, P
 
 
@@ -153,22 +154,22 @@ def _blocked_coherence(H: np.ndarray, P: np.ndarray, M: int) -> tuple[float, int
     columns H = 0..M//2 (Y_jk pairs j with M - k).
 
     H is consumed: its kept rows are scaled to unit norm in place,
-    u_j = H_j / sqrt(P_j) = a_j + i b_j (_unit_columns), and one float32
-    copy R of their parts is screened, per tile of _COLUMN_BLOCK columns
-    its a rows then its b rows.  A tile is one real product R[rows] @
-    R[block]^T, whose quadrants are the parts aa, ab, ba and bb (ab_jk =
-    a_j . b_k), and |X_jk|^2 = (aa + bb)^2 + (ba - ab)^2, |Y_jk|^2 =
-    (aa - bb)^2 + (ab + ba)^2.  The tiles walk the lower trapezoid of
-    each column block, and each is consumed before the next: only X's
-    strict lower triangle and Y's lower one, less the self-conjugate
-    pairs (2j = 0 mod M), count, and the rest of a diagonal tile is set
-    to -1.  The pairs within 2 tau of the running maximum are re-scored
-    in float64 by _pair_magnitudes, whose fixed order numpy defines, so
-    the pair with the largest re-score is always among them: mu depends
-    on S and numpy, not on _COLUMN_BLOCK, the BLAS build or the thread
-    count.  Each pair is re-scored at most once: where the screen
-    separates no pair (orthogonal columns, mu at rounding dust) every
-    pair of the quarter is, one tile at a time.
+    u_j = H_j / sqrt(P_j) = a_j + i b_j (_unit_columns), and screened in
+    tiles of _COLUMN_BLOCK rows and columns.  A tile is one real product
+    of the float32 parts of its rows and of its column block, each cast
+    from U as it is reached, a rows then b rows, whose quadrants are the
+    parts aa, ab, ba and bb (ab_jk = a_j . b_k), and |X_jk|^2 = (aa +
+    bb)^2 + (ba - ab)^2, |Y_jk|^2 = (aa - bb)^2 + (ab + ba)^2.  The tiles
+    walk the lower trapezoid of each column block, and each is consumed
+    before the next: only X's strict lower triangle and Y's lower one,
+    less the self-conjugate pairs (2j = 0 mod M), count, and the rest of
+    a diagonal tile is set to -1.  The pairs within 2 tau of the running
+    maximum are re-scored in float64 by _pair_magnitudes, whose fixed
+    order numpy defines, so the pair with the largest re-score is always
+    among them: mu depends on S and numpy, not on _COLUMN_BLOCK, the BLAS
+    build or the thread count.  Each pair is re-scored at most once: where
+    the screen separates no pair (orthogonal columns, mu at rounding dust)
+    every pair of the quarter is, one tile at a time.
 
     tau certifies the screen.  Each part is a float32 dot product of
     length m, so a sum of two, rounded, is within gamma_(m+1) ||u_j||
@@ -185,27 +186,26 @@ def _blocked_coherence(H: np.ndarray, P: np.ndarray, M: int) -> tuple[float, int
     m = H.shape[1]
     U, cols = _unit_columns(H, P)
     n = len(cols)
-    R = np.empty((2 * n, m), np.float32)
-    for start in range(0, n, _COLUMN_BLOCK):
-        block = U[start : start + _COLUMN_BLOCK]
-        R[2 * start : 2 * start + len(block)] = block.real
-        R[2 * start + len(block) : 2 * (start + len(block))] = block.imag
     self_conj = 2 * cols % M == 0
     zero_columns = M - 2 * n + int(np.count_nonzero(self_conj))
     tau = 4 * (m + 4) * float(np.finfo(np.float32).eps)
-    # one product, one score and one part buffer for every tile, each
-    # viewed at the tile's shape, so the screen allocates nothing
-    # tile-sized; no output overlaps an input, so numpy copies nothing
+    # one product, one score and one part buffer for every tile and the
+    # float32 parts of a column block and of a row tile, each viewed at
+    # the tile's shape, so the screen allocates nothing tile-sized; no
+    # output overlaps an input, so numpy copies nothing
     size = 2 * min(n, _COLUMN_BLOCK) ** 2
     products, scores, parts = np.split(np.empty(4 * size, np.float32), [2 * size, 3 * size])
+    column_parts, row_parts = np.empty((2, 2 * min(n, _COLUMN_BLOCK), m), np.float32)
     best = top = 0.0
     for start in range(0, n, _COLUMN_BLOCK):
         w = min(n - start, _COLUMN_BLOCK)
-        block = R[2 * start : 2 * (start + w)].T
         for r0 in range(start, n, _COLUMN_BLOCK):
             h = min(n - r0, _COLUMN_BLOCK)
+            # a diagonal tile casts its column block, read by the block's other tiles
+            rows = (column_parts if r0 == start else row_parts)[: 2 * h]
+            rows[:h], rows[h:] = U[r0 : r0 + h].real, U[r0 : r0 + h].imag
             prod = products[: 4 * h * w].reshape(2 * h, 2 * w)
-            np.matmul(R[2 * r0 : 2 * (r0 + h)], block, out=prod)
+            np.matmul(rows, column_parts[: 2 * w].T, out=prod)
             aa, ab, ba, bb = prod[:h, :w], prod[:h, w:], prod[h:, :w], prod[h:, w:]
             Q, im = scores[: 2 * h * w].reshape(h, -1), parts[: 2 * h * w].reshape(h, -1)
             np.add(aa, bb, out=Q[:, :w])
@@ -219,8 +219,10 @@ def _blocked_coherence(H: np.ndarray, P: np.ndarray, M: int) -> tuple[float, int
                 Q[:, w:][~np.tri(w, dtype=bool)] = -1
                 d = np.flatnonzero(self_conj[start : start + w])
                 Q[d, w + d] = -1
-            top = max(top, float(Q.max()))
+            top = max(top, float(q := Q.max()))
             floor = min(top, max(math.sqrt(top) - 2 * tau, 0.0) ** 2)
+            if q < floor:  # a float32 compare, as Q >= floor: no pair passes
+                continue
             r, c = np.divmod(np.flatnonzero(Q >= floor), 2 * w)
             best = float(_pair_magnitudes(U, r0 + r, start + c % w, c >= w).max(initial=best))
             if best >= 1.0:
@@ -324,11 +326,12 @@ def _correlations(S: np.ndarray):
         # ||S R S^T||_F^2 = tr(R W R W) for W = S^T S and R = R^T
         rev_sq = (G * G[np.ix_(rev, rev)]).sum()
     else:
-        spectrum = _row_spectrum(S)
-        A = _autocorrelation(spectrum[1], M)
-        # S R S^T = 2 H H^T - W for W = S S^T, H = (S + S R) / 2 in {-1, 0, 1}
+        # S R S^T = 2 H H^T - W for W = S S^T, H = (S + S R) / 2 in {-1, 0, 1},
+        # taken first, so the float32 blocks of this Gram never meet the spectrum
         Grev = 2 * _sign_gram((S + S[:, rev]) // 2).astype(np.int64) - G
         rev_sq = (Grev * Grev).sum()
+        spectrum = _row_spectrum(S)
+        A = _autocorrelation(spectrum[1], M)
     # sum A^2 <= m^2 M^3 may pass 2**63: summed in Python integers
     beta = float(sum(a * a for a in A.tolist())) / (m * m * M**3)
     gamma = float(rev_sq) / (m * M) ** 2

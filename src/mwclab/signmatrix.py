@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sequences
+from .distributions import _check_seed
 
 FAMILIES = ("maximal", "gold", "kasami", "hadamard", "random")
 
@@ -168,6 +169,8 @@ def _repeated_rows(S: np.ndarray) -> list[int]:
 def _random_entries(m: int, M: int, seed: Seed) -> np.ndarray:
     if seed is None:
         raise ValueError("random family needs a seed")
+    for s in seed if isinstance(seed, tuple) else (seed,):
+        _check_seed(s)
     if M < 64 and m > 2**M:
         raise ValueError(f"cannot draw {m} distinct rows of length {M} (only {2**M} exist)")
     rng = np.random.default_rng(seed)

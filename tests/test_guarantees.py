@@ -536,3 +536,12 @@ def test_search_rejects_a_ceiling_below_one(bound, ceiling):
     # satisfied by any m <= ceiling"
     with pytest.raises(ValueError, match=f"ceiling must be positive, got {ceiling}"):
         min_channels_search(bound, 63, 2, ceiling=ceiling)
+
+
+@pytest.mark.parametrize("bound", ["donoho_elad", "exrip"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_search_rejects_a_seed_outside_64_bits(bound, seed):
+    # default_rng((seed, a)) would fail on -1 with a message that names
+    # no seed; the range is block_rng's
+    with pytest.raises(ValueError, match=f"seed must be in \\[0, 2\\*\\*64\\), got {seed}"):
+        min_channels_search(bound, 63, 2, attempts=2, ceiling=8, seed=seed)

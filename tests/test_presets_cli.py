@@ -393,6 +393,21 @@ def test_reproduce_tables_quick_matches_the_cli(tmp_path, capsys):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), (flags, name)
 
 
+def test_step_peaks_prints_one_row_per_step(tmp_path):
+    # one channel_budget pass: the set-up row, then the table1 step with
+    # its exit code, wall time and the high-water RSS so far
+    script = Path(__file__).resolve().parents[1] / "scripts" / "step_peaks.py"
+    argv = [sys.executable, str(script), "channel_budget", "0", "--outdir", str(tmp_path)]
+    r = subprocess.run(argv, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    header, setup, step = r.stdout.splitlines()
+    assert header.split() == ["step", "exit", "wall_s", "maxrss_mb"]
+    assert setup.split()[0] == "set-up"
+    assert step.split()[:3] == ["table1", "table1.csv", "0"]
+    assert float(step.split()[-1]) >= float(setup.split()[-1]) > 0
+    assert (tmp_path / "table1.csv").is_file()
+
+
 def test_cli_table2_unexpected_error_is_not_a_row(tmp_path, monkeypatch):
     from mwclab import cli
 
@@ -500,6 +515,28 @@ def test_cli_seed_outside_64_bits_is_a_usage_error(argv, seed, tmp_path, capsys)
     # neither may run another seed's stream and record its own
     out = tmp_path / "report.json"
     assert cli.main([*argv, f"--seed={seed}", "--out", str(out)]) == 2
+    assert f"error: seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+RANDOM = ("--family", "random", "--M", "7", "--m", "2")
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--seed"],
+        ["gen", *RANDOM, "--seed"],
+        ["gen", *RANDOM, "--family-seed"],
+        ["measures", *RANDOM, "--family-seed"],
+    ],
+    ids=["sweep", "gen-seed", "gen-family-seed", "measures"],
+)
+def test_cli_sign_stream_seed_outside_64_bits_is_a_usage_error(argv, seed, tmp_path, capsys):
+    # numpy's own message on a negative seed names neither the flag nor the value
+    out = tmp_path / "artifact"
+    assert cli.main([*argv[:-1], f"{argv[-1]}={seed}", "--out", str(out)]) == 2
     assert f"error: seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
     assert not out.exists()
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mwclab import sensing
 from mwclab.sensing import (
     _BLOCK_ROWS,
+    _COLUMN_BLOCK,
     _POWER_REL_TOL,
     _SPECTRUM_ROWS,
     _ZERO_COLUMN_TOL,
@@ -840,6 +841,34 @@ def test_screen_that_separates_nothing_rescores_each_pair_once(monkeypatch):
     assert peak < 48 << 20, peak
 
 
+@pytest.mark.parametrize(
+    "spec, mu_hex",
+    [
+        (FamilySpec("gold", m=160, n=11), "0x1.30156af1d170dp-2"),
+        (FamilySpec("maximal", m=160, n=13), "0x1.75a3ab50923c5p-2"),
+    ],
+    ids=["gold160x2047", "maximal160x8191"],
+)
+def test_screen_rescores_only_the_tiles_that_hold_a_candidate(spec, mu_hex, monkeypatch):
+    # a tile whose largest float32 score is below the floor has no pair
+    # to re-score, so it makes no call at all, and mu keeps its bits
+    S = build_sign_matrix(spec)
+    calls = []
+
+    def recording(U, j, k, conj):
+        calls.append((j.copy(), k.copy()))
+        return _pair_magnitudes(U, j, k, conj)
+
+    monkeypatch.setattr(sensing, "_pair_magnitudes", recording)
+    assert quality_measures(S).mu == float.fromhex(mu_hex)
+    blocks = -(-(S.M // 2 + 1) // _COLUMN_BLOCK)  # every half column is kept
+    assert 0 < len(calls) < blocks * (blocks + 1) // 2  # the tiles of the quarter
+    for j, k in calls:
+        assert len(j) > 0
+        # one tile per call: one row tile, one column block
+        assert len(np.unique(j // _COLUMN_BLOCK)) == len(np.unique(k // _COLUMN_BLOCK)) == 1
+
+
 def _traced_peak(call):
     """The tracemalloc peak, in bytes, of what call() allocates."""
     tracemalloc.start()
@@ -850,14 +879,15 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_quality_measures_of_the_widest_maximal_pattern_stay_under_24_mb():
-    # one spectrum (10.5 MB at 160 x 8191), its float32 copy of real and
-    # imaginary parts and one tile; a unit-column copy, a complex64 copy,
-    # its conjugate and an n x 512 product of a screen by column blocks
-    # alone peaked at 56 MB
+def test_quality_measures_of_the_widest_maximal_pattern_stay_under_14_mb():
+    # one spectrum (10 MB at 160 x 8191) and one tile with its float32
+    # parts (13.0 MB measured); a float32 copy of every row's parts beside
+    # it peaked at 17.4 MB, and a unit-column copy, a complex64 copy, its
+    # conjugate and an n x 512 product of a screen by column blocks alone
+    # at 56 MB
     S = build_sign_matrix(FamilySpec("maximal", m=160, n=13))
     peak = _traced_peak(lambda: quality_measures(S))
-    assert peak < 24 << 20, peak
+    assert peak < 14 << 20, peak
 
 
 @pytest.mark.parametrize(
@@ -870,15 +900,17 @@ def test_quality_measures_of_the_widest_maximal_pattern_stay_under_24_mb():
     ids=_spec_id,
 )
 def test_wide_coherence_holds_one_copy_and_one_tile(spec):
-    # the wide route consumes its spectrum: it holds a float32 copy of
-    # the parts of the n kept rows (8 n m bytes), a copy of those rows
-    # where some are zero (16 n m) and one 512 x 512 tile with its scores
-    # (2 MB)
+    # the wide route consumes its spectrum: it holds a copy of the n kept
+    # rows only where some are zero (16 n m bytes), the float32 parts of
+    # one column block and one row tile (2 x 512 x m x 4 bytes) and one
+    # 512 x 512 tile with its scores (2 MB), plus 0.5 MB for the indices
+    # of a tile's candidates; no float32 copy of all n rows (8 n m)
     S = build_sign_matrix(spec).entries
     spectrum = _row_spectrum(S)
     n = int(np.count_nonzero(spectrum[1] > _ZERO_COLUMN_TOL))
+    copy = 16 * n * S.shape[0] if n < len(spectrum[0]) else 0
     peak = _traced_peak(lambda: _blocked_coherence(*spectrum, S.shape[1]))
-    assert peak < 24 * n * S.shape[0] + (4 << 20), (peak, n)
+    assert peak < copy + 4096 * S.shape[0] + (5 << 19), (peak, n)
 
 
 def _welch_mu(m, n):

@@ -104,6 +104,19 @@ def test_random_tuple_seed():
     assert not np.array_equal(a.entries, b.entries)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, (3, -1), (2**64, 0)])
+def test_random_rejects_a_seed_outside_64_bits(seed):
+    # every seed of a sign stream is in block_rng's range, each word of a tuple too
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\), got -?\d+"):
+        build_sign_matrix(FamilySpec("random", m=2, M=7, seed=seed))
+
+
+def test_random_takes_the_largest_64_bit_seed():
+    top = build_sign_matrix(FamilySpec("random", m=2, M=64, seed=2**64 - 1))
+    zero = build_sign_matrix(FamilySpec("random", m=2, M=64, seed=0))
+    assert not np.array_equal(top.entries, zero.entries)
+
+
 def test_random_rejects_impossible_distinctness():
     with pytest.raises(ValueError):
         build_sign_matrix(FamilySpec("random", m=9, M=3, seed=0))
