@@ -59,6 +59,13 @@ def _infeasible(bound: str, reason: str, params: dict) -> GuaranteeResult:
     return GuaranteeResult(bound, 0.0, None, False, params)
 
 
+def _check_delta(delta: float) -> None:
+    """delta in (0, 1) with a square that is not 0 in float arithmetic:
+    the bounds divide by delta^2."""
+    if not (0.0 < delta < 1.0 and delta * delta > 0.0):
+        raise ValueError(f"delta must be in (0, 1) with a nonzero square, got {delta}")
+
+
 @dataclass(frozen=True)
 class ExripInputs:
     """Everything the exact bound consumes.
@@ -79,8 +86,7 @@ class ExripInputs:
 
     def __post_init__(self):
         K = self.constants.K
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        _check_delta(self.delta)
         if K < 1:
             raise ValueError(f"K must be positive, got {K}")
         if self.M <= K:
@@ -133,8 +139,7 @@ def exrip_approx(m: int, delta: float = BP_DELTA) -> GuaranteeResult:
     """Large-M simplification 1 - 1/(m delta^2) of the exact bound."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    _check_delta(delta)
     raw = 1.0 - 1.0 / (m * delta * delta)
     return _feasible("exrip_approx", raw, {"m": m, "delta": delta})
 
@@ -173,6 +178,8 @@ def coherence_guarantees(
         tk = math.floor(1.0 / (3.0 * mu))
     if candes_plan_c is None:
         return CoherenceGuarantees(mu, de, tk, False)
+    if not 0.0 < candes_plan_c < math.inf:
+        raise ValueError(f"candes_plan_c must be finite and positive, got {candes_plan_c}")
     if K is None or spectral_norm_sq is None:
         raise ValueError("the c-dependent check needs K and spectral_norm_sq")
     if M < 2:
@@ -187,8 +194,7 @@ def rip_min_m(M: int, K: int, delta: float, prob: float) -> int:
     """Smallest m with m >= (2/(c delta)) (ln(2 L) + K ln(12/delta) + t),
     c = RIP_C, L = (M choose K) computed by exact log-gamma and
     t = -ln(1 - prob)."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    _check_delta(delta)
     if not 0.0 < prob < 1.0:
         raise ValueError(f"prob must be in (0, 1), got {prob}")
     if not 1 <= K <= M:
@@ -210,6 +216,7 @@ def strip_calderbank(m: int, M: int, K: int, delta: float) -> GuaranteeResult:
         return _infeasible(
             "calderbank", f"needs (K-1)/(M-1) = {edge:.6g} < delta < 1", params
         )
+    _check_delta(delta)  # at K = 1 the edge is 0 and delta^2 the divisor
     raw = 1.0 - (2.0 * K / m + (2.0 * K + 7.0) / (M - 3.0)) / (delta - edge) ** 2
     return _feasible("calderbank", raw, params)
 
@@ -292,57 +299,46 @@ class _CandidatePool:
     """The random candidates of the channel search for one (M, attempts,
     seed).
 
-    Attempt a is the one sign stream default_rng((seed, a)), and its
-    candidate at m is that stream's first m rows: _sign_blocks draws a
-    prefix the same whatever the block split, from PCG64 words read as
-    32-bit draws, including a block that starts on the high half of a
-    word the Generator holds after an odd number of signs.  mu is kept
-    per (a, m), so a bound that scans attempts until one passes reuses
-    every score another bound took, and scores the rest itself.
+    Attempt a is the one sign stream seeded (seed, a), and its candidate
+    at m is that stream's first m rows (_random_signs), whatever the
+    blocks they are drawn in.  mu is kept per (a, m), so a bound that
+    scans attempts until one passes reuses every score another bound
+    took, and scores the rest itself.
 
     A tall candidate (m > M) is scored from S^T S alone
     (sensing._gram_coherence, one masked max over its whole Gram), a
     wide one from the row spectrum of its drawn rows
     (sensing._blocked_coherence, the tiled screen).  S^T S is grown from
-    the attempt's checkpoint at the largest m0 <= m by the Gram of rows
-    m0..m, drawn from the Generator state saved with it.  Each attempt
-    keeps at most two checkpoints, the one it grew from and the newest
-    (none at m = 0): along a doubling or a bisection the next probe lies
-    above the last failing one, which is kept.  A checkpoint holds T as
-    int32.  Every value is the one the materialized prefix gives
-    (coherence, spectral_norm_sq), bit for bit, so what the pool holds
-    never changes a result.
+    the attempt's checkpoint (m0, T0) at the largest m0 <= m by the Gram
+    of rows m0..m, read from the stream by position.  Each attempt keeps
+    at most two checkpoints, the one it grew from and the newest (none
+    at m = 0): along a doubling or a bisection the next probe lies above
+    the last failing one, which is kept.  A checkpoint holds T as int32.
+    Every value is the one the materialized prefix gives (coherence,
+    spectral_norm_sq), bit for bit, so what the pool holds never changes
+    a result.
     """
 
     def __init__(self, M: int, attempts: int, seed: int):
         self.M = M
         self.seed = seed
         self._mu: dict[tuple[int, int], float] = {}
-        self._checkpoints: list[list[tuple]] = [[] for _ in range(attempts)]
-
-    def _stream(self, a: int) -> np.random.Generator:
-        return np.random.default_rng((self.seed, a))
+        self._checkpoints: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(attempts)]
 
     def signs(self, a: int, m: int) -> np.ndarray:
         """The candidate itself: the first m rows of attempt a's stream."""
-        return _random_signs(self._stream(a), m, self.M)
+        return _random_signs((self.seed, a), m, self.M)
 
     def gram(self, a: int, m: int) -> np.ndarray:
         """S^T S of the candidate (float64), grown from a checkpoint."""
         kept = self._checkpoints[a]
         base = max((c for c in kept if c[0] <= m), key=lambda c: c[0], default=None)
-        rng = self._stream(a)
-        m0 = 0
-        if base is not None:
-            m0, T0, state = base
-            if m0 == m:
-                return T0.astype(np.float64)
-            rng.bit_generator.state = state
-        T = _block_gram(_sign_blocks(rng, m - m0, self.M), self.M)
-        if base is not None:
-            T += T0
-        newest = (m, T.astype(np.int32), rng.bit_generator.state)
-        self._checkpoints[a] = ([] if base is None else [base]) + [newest]
+        m0, T0 = base or (0, 0)
+        if m0 == m:
+            return T0.astype(np.float64)
+        T = _block_gram(_sign_blocks((self.seed, a), m - m0, self.M, m0), self.M)
+        T += T0
+        self._checkpoints[a] = ([base] if base else []) + [(m, T.astype(np.int32))]
         return T
 
     def mu(self, a: int, m: int) -> float:

@@ -179,10 +179,14 @@ def noise_sigma_for_snr(
     """Per-entry noise standard deviation hitting a target SNR, where
     SNR = 10 log10(E||Phi U||_F^2 / E||noise||_F^2) and E||Phi U||_F^2
     equals E||U||_F^2 under uniform supports."""
-    if not math.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, got {snr_db}")
     signal = k_rows * dist.second_moment
-    return math.sqrt(signal / (m * 10.0 ** (snr_db / 10.0)))
+    try:
+        sigma = math.sqrt(signal / (m * 10.0 ** (snr_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):  # 10^(snr/10) beyond float range, or 0
+        sigma = 0.0
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"snr_db must be finite with a noise level in float range, got {snr_db}")
+    return sigma
 
 
 def recovery_experiment(

@@ -100,63 +100,42 @@ class SignMatrix:
 _BLOCK_ROWS = 4096
 
 
-def _sign_blocks(key, m: int, M: int):
-    """The rows of _random_signs(key, m, M) as consecutive float32
-    blocks of at most _BLOCK_ROWS rows.
+def _sign_blocks(key, m: int, M: int, start: int = 0):
+    """Rows start..start+m of the M-sign rows of the stream seeded `key`,
+    as consecutive float32 blocks of at most _BLOCK_ROWS rows.
 
-    Each sign is the top bit of one 32-bit draw (+1 when set), exactly
-    what integers(0, 2) takes from the same draw; blocks drawn in order
-    give the same signs as one m x M draw and leave the Generator in the
-    same state, so a tall matrix need never exist in full.
-
-    The 32-bit draws come off the PCG64 words of random_raw: PCG64 hands
-    out the low half of a word and holds the high half for the next
-    draw, so the words read as little-endian uint32 pairs are the draws
-    in order.  A block that starts on a held half draws its other signs
-    into the same words shifted up one place, with the held half in
-    front, and steps the generator back one word when it drew one too
-    many.  random_raw leaves the held half alone, so has_uint32 and
-    uinteger are then set by hand to what the 32-bit draws leave: the
-    last word's high half stays in uinteger even once it is used.  Any
-    other bit generator raises TypeError.
+    Sign s of the stream seeded `key` (a seed, never a Generator) is the
+    top bit of the s-th 32-bit half of PCG64's raw words, low half
+    first, +1 when set: the draw integers(0, 2) takes.  So a row is
+    reached by position, with PCG64.advance, and a tall matrix need
+    never exist in full.  A block that ends inside a word steps back
+    one word, for the next block to read its high half.
     """
-    rng = np.random.default_rng(key)
-    bg = rng.bit_generator
-    if not isinstance(bg, np.random.PCG64):
-        raise TypeError(f"the sign stream needs a PCG64 bit generator, not {type(bg).__name__}")
-    for start in range(0, m, _BLOCK_ROWS):
-        n = min(_BLOCK_ROWS, m - start) * M
-        state = bg.state
-        held = state["has_uint32"]
-        words = (n - held + 1) // 2  # the words these n draws take
-        raw = bg.random_raw((n + 1) // 2)  # room for n draws
-        bits = raw.astype("<u8", copy=False).view("<u4")
-        # what uinteger keeps; read before the shift below can move it
-        last = bits[2 * words - 1] if words else state["uinteger"]
-        if held:
-            if words < len(raw):
-                bg.advance(-1)
-            bits[1:n] = bits[: n - 1]  # no temporary: numpy copies 1-d overlap back to front
-            bits[0] = state["uinteger"]
-        state = bg.state
-        state["has_uint32"], state["uinteger"] = (n - held) % 2, int(last)
-        bg.state = state
+    bg = np.random.PCG64(key)
+    bg.advance(start * M // 2)
+    skip = start * M % 2  # 1 when the next word's low half is already read
+    for row in range(0, m, _BLOCK_ROWS):
+        n = min(_BLOCK_ROWS, m - row) * M
+        raw = bg.random_raw((skip + n + 1) // 2)
+        bits = raw.astype("<u8", copy=False).view("<u4")[skip : skip + n]
+        skip = (skip + n) % 2
+        if skip:
+            bg.advance(-1)
         # keep the top bit and write the float32 pattern of +1 (top bit
         # set, 0x3F800000) or -1 (clear, 0xBF800000) in place
-        bits = bits[:n]
         bits &= 0x80000000
         bits ^= 0xBF800000
         yield bits.reshape(-1, M).view("<f4")
 
 
-def _random_signs(key, m: int, M: int) -> np.ndarray:
-    """m x M i.i.d. equiprobable int8 signs from `key`, a seed or a
-    Generator on PCG64 (which the draw advances).  Every random sign
-    pattern in the package comes from this one stream (see
-    _sign_blocks); each block is written straight into the result."""
+def _random_signs(key, m: int, M: int, start: int = 0) -> np.ndarray:
+    """Rows start..start+m of the i.i.d. equiprobable int8 signs seeded
+    `key`, M to a row, as an m x M array.  Every random sign pattern in
+    the package comes from this one stream (see _sign_blocks); each
+    block is written straight into the result."""
     S = np.empty((m, M), dtype=np.int8)
-    for start, B in zip(range(0, m, _BLOCK_ROWS), _sign_blocks(key, m, M)):
-        S[start : start + len(B)] = B
+    for row, B in zip(range(0, m, _BLOCK_ROWS), _sign_blocks(key, m, M, start)):
+        S[row : row + len(B)] = B
     return S
 
 
@@ -173,14 +152,16 @@ def _random_entries(m: int, M: int, seed: Seed) -> np.ndarray:
         _check_seed(s)
     if M < 64 and m > 2**M:
         raise ValueError(f"cannot draw {m} distinct rows of length {M} (only {2**M} exist)")
-    rng = np.random.default_rng(seed)
-    S = _random_signs(rng, m, M)
-    # rows must be distinct; redraw clashes (astronomically rare at real sizes)
+    S = _random_signs(seed, m, M)
+    # rows must be distinct; redraw clashes (astronomically rare at real
+    # sizes) from the rows after those drawn
+    drawn = m
     for _ in range(100):
         dup = _repeated_rows(S)
         if not dup:
             return S
-        S[dup] = _random_signs(rng, len(dup), M)
+        S[dup] = _random_signs(seed, len(dup), M, drawn)
+        drawn += len(dup)
     raise ValueError(f"could not draw {m} distinct rows of length {M}")
 
 

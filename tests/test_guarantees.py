@@ -227,6 +227,30 @@ def test_candes_plan_at_one_column_is_a_value_error():
     assert not coherence_guarantees(0.0, 1).candes_plan_evaluable
 
 
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), 0.0, -1.0])
+def test_candes_plan_needs_a_finite_positive_constant(c):
+    with pytest.raises(ValueError, match="candes_plan_c"):
+        coherence_guarantees(1.0 / 23.0, 195, 6.0, 12, candes_plan_c=c)
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        lambda d: exrip_approx(10, d),
+        lambda d: strip_calderbank(10, 64, 1, d),  # K = 1: the edge is 0
+        lambda d: rip_min_m(64, 1, d, 0.97),
+        lambda d: ExripInputs(0.1, 0.1, 0.1, 4, 8, d, moment_constants(NonzeroDistribution(), 2)),
+    ],
+    ids=["exrip_approx", "calderbank", "rip_min_m", "ExripInputs"],
+)
+@pytest.mark.parametrize("delta", [1e-200, 5e-324])
+def test_a_delta_whose_square_underflows_is_a_value_error(bound, delta):
+    assert delta > 0.0 and delta * delta == 0.0
+    with pytest.raises(ValueError, match="delta"):
+        bound(delta)
+    bound(1e-150)  # its square is still a positive float
+
+
 def test_rip_min_m_frozen_and_monotone():
     assert rip_min_m(195, 12, BP_DELTA, 0.97) == 1087
     assert rip_min_m(195, 24, BP_DELTA, 0.97) == 1928
@@ -394,9 +418,10 @@ def test_grown_gram_named_cases():
     M, seed = 7, 3
     pool = _CandidatePool(M, 2, seed)
     for a in range(2):
-        # m * M = 63 is odd: the checkpoint holds a buffered half-word
+        # m0 * M = 63 is odd: the rows grown from this checkpoint start
+        # on the high half of a word
         _assert_pool_is_the_prefix(pool, a, 9)
-        assert pool._checkpoints[a][-1][2]["has_uint32"] == 1
+        assert [(m0, T0.dtype) for m0, T0 in pool._checkpoints[a]] == [(9, np.int32)]
         # 4192 more rows: an extension of two blocks of its own
         _assert_pool_is_the_prefix(pool, a, 9 + _BLOCK_ROWS + 96)
         assert [c[0] for c in pool._checkpoints[a]] == [9, 4201]

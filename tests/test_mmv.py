@@ -2,6 +2,7 @@
 rails, equivariance, and the experiment driver."""
 
 import importlib.util
+import math
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -261,6 +262,15 @@ def test_noise_sigma_for_snr_rejects_a_non_finite_snr(snr_db):
         noise_sigma_for_snr(snr_db, 12, 40, CN)
 
 
+@pytest.mark.parametrize("snr_db", [1e308, 3100.0, -4000.0, -3100.0])
+def test_noise_sigma_for_snr_rejects_a_noise_level_outside_float_range(snr_db):
+    # 10^(snr/10) overflows, or underflows to 0 or to a subnormal whose
+    # inverse overflows
+    with pytest.raises(ValueError, match="float range"):
+        noise_sigma_for_snr(snr_db, 2, 4, CN)
+    assert 0.0 < noise_sigma_for_snr(math.copysign(3000.0, snr_db), 2, 4, CN) < math.inf
+
+
 def test_recovery_monotone_in_row_sparsity():
     S = build_sign_matrix(FamilySpec("random", m=40, M=195, seed=2))
     rates = []
@@ -356,6 +366,8 @@ def test_recovery_curve_reads_the_preset_and_a_flag_wins(monkeypatch, capsys):
         ("--axis", "snr", "--values", "5,nan"),
         ("--axis", "snr", "--values", "inf,5"),
         ("--axis", "snr", "--values", "5,-inf"),
+        ("--axis", "snr", "--values", "5,1e308"),
+        ("--axis", "snr", "--values", "-4000"),
     ],
 )
 def test_recovery_curve_rejects_a_bad_value_before_any_point_runs(monkeypatch, capsys, argv):

@@ -484,6 +484,38 @@ def test_cli_bounds_candes_c_at_one_column_is_a_usage_error(capsys):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("c", ["nan", "inf", "0", "-1"])
+def test_cli_bounds_meaningless_candes_c_is_a_usage_error(c, capsys):
+    argv = ["bounds", "--family", "gold", "--n", "9", "--m", "80", "--k", "12"]
+    assert cli.main([*argv, f"--candes-c={c}"]) == 2
+    assert "error: candes_plan_c must be finite and positive" in capsys.readouterr().err
+
+
+_RANDOM_8X4 = ["--family", "random", "--M", "8", "--m", "4", "--family-seed", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exrip", *_RANDOM_8X4, "--k", "2", "--delta", "1e-200"],
+        ["bounds", *_RANDOM_8X4, "--k", "1", "--delta", "1e-200"],
+        ["verify", *_RANDOM_8X4, "--k", "1", "--delta", "1e-300", "--trials", "1000"],
+    ],
+)
+def test_cli_delta_whose_square_underflows_is_a_usage_error(argv, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: delta must be in (0, 1)" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("snr", ["1e308", "-4000"])
+def test_cli_recover_snr_outside_float_range_is_a_usage_error(snr, capsys):
+    argv = ["recover", *_RANDOM_8X4, "--k-rows", "2", "--r", "1", "--trials", "3"]
+    assert cli.main([*argv, f"--snr={snr}"]) == 2
+    err = capsys.readouterr().err
+    assert "error: snr_db must be finite with a noise level in float range" in err
+
+
 @pytest.mark.parametrize("ceiling", ["0", "-4"])
 def test_cli_table1_ceiling_below_one_is_a_usage_error(ceiling, tmp_path, capsys):
     out = tmp_path / "table1.csv"

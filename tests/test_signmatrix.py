@@ -269,13 +269,18 @@ def test_pattern_file_path_with_crlf_tabs_and_blank_lines(tmp_path):
 
 # m x M shapes around the stream's block size: one row, part of a block,
 # exactly one block, a block and a part, more than two blocks; an odd
-# m M leaves half of a 64-bit draw buffered in the Generator
+# m M ends the last block inside a 64-bit word
 STREAM_SHAPES = [(1, 7), (37, 13), (_BLOCK_ROWS, 5), (_BLOCK_ROWS + 3, 9), (2 * _BLOCK_ROWS + 7, 3)]
 
 
 def _spelled_out_signs(rng, m, M):
     # the published stream: one m x M integers(0, 2) draw mapped to +/-1
     return (rng.integers(0, 2, size=(m, M)) * 2 - 1).astype(np.int8)
+
+
+def _spelled_out_rows(key, start, m, M):
+    # rows start..start+m of one integers(0, 2) draw seeded key
+    return _spelled_out_signs(np.random.default_rng(key), start + m, M)[start:]
 
 
 @pytest.mark.parametrize("m, M", STREAM_SHAPES)
@@ -289,71 +294,83 @@ def test_random_signs_is_the_spelled_out_stream(m, M):
 
 
 @pytest.mark.parametrize("m, M", STREAM_SHAPES)
-def test_random_signs_leaves_the_generator_where_one_draw_does(m, M):
-    # _random_entries redraws duplicate rows from the advanced Generator;
-    # the odd 1 x 7 draw first makes the next one start on a buffered half
-    ours = np.random.default_rng(21)
-    ref = np.random.default_rng(21)
-    for shape in ((1, 7), (m, M), (3, 5)):
-        assert np.array_equal(_random_signs(ours, *shape), _spelled_out_signs(ref, *shape))
-        assert ours.bit_generator.state == ref.bit_generator.state
-
-
-def _skip_draws(rng, k):
-    # k single 32-bit draws: an odd k leaves the high half of a word held
-    rng.integers(0, 1 << 32, size=k, dtype=np.uint32)
-    return rng
+@pytest.mark.parametrize("start", [1, 2, 3])
+def test_random_signs_from_a_start_row_are_rows_of_one_draw(m, M, start):
+    # an odd start M puts the first sign on the high half of a word
+    key = (21, start)
+    assert np.array_equal(_random_signs(key, m, M, start), _spelled_out_rows(key, start, m, M))
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    first=st.integers(0, 9),
-    shapes=st.lists(st.tuples(st.integers(1, 8), st.integers(1, 7)), min_size=1, max_size=4),
-)
-@example(first=1, shapes=[(1, 1), (1, 1), (3, 5)])
-@example(first=0, shapes=[(2, 3), (1, 4), (4, 2)])
-def test_small_blocks_give_the_spelled_out_stream_and_state(first, shapes):
+@given(start=st.integers(0, 9), m=st.integers(1, 10), M=st.integers(1, 7))
+@example(start=1, m=1, M=1)  # one sign on the high half of a word
+@example(start=1, m=3, M=5)  # 15 signs from an odd start fill 8 words
+@example(start=0, m=4, M=3)  # a 3-row block ends mid-word, the next starts there
+def test_small_blocks_give_the_spelled_out_rows(start, m, M):
     # 3-row blocks put block edges inside most shapes, so a block may start
-    # on a word or on a held half, and take an odd or even number of draws
-    ours, ref = _skip_draws(np.random.default_rng(33), first), _skip_draws(np.random.default_rng(33), first)
+    # or end on either half of a word
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signmatrix, "_BLOCK_ROWS", 3)
-        for shape in shapes:
-            assert np.array_equal(_random_signs(ours, *shape), _spelled_out_signs(ref, *shape))
-            assert ours.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(_random_signs(33, m, M, start), _spelled_out_rows(33, start, m, M))
 
 
 @pytest.mark.parametrize(
-    "m, M",
+    "start, m, M",
     [
-        (1, 1),  # the held half is the whole block: no word is drawn
-        (3, 5),  # 14 fresh draws take 7 words; the 8 that hold 15 draws are one too many
-        (_BLOCK_ROWS + 1, 9),  # a full block then one row, both from a held half
+        (1, 1, 1),  # the block is one high half: one word is read
+        (1, 3, 5),  # 15 signs from sign 5 end on a word's high half
+        (1, _BLOCK_ROWS + 1, 9),  # a full block ends mid-word, the next row starts there
     ],
 )
-def test_block_on_a_held_half_steps_back_a_spare_word(m, M):
-    ours, ref = _skip_draws(np.random.default_rng(8), 3), _skip_draws(np.random.default_rng(8), 3)
-    assert ours.bit_generator.state["has_uint32"] == 1
-    for shape in ((m, M), (1, 2), (2, 1)):
-        assert np.array_equal(_random_signs(ours, *shape), _spelled_out_signs(ref, *shape))
-        assert ours.bit_generator.state == ref.bit_generator.state
+def test_block_from_an_odd_sign_is_rows_of_one_draw(start, m, M):
+    assert np.array_equal(_random_signs(8, m, M, start), _spelled_out_rows(8, start, m, M))
+    blocks = list(_sign_blocks(8, m, M, start))
+    assert np.array_equal(np.concatenate(blocks), _random_signs(8, m, M, start))
 
 
 @pytest.mark.parametrize("first", [0, 1])
 def test_sign_block_holds_no_second_block_sized_array(first):
-    rng = _skip_draws(np.random.default_rng(5), first)
+    # first = 1 starts the block on the high half of a word (195 is odd)
     tracemalloc.start()
     try:
-        B = next(_sign_blocks(rng, _BLOCK_ROWS, 195))
+        B = next(_sign_blocks(5, _BLOCK_ROWS, 195, first))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < B.nbytes + (64 << 10), (peak, B.nbytes)
 
 
-def test_random_signs_take_only_pcg64():
-    with pytest.raises(TypeError, match="Philox"):
-        _random_signs(np.random.Generator(np.random.Philox(0)), 2, 3)
+@pytest.mark.parametrize(
+    "key",
+    [np.random.default_rng(0), np.random.Generator(np.random.Philox(0))],
+    ids=["pcg64", "philox"],
+)
+def test_sign_stream_takes_a_seed_not_a_generator(key):
+    with pytest.raises(TypeError, match="Generator"):
+        _random_signs(key, 2, 3)
+    with pytest.raises(TypeError, match="Generator"):
+        next(_sign_blocks(key, 2, 3))
+
+
+def _spelled_out_entries(m, M, seed):
+    # the published redraw: one integers(0, 2) draw, then every repeated
+    # row redrawn from the same Generator until the rows are distinct
+    rng = np.random.default_rng(seed)
+    S = _spelled_out_signs(rng, m, M)
+    while dup := _repeated_rows(S):
+        S[dup] = _spelled_out_signs(rng, len(dup), M)
+    return S
+
+
+@pytest.mark.parametrize("m, M", [(8, 3), (4, 2), (12, 4), (20, 5)])
+def test_redrawn_rows_are_the_spelled_out_redraw(m, M):
+    # so few rows of length M exist that most seeds draw a repeat
+    redrawn = 0
+    for seed in range(150):
+        S = build_sign_matrix(FamilySpec("random", m=m, M=M, seed=seed)).entries
+        assert np.array_equal(S, _spelled_out_entries(m, M, seed)), seed
+        redrawn += bool(_repeated_rows(_random_signs(seed, m, M)))
+    assert redrawn >= 120
 
 
 @pytest.mark.parametrize("m, M", STREAM_SHAPES)
