@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signmatrix import _BLOCK_ROWS, SignMatrix
+from .signmatrix import SignMatrix, _block_rows
 
 # ||Phi_j||^2 below this is a structural zero (exact cancellation in the
 # DFT of every row); true nonzero norms are orders of magnitude larger
@@ -78,25 +78,28 @@ def _block_gram(blocks, n: int) -> np.ndarray:
     """T = sum of B^T B (n x n, float64) over the row blocks B of a
     matrix with entries in {-1, 0, 1}.
 
-    Each block of at most _BLOCK_ROWS rows runs as a float32 BLAS
-    product: its partial sums are integers of magnitude at most
-    _BLOCK_ROWS < 2**24, so it is exact whatever the blocking, FMA use
-    or thread count, and the float64 sum of the blocks is exact too.  A
-    materialized matrix and the same rows streamed by _sign_blocks give
-    the same T, bit for bit.  Every Gram in the package runs here.
+    Each block runs as a float32 BLAS product: its partial sums are
+    integers of magnitude at most its row count, below 2**24 for any
+    block the package makes (_block_rows), so it is exact whatever the
+    blocking, FMA use or thread count, and the float64 sum of the
+    blocks is exact too.  A materialized matrix and the same rows
+    streamed by _sign_blocks give the same T, bit for bit.  Each block
+    is dropped once added, before the next is drawn.  Every Gram in the
+    package runs here.
     """
     T = np.zeros((n, n))
     for B in blocks:
         B = B.astype(np.float32, copy=False)
         T += B.T @ B
+        del B
     return T
 
 
 def _column_gram(S: np.ndarray) -> np.ndarray:
     """S^T S of a materialized matrix with entries in {-1, 0, 1}, over
-    its row blocks (see _block_gram)."""
-    rows = range(0, S.shape[0], _BLOCK_ROWS)
-    return _block_gram((S[i : i + _BLOCK_ROWS] for i in rows), S.shape[1])
+    its row blocks of _block_rows rows (see _block_gram)."""
+    rows = _block_rows(S.shape[1])
+    return _block_gram((S[i : i + rows] for i in range(0, S.shape[0], rows)), S.shape[1])
 
 
 def _sign_gram(S: np.ndarray) -> np.ndarray:

@@ -95,27 +95,38 @@ class SignMatrix:
         return self.entries.shape[1]
 
 
-# rows per block of the sign stream; a block's Gram has integer partial
-# sums of magnitude at most this, exact even in float32 (below 2**24)
-_BLOCK_ROWS = 4096
+# entries per block of the sign stream and of every Gram (_block_rows)
+_BLOCK_ENTRIES = 1 << 17
+
+
+def _block_rows(M: int) -> int:
+    """Rows per block of M-entry rows: at most _BLOCK_ENTRIES entries
+    (512 KB of float32), and at least one row.  A block's Gram has
+    integer partial sums of magnitude at most this, below 2**24, so it
+    is exact even in float32."""
+    return max(1, _BLOCK_ENTRIES // M)
 
 
 def _sign_blocks(key, m: int, M: int, start: int = 0):
     """Rows start..start+m of the M-sign rows of the stream seeded `key`,
-    as consecutive float32 blocks of at most _BLOCK_ROWS rows.
+    as consecutive float32 blocks of _block_rows(M) rows (the last may
+    be shorter).
 
     Sign s of the stream seeded `key` (a seed, never a Generator) is the
     top bit of the s-th 32-bit half of PCG64's raw words, low half
     first, +1 when set: the draw integers(0, 2) takes.  So a row is
     reached by position, with PCG64.advance, and a tall matrix need
     never exist in full.  A block that ends inside a word steps back
-    one word, for the next block to read its high half.
+    one word, for the next block to read its high half.  The stream
+    drops its block once yielded, so a consumer that does the same
+    holds one block at a time.
     """
     bg = np.random.PCG64(key)
     bg.advance(start * M // 2)
     skip = start * M % 2  # 1 when the next word's low half is already read
-    for row in range(0, m, _BLOCK_ROWS):
-        n = min(_BLOCK_ROWS, m - row) * M
+    rows = _block_rows(M)
+    for row in range(0, m, rows):
+        n = min(rows, m - row) * M
         raw = bg.random_raw((skip + n + 1) // 2)
         bits = raw.astype("<u8", copy=False).view("<u4")[skip : skip + n]
         skip = (skip + n) % 2
@@ -126,16 +137,20 @@ def _sign_blocks(key, m: int, M: int, start: int = 0):
         bits &= 0x80000000
         bits ^= 0xBF800000
         yield bits.reshape(-1, M).view("<f4")
+        del raw, bits
 
 
 def _random_signs(key, m: int, M: int, start: int = 0) -> np.ndarray:
     """Rows start..start+m of the i.i.d. equiprobable int8 signs seeded
     `key`, M to a row, as an m x M array.  Every random sign pattern in
     the package comes from this one stream (see _sign_blocks); each
-    block is written straight into the result."""
+    block is written straight into the result and dropped."""
     S = np.empty((m, M), dtype=np.int8)
-    for row, B in zip(range(0, m, _BLOCK_ROWS), _sign_blocks(key, m, M, start)):
+    row = 0
+    for B in _sign_blocks(key, m, M, start):
         S[row : row + len(B)] = B
+        row += len(B)
+        del B
     return S
 
 

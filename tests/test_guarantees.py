@@ -3,6 +3,7 @@ coherence plug-ins and StRIP bounds, and the minimal-m search."""
 
 import gc
 import math
+import tracemalloc
 import weakref
 from dataclasses import asdict
 from itertools import combinations
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mwclab import guarantees
+from mwclab import guarantees, signmatrix
 from mwclab.distributions import KINDS, MomentConstants, NonzeroDistribution, moment_constants
 from mwclab.guarantees import (
     BP_DELTA,
@@ -31,7 +32,7 @@ from mwclab.guarantees import (
     strip_tropp,
 )
 from mwclab.sensing import coherence, sensing_matrix, spectral_norm_sq
-from mwclab.signmatrix import _BLOCK_ROWS, SignMatrix, _random_signs
+from mwclab.signmatrix import SignMatrix, _block_rows, _random_signs
 
 UNIT = MomentConstants(B_K=1.0, C_K=1.0, K=1)
 CN = NonzeroDistribution("complex_normal")
@@ -416,23 +417,27 @@ def _assert_pool_is_the_prefix(pool, a, m):
 
 def test_grown_gram_named_cases():
     M, seed = 7, 3
+    rows = _block_rows(M)
     pool = _CandidatePool(M, 2, seed)
     for a in range(2):
         # m0 * M = 63 is odd: the rows grown from this checkpoint start
         # on the high half of a word
         _assert_pool_is_the_prefix(pool, a, 9)
         assert [(m0, T0.dtype) for m0, T0 in pool._checkpoints[a]] == [(9, np.int32)]
-        # 4192 more rows: an extension of two blocks of its own
-        _assert_pool_is_the_prefix(pool, a, 9 + _BLOCK_ROWS + 96)
-        assert [c[0] for c in pool._checkpoints[a]] == [9, 4201]
+        # a block and 96 rows more: an extension of two blocks of its own
+        top = 9 + rows + 96
+        _assert_pool_is_the_prefix(pool, a, top)
+        assert [c[0] for c in pool._checkpoints[a]] == [9, top]
         # bisection goes down, grown from the checkpoint below it
-        _assert_pool_is_the_prefix(pool, a, 2105)
-        assert [c[0] for c in pool._checkpoints[a]] == [9, 2105]
-        # and up again across the stream's block boundary at _BLOCK_ROWS
-        _assert_pool_is_the_prefix(pool, a, 4099)
-        assert [c[0] for c in pool._checkpoints[a]] == [2105, 4099]
+        mid = (9 + top) // 2
+        _assert_pool_is_the_prefix(pool, a, mid)
+        assert [c[0] for c in pool._checkpoints[a]] == [9, mid]
+        # and up again, by a block and a row: the extension crosses a
+        # block edge
+        _assert_pool_is_the_prefix(pool, a, mid + rows + 1)
+        assert [c[0] for c in pool._checkpoints[a]] == [mid, mid + rows + 1]
         # a probe at a checkpoint reads it back
-        _assert_pool_is_the_prefix(pool, a, 2105)
+        _assert_pool_is_the_prefix(pool, a, mid)
 
 
 @settings(max_examples=20, deadline=None)
@@ -440,13 +445,17 @@ def test_grown_gram_named_cases():
     st.integers(2, 24),
     st.lists(st.integers(1, 4400), min_size=1, max_size=6),
     st.integers(0, 10_000),
+    st.integers(16, 4096),
 )
-def test_grown_gram_is_the_gram_of_the_materialized_prefix(M, probes, seed):
-    pool = _CandidatePool(M, 2, seed)
-    for m in probes:
-        for a in range(2):
-            _assert_pool_is_the_prefix(pool, a, m)
-        assert all(len(kept) <= 2 for kept in pool._checkpoints)
+def test_grown_gram_is_the_gram_of_the_materialized_prefix(M, probes, seed, rows):
+    # blocks of `rows` rows put block edges inside most extensions
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signmatrix, "_BLOCK_ENTRIES", rows * M)
+        pool = _CandidatePool(M, 2, seed)
+        for m in probes:
+            for a in range(2):
+                _assert_pool_is_the_prefix(pool, a, m)
+            assert all(len(kept) <= 2 for kept in pool._checkpoints)
 
 
 _ORACLE_TARGET = {"donoho_elad": 0.97, "tropp_coherence": 0.97, "gan": 0.97, "exrip": 0.85}
@@ -547,6 +556,27 @@ def test_table1_shares_one_pool_and_releases_it(monkeypatch):
     assert guarantees._candidate_pool.cache_info().currsize == 0
     gc.collect()
     assert made[0]() is None
+
+
+def test_channel_search_holds_under_3_mb():
+    # the benchmark's channel search (every bound, the full ceiling of
+    # 32768 rows at M = 195, two draws per m) streams each candidate's
+    # Gram block by block: no tall matrix, one 512 KB block at a time
+    # and two 152 KB checkpoints per draw
+    from mwclab.presets import Preset, load_preset
+    from mwclab.reports import table1_report
+
+    base = load_preset("table1_mwc")
+    preset = Preset(base.name, {**base.values, "attempts": "2"})
+    guarantees._candidate_pool.cache_clear()
+    tracemalloc.start()
+    try:
+        rows = table1_report(preset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 9 and rows[-1]["m_required"] == 39
+    assert peak < 3 << 20, peak
 
 
 def test_search_rejects_nonpositive_attempts():

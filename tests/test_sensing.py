@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from mwclab import sensing
 from mwclab.sensing import (
-    _BLOCK_ROWS,
     _COLUMN_BLOCK,
     _POWER_REL_TOL,
     _SPECTRUM_ROWS,
@@ -43,6 +42,7 @@ from mwclab.sequences import gold_family, gold_t, hadamard_family, maximal_famil
 from mwclab.signmatrix import (
     FamilySpec,
     SignMatrix,
+    _block_rows,
     _random_signs,
     _sign_blocks,
     build_sign_matrix,
@@ -366,8 +366,8 @@ def _direct_autocorrelation(S):
 @example(build_sign_matrix(FamilySpec("hadamard", m=48, M=256)).entries)
 @example(_random_signs((0, 4353, 95), 4353, 195))  # a streamed channel-search shape
 @example(_signs(4353, 195, 5))  # past one row block
-@example(_signs(2 * _BLOCK_ROWS + 1, 64, 5))
-@example(_signs(_BLOCK_ROWS, 33, 5))
+@example(_signs(2 * _block_rows(64) + 1, 64, 5))
+@example(_signs(_block_rows(33), 33, 5))
 def test_beta_is_the_sum_of_squares_of_one_integer_autocorrelation(S):
     # three routes to A: the cyclic diagonals of S^T S (a tall matrix's
     # beta), the rounded irfft of the column power (a wide one's), and
@@ -381,7 +381,10 @@ def test_beta_is_the_sum_of_squares_of_one_integer_autocorrelation(S):
     assert beta == float(sum(int(a) ** 2 for a in A)) / (m * m * M**3)
 
 
-@pytest.mark.parametrize("m, M", [(4353, 195), (2 * _BLOCK_ROWS + 1, 64), (_BLOCK_ROWS, 33)])
+@pytest.mark.parametrize(
+    "m, M",
+    [(4353, 195), (4 * _block_rows(64) + 1, 64), (4096, 33), (_block_rows(33), 33)],
+)
 def test_tall_beta_sums_column_power_over_row_blocks(m, M):
     # a tall matrix's beta, read off S^T S, is the sum of its squared
     # column power P taken over the whole m x M spectrum at once

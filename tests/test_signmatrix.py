@@ -14,10 +14,10 @@ from mwclab import cli, signmatrix
 from mwclab import sequences as sq
 from mwclab.sensing import _block_gram, _column_gram
 from mwclab.signmatrix import (
-    _BLOCK_ROWS,
     _CODEC_ENTRIES,
     FamilySpec,
     SignMatrix,
+    _block_rows,
     _random_signs,
     _repeated_rows,
     _sign_blocks,
@@ -267,10 +267,34 @@ def test_pattern_file_path_with_crlf_tabs_and_blank_lines(tmp_path):
     assert (S.family, S.seed) == ("gold", None)
 
 
-# m x M shapes around the stream's block size: one row, part of a block,
-# exactly one block, a block and a part, more than two blocks; an odd
-# m M ends the last block inside a 64-bit word
-STREAM_SHAPES = [(1, 7), (37, 13), (_BLOCK_ROWS, 5), (_BLOCK_ROWS + 3, 9), (2 * _BLOCK_ROWS + 7, 3)]
+# m x M shapes: one row and parts of a block of several sizes, then,
+# around the block size of their M, exactly one block, a block and a
+# part, more than two blocks; an odd m M ends the last block inside a
+# 64-bit word, and at M = 9 the first block ends there too
+# (test_block_geometry)
+STREAM_SHAPES = [
+    (1, 7),
+    (37, 13),
+    (4096, 5),
+    (4099, 9),
+    (8199, 3),
+    (_block_rows(5), 5),
+    (_block_rows(9) + 3, 9),
+    (2 * _block_rows(3) + 7, 3),
+]
+
+
+def test_block_geometry():
+    # every block's float32 Gram is exact: even one-entry rows make fewer
+    # than 2**24 of them
+    assert _block_rows(1) < 2**24
+    # a row longer than the budget is a block of its own
+    assert _block_rows(signmatrix._BLOCK_ENTRIES + 1) == 1
+    # the block edges the named cases place inside a 64-bit word:
+    # STREAM_SHAPES' first M = 9 block has an odd number of signs, and
+    # a full M = 7 block read from sign 7 ends on a word's low half
+    assert _block_rows(9) * 9 % 2 == 1
+    assert (7 + _block_rows(7) * 7) % 2 == 1
 
 
 def _spelled_out_signs(rng, m, M):
@@ -289,7 +313,7 @@ def test_random_signs_is_the_spelled_out_stream(m, M):
     assert S.dtype == np.int8
     assert np.array_equal(S, _spelled_out_signs(np.random.default_rng((4, m, 1)), m, M))
     blocks = list(_sign_blocks((4, m, 1), m, M))
-    assert all(B.dtype == np.float32 and len(B) <= _BLOCK_ROWS for B in blocks)
+    assert all(B.dtype == np.float32 and len(B) <= _block_rows(M) for B in blocks)
     assert np.array_equal(np.concatenate(blocks), S)
 
 
@@ -302,16 +326,22 @@ def test_random_signs_from_a_start_row_are_rows_of_one_draw(m, M, start):
 
 
 @settings(max_examples=150, deadline=None)
-@given(start=st.integers(0, 9), m=st.integers(1, 10), M=st.integers(1, 7))
-@example(start=1, m=1, M=1)  # one sign on the high half of a word
-@example(start=1, m=3, M=5)  # 15 signs from an odd start fill 8 words
-@example(start=0, m=4, M=3)  # a 3-row block ends mid-word, the next starts there
-def test_small_blocks_give_the_spelled_out_rows(start, m, M):
-    # 3-row blocks put block edges inside most shapes, so a block may start
-    # or end on either half of a word
+@given(
+    start=st.integers(0, 9), m=st.integers(1, 10), M=st.integers(1, 7), entries=st.integers(1, 21)
+)
+@example(start=1, m=1, M=1, entries=3)  # one sign on the high half of a word
+@example(start=1, m=3, M=5, entries=15)  # 15 signs from an odd start fill 8 words
+@example(start=0, m=4, M=3, entries=9)  # a 3-row block ends mid-word, the next starts there
+@example(start=1, m=4, M=5, entries=2)  # rows longer than the budget: one-row blocks
+def test_small_blocks_give_the_spelled_out_rows(start, m, M, entries):
+    # budgets of a few entries put block edges inside most shapes, so a
+    # block of one row or of several may start or end on either half of
+    # a word
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(signmatrix, "_BLOCK_ROWS", 3)
+        mp.setattr(signmatrix, "_BLOCK_ENTRIES", entries)
         assert np.array_equal(_random_signs(33, m, M, start), _spelled_out_rows(33, start, m, M))
+        blocks = list(_sign_blocks(33, m, M, start))
+        assert [len(B) for B in blocks[:-1]] == [_block_rows(M)] * (len(blocks) - 1)
 
 
 @pytest.mark.parametrize(
@@ -319,7 +349,8 @@ def test_small_blocks_give_the_spelled_out_rows(start, m, M):
     [
         (1, 1, 1),  # the block is one high half: one word is read
         (1, 3, 5),  # 15 signs from sign 5 end on a word's high half
-        (1, _BLOCK_ROWS + 1, 9),  # a full block ends mid-word, the next row starts there
+        (1, 4097, 9),  # 36873 signs from sign 9, inside one block
+        (1, _block_rows(7) + 1, 7),  # a full block ends mid-word, the next row starts there
     ],
 )
 def test_block_from_an_odd_sign_is_rows_of_one_draw(start, m, M):
@@ -333,11 +364,42 @@ def test_sign_block_holds_no_second_block_sized_array(first):
     # first = 1 starts the block on the high half of a word (195 is odd)
     tracemalloc.start()
     try:
-        B = next(_sign_blocks(5, _BLOCK_ROWS, 195, first))
+        B = next(_sign_blocks(5, _block_rows(195), 195, first))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < B.nbytes + (64 << 10), (peak, B.nbytes)
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_gram_of_a_stream_holds_one_block_at_a_time(first):
+    # four full blocks and a part, streamed or materialized: a block is
+    # dropped once its product is added, before the next is drawn or
+    # cast, so the peak is one block, T, the block's float32 product and
+    # the float64 cast of that product (the ufunc's 64 KB buffer), never
+    # a second block
+    M = 195
+    m = 4 * _block_rows(M) + 5
+    block = _block_rows(M) * M * 4
+    T = M * M * 8
+    bound = block + T + T // 2 + (128 << 10)
+    peak = _traced_peak(_block_gram, _sign_blocks(5, m, M, first), M)
+    assert peak < bound, (peak, bound)
+    S = _random_signs(5, m, M, first)
+    peak = _traced_peak(_column_gram, S)
+    assert peak < bound, (peak, bound)
+    # the materialized signs are written block by block, one block alive
+    peak = _traced_peak(_random_signs, 5, m, M, first)
+    assert peak < S.nbytes + block + (64 << 10), (peak, S.nbytes + block)
 
 
 @pytest.mark.parametrize(
@@ -390,7 +452,7 @@ def test_streamed_gram_equals_integer_gram(m, M):
     [
         (127, 12, 9, "d1e87a7015baffeb1ebf960898f37da291d5b026371537b3c97708d5a61906f7"),
         (2047, 128, 3, "344f7c64f314ce4f60fa0c85cdc85741c56dc0a2e25557c271aa052c58c16be1"),
-        (40, _BLOCK_ROWS + 4, 11, "71b2ac7f54dac88bd742ebd213921cb420ebd498edc0afbe5ef9dfcf91bfdb80"),
+        (40, 4100, 11, "71b2ac7f54dac88bd742ebd213921cb420ebd498edc0afbe5ef9dfcf91bfdb80"),
     ],
 )
 def test_gen_random_pattern_bytes_are_pinned(M, m, seed, digest, tmp_path):
